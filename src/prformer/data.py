@@ -161,15 +161,26 @@ def write_predictions(path, batches, channels):
     """Stream (window_start, horizon_step, channel, y_true, y_pred) rows.
 
     `batches` yields (starts, y_true, y_pred) triples with arrays shaped
-    (b,), (b, H, C), (b, H, C).
+    (b,), (b, H, C), (b, H, C). Rows run window-major, then horizon step,
+    then channel; values are written with `repr`, so they reload exactly.
     """
+    channels = list(channels)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PREDICTION_COLUMNS)
         for starts, y_true, y_pred in batches:
-            for i, s in enumerate(starts):
-                for h in range(y_true.shape[1]):
-                    for c, name in enumerate(channels):
-                        writer.writerow([int(s), h, name,
-                                         repr(float(y_true[i, h, c])),
-                                         repr(float(y_pred[i, h, c]))])
+            b, horizon = y_true.shape[:2]
+            per_window = horizon * len(channels)
+            writer.writerows(zip(
+                np.repeat(np.asarray(starts, dtype=np.int64), per_window).tolist(),
+                np.tile(np.repeat(np.arange(horizon), len(channels)), b).tolist(),
+                channels * (b * horizon), _reprs(y_true), _reprs(y_pred)))
+
+
+def _reprs(values):
+    """The `repr` of every element of a float array, as a list of strings.
+
+    One repr of the whole list is faster than one call per element, and no
+    float's repr contains the ", " that separates the items.
+    """
+    return repr(values.reshape(-1).tolist())[1:-1].split(", ")

@@ -1,8 +1,12 @@
-"""Neural-net kernels composed from the tensor primitives.
+"""Neural-net kernels: layers composed from the tensor primitives, plus the
+pyramid embedding's three hand-written tape nodes.
 
 Parameters live in small dataclasses of Tensors; the ops are pure functions.
-`conv1d` and `upsample_repeat` are registered as primitives of their own so
-the op tape names them directly instead of a blur of reshapes.
+The pyramid kernels are one tape node each, with a hand-written backward:
+`conv1d` is a patch convolution (stride == kernel) run as reshape plus one
+matmul, `upsample_repeat` is a zero-order hold, and `gru_forward` runs a
+whole GRU sequence as one `gru_sequence` node whose cost is linear in the
+sequence length, forward and backward.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, _node, register_primitive
+from .tensor import Tensor, _logistic, _node, register_primitive
 
 
 @dataclass
@@ -123,38 +127,46 @@ def linear(x, params):
     return T.add(T.matmul(x, params.w), params.b)
 
 
-def conv1d(x, weight, bias=None, stride=1):
-    """Valid 1-d convolution over the last axis.
+def conv1d(x, weight, bias=None):
+    """Patch convolution: valid 1-d convolution with stride == kernel.
 
-    x (B, C_in, L), weight (C_out, C_in, K) -> (B, C_out, L_out) with
-    L_out = (L - K) // stride + 1. Registered on the tape as one op.
+    x (B, C_in, L), weight (C_out, C_in, K) -> (B, C_out, L // K). The
+    windows do not overlap, so the input is cut into L // K patches (a tail
+    shorter than K is dropped) and projected with one matmul. Registered on
+    the tape as one op.
     """
     if x.ndim != 3 or weight.ndim != 3:
         raise T.ShapeMismatchError("conv1d", x.shape, weight.shape, "expects 3-d input and weight")
     if x.shape[1] != weight.shape[1]:
         raise T.ShapeMismatchError("conv1d", x.shape, weight.shape, "channel dims differ")
-    k = weight.shape[2]
-    if stride < 1 or k > x.shape[2]:
+    b_sz, c_in, length = x.shape
+    c_out, _, k = weight.shape
+    if k > length:
         raise T.ShapeMismatchError("conv1d", x.shape, weight.shape,
-                                   f"kernel {k} / stride {stride} invalid for length {x.shape[2]}")
-    l_out = (x.shape[2] - k) // stride + 1
-    patches = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=2)[:, :, ::stride, :]
-    out = np.einsum("bcok,dck->bdo", patches, weight.data)
+                                   f"kernel {k} longer than length {length}")
+    l_out = length // k
+    # (B, C_in, l_out, K) -> rows of (C_in * K), one per (batch, patch)
+    patches = (x.data[:, :, :l_out * k].reshape(b_sz, c_in, l_out, k)
+               .transpose(0, 2, 1, 3).reshape(b_sz * l_out, c_in * k))
+    w_flat = weight.data.reshape(c_out, c_in * k)
+    out = patches @ w_flat.T
     if bias is not None:
-        out = out + bias.data[None, :, None]
-    b_sz, c_out = x.shape[0], weight.shape[0]
-    flops = 2 * b_sz * c_out * x.shape[1] * k * l_out
+        out += bias.data
+    out = out.reshape(b_sz, l_out, c_out).transpose(0, 2, 1)
+    flops = 2 * b_sz * c_out * c_in * k * l_out
 
     def bwd(g):
-        gw = np.einsum("bdo,bcok->dck", g, patches)
-        gx = np.zeros_like(x.data)
-        # per kernel offset the output positions map to a clean strided slice
-        for kk in range(k):
-            end = kk + (l_out - 1) * stride + 1
-            gx[:, :, kk:end:stride] += np.einsum("bdo,dc->bco", g, weight.data[:, :, kk])
-        gb = g.sum(axis=(0, 2)) if bias is not None else None
-        parents_g = (gx, gw) if bias is None else (gx, gw, gb)
-        return parents_g
+        g_rows = g.transpose(0, 2, 1).reshape(b_sz * l_out, c_out)
+        gw = (g_rows.T @ patches).reshape(weight.shape)
+        g_patches = (g_rows @ w_flat).reshape(b_sz, l_out, c_in, k).transpose(0, 2, 1, 3)
+        if l_out * k == length:
+            gx = g_patches.reshape(x.shape)
+        else:
+            gx = np.zeros_like(x.data)
+            gx[:, :, :l_out * k] = g_patches.reshape(b_sz, c_in, l_out * k)
+        if bias is None:
+            return (gx, gw)
+        return (gx, gw, g.sum(axis=(0, 2)))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _node("conv1d", out.astype(x.data.dtype, copy=False), parents, bwd, flops=flops)
@@ -164,16 +176,20 @@ def upsample_repeat(x, target_len):
     """Zero-order-hold upsampling of (B, C, L) along time to `target_len`."""
     if x.ndim != 3:
         raise T.ShapeMismatchError("upsample", x.shape, (target_len,), "expects 3-d input")
-    l_in = x.shape[2]
+    b_sz, ch, l_in = x.shape
     if target_len < l_in:
         raise T.ShapeMismatchError("upsample", x.shape, (target_len,),
                                    "target shorter than input")
     idx = (np.arange(target_len) * l_in) // target_len
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (slice(None), slice(None), idx), g)
-        return (gx,)
+        if target_len % l_in == 0:
+            # every input step is held for the same number of output steps
+            return (g.reshape(b_sz, ch, l_in, target_len // l_in).sum(axis=3),)
+        row_starts = np.arange(b_sz * ch)[:, None] * l_in
+        gx = np.bincount((row_starts + idx).ravel(), weights=g.reshape(-1),
+                         minlength=b_sz * ch * l_in)
+        return (gx.reshape(x.shape).astype(x.data.dtype, copy=False),)
 
     return _node("upsample", x.data[:, :, idx], (x,), bwd)
 
@@ -186,45 +202,72 @@ register_primitive("upsample", upsample_repeat)
 # recurrence
 
 
-def gru_step(x_t, h_prev, params):
-    """One GRU update; x_t (B, in), h_prev (B, H) -> h_t (B, H)."""
-    z = T.sigmoid(T.add(linear(x_t, LinearParams(params.wz, params.bz)),
-                        T.matmul(h_prev, params.uz)))
-    r = T.sigmoid(T.add(linear(x_t, LinearParams(params.wr, params.br)),
-                        T.matmul(h_prev, params.ur)))
-    cand = T.tanh(T.add(linear(x_t, LinearParams(params.wh, params.bh)),
-                        T.matmul(T.mul(r, h_prev), params.uh)))
-    # h_t = (1 - z) * h_prev + z * cand, rewritten to three ops
-    return T.add(h_prev, T.mul(z, T.sub(cand, h_prev)))
+def gru_forward(x, params):
+    """Run a GRU from a zero state over x (T, B, in); return h_T (B, H).
 
-
-def gru_forward(x, params, h0=None):
-    """Run a GRU over x (T, B, in) and return the last hidden state (B, H).
-
-    The input-to-gate projections for all steps are batched into single
-    matmuls up front; only the hidden recurrence loops over time.
+    The whole sequence is one `gru_sequence` tape node. Forward projects all
+    steps' inputs onto the three gates with one matmul, then loops over time
+    with one (H, 2H) product for the update/reset gates and one (H, H)
+    product for the candidate. It keeps h_0..h_T, the gates and the
+    candidates; backward is hand-written BPTT that writes into fresh buffers
+    and returns the nine parameter gradients in `GRUParams` layout.
+    The gate matrices are concatenated per call: parameters change between
+    optimizer steps, so a cached copy would go stale.
     """
-    if x.ndim == 2:
-        x = T.reshape(x, (x.shape[0], 1, x.shape[1]))
-        return T.reshape(gru_forward(x, params, h0), (params.hidden_size,))
+    if x.ndim != 3:
+        raise T.ShapeMismatchError("gru", x.shape, params.wz.shape, "expects (T, B, in) input")
+    if x.shape[2] != params.wz.shape[0]:
+        raise T.ShapeMismatchError("gru", x.shape, params.wz.shape, "input dims differ")
     t_len, batch, in_dim = x.shape
     hidden = params.hidden_size
-    flat = T.reshape(x, (t_len * batch, in_dim))
-    gates = {}
-    for gate, w, b in (("z", params.wz, params.bz), ("r", params.wr, params.br),
-                       ("h", params.wh, params.bh)):
-        gates[gate] = T.reshape(T.add(T.matmul(flat, w), b), (t_len, batch, hidden))
-    h = T.zeros((batch, hidden), dtype=x.data.dtype)
+    w_in = np.concatenate([params.wz.data, params.wr.data, params.wh.data], axis=1)
+    b_in = np.concatenate([params.bz.data, params.br.data, params.bh.data])
+    u_zr = np.concatenate([params.uz.data, params.ur.data], axis=1)
+    u_h = params.uh.data
+    x_flat = x.data.reshape(t_len * batch, in_dim)
+    proj = (x_flat @ w_in + b_in).reshape(t_len, batch, 3 * hidden)
+    dtype = proj.dtype
 
-    def step_input(gate, t):
-        return T.reshape(T.narrow(gates[gate], 0, t, 1), (batch, hidden))
-
+    hs = np.zeros((t_len + 1, batch, hidden), dtype=dtype)
+    zr = np.empty((t_len, batch, 2 * hidden), dtype=dtype)
+    cand = np.empty((t_len, batch, hidden), dtype=dtype)
     for t in range(t_len):
-        z = T.sigmoid(T.add(step_input("z", t), T.matmul(h, params.uz)))
-        r = T.sigmoid(T.add(step_input("r", t), T.matmul(h, params.ur)))
-        cand = T.tanh(T.add(step_input("h", t), T.matmul(T.mul(r, h), params.uh)))
-        h = T.add(h, T.mul(z, T.sub(cand, h)))
-    return h
+        h = hs[t]
+        zr[t] = _logistic(proj[t, :, :2 * hidden] + h @ u_zr)
+        z, r = zr[t, :, :hidden], zr[t, :, hidden:]
+        cand[t] = np.tanh(proj[t, :, 2 * hidden:] + (r * h) @ u_h)
+        hs[t + 1] = h + z * (cand[t] - h)
+    del proj
+    # input projection, the two recurrent products, ~10 elementwise ops per unit
+    flops = t_len * batch * (2 * in_dim * 3 * hidden + 2 * 3 * hidden * hidden + 10 * hidden)
+
+    def bwd(g):
+        g_proj = np.empty((t_len, batch, 3 * hidden), dtype=np.result_type(g, dtype))
+        dh = g
+        for t in range(t_len - 1, -1, -1):
+            h, z, r, c = hs[t], zr[t, :, :hidden], zr[t, :, hidden:], cand[t]
+            da_c = dh * z * (1.0 - c * c)
+            d_rh = da_c @ u_h.T
+            dz = dh * (c - h)
+            g_proj[t, :, :hidden] = dz * z * (1.0 - z)
+            g_proj[t, :, hidden:2 * hidden] = d_rh * h * r * (1.0 - r)
+            g_proj[t, :, 2 * hidden:] = da_c
+            dh = dh * (1.0 - z) + d_rh * r + g_proj[t, :, :2 * hidden] @ u_zr.T
+        rows = g_proj.reshape(t_len * batch, 3 * hidden)
+        h_prev = hs[:-1].reshape(t_len * batch, hidden)
+        rh_prev = (zr[:, :, hidden:] * hs[:-1]).reshape(t_len * batch, hidden)
+        gx = (rows @ w_in.T).reshape(x.shape)
+        gw = x_flat.T @ rows
+        gu_zr = h_prev.T @ rows[:, :2 * hidden]
+        gu_h = rh_prev.T @ rows[:, 2 * hidden:]
+        gb = rows.sum(axis=0)
+        z_, r_, h_ = slice(None, hidden), slice(hidden, 2 * hidden), slice(2 * hidden, None)
+        return (gx, gw[:, z_], gu_zr[:, z_], gb[z_], gw[:, r_], gu_zr[:, r_], gb[r_],
+                gw[:, h_], gu_h, gb[h_])
+
+    parents = (x, params.wz, params.uz, params.bz, params.wr, params.ur, params.br,
+               params.wh, params.uh, params.bh)
+    return _node("gru_sequence", hs[t_len].copy(), parents, bwd, flops=flops)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Pyramidal RNN embedding: one D-dim vector per variable.
 
-A univariate lookback series is coarsened bottom-up by strided convolutions
-(one level per configured period), the top level is repeatedly upsampled and
-added laterally on the way down, a GRU summarizes each fused level, and a
-temperature softmax over learned logits weights the per-level summaries
-before a fusion linear mixes them into the final embedding.
+A univariate lookback series is coarsened bottom-up by patch convolutions
+(stride == kernel, one level per configured period), the top level is
+repeatedly upsampled and added laterally on the way down, a GRU summarizes
+each fused level, and a temperature softmax over learned logits weights the
+per-level summaries before a fusion linear mixes them into the final
+embedding.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ def build_pyramid_config(windows, lookback):
     """Derive kernels and level lengths from period windows.
 
     Each kernel is the floor ratio of consecutive windows (the base window is
-    1 sample); lengths follow from repeated valid strided convolution, which
-    for stride == kernel is floor division.
+    1 sample); each level is a patch convolution (stride == kernel), so its
+    length is the floor division of the one below.
     """
     windows = tuple(int(w) for w in windows)
     if not windows:
@@ -127,8 +128,8 @@ def bottom_up(x, params, cfg):
                                    "series length != configured lookback")
     cur = T.reshape(x, (x.shape[0], 1, x.shape[1]))
     features = []
-    for w, b, k in zip(params.conv_weights, params.conv_biases, cfg.kernels):
-        cur = nn.conv1d(cur, w, b, stride=k)
+    for w, b in zip(params.conv_weights, params.conv_biases):
+        cur = nn.conv1d(cur, w, b)
         features.append(cur)
     return features
 

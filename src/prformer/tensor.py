@@ -418,10 +418,14 @@ def tanh(x):
     return _node("tanh", out, (x,), bwd)
 
 
+def _logistic(a):
+    # evaluated via tanh for stability on large negative inputs
+    return 0.5 * (np.tanh(0.5 * a) + 1.0)
+
+
 def sigmoid(x):
     x = _as_tensor(x)
-    # evaluated via tanh for stability on large negative inputs
-    out = 0.5 * (np.tanh(0.5 * x.data) + 1.0)
+    out = _logistic(x.data)
 
     def bwd(g):
         return (g * out * (1.0 - out),)

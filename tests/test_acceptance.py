@@ -3,7 +3,7 @@
 One test per numbered criterion; `pytest -v tests/test_acceptance.py` gives
 one pass/fail line per criterion, and each test also prints its measured
 numbers (visible with -s, or in captured output on failure). Criteria 5 and
-the full/V3 leg of 8 are soft: they report measurements and warn out of
+5b (the pyramid's forward plus backward) and the full/V3 leg of 8 are soft: they report measurements and warn out of
 band rather than failing, since wall-clock ratios and seed-level orderings
 wobble on busy hosts. Everything else is a hard gate.
 """
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import grad_check_all_params
-from prformer import baselines, revin, synthetic
+from prformer import baselines, pre, revin, synthetic
 from prformer import tensor as T
 from prformer.analysis import check_pe, pe_dot_invariance, scaling_bench
 from prformer.config import RunConfig
@@ -196,6 +196,40 @@ class TestAcceptance:
             # soft criterion: linear scaling is asserted on an idle host only
             warnings.warn(f"scaling ratios {ratios} outside [1.5, 2.5]; "
                           f"rerun on an idle machine to confirm linearity")
+
+    def test_criterion_05b_pyramid_backward_linear_scaling(self):
+        # fwd+bwd of the pyramid embedding alone, where the recurrence sits,
+        # at the paper's ETTh1 width: 32 windows x 7 channels, d_model 128
+        def seconds(lookback, batch=224, repetitions=5):
+            cfg = build_pyramid_config([24, 48, 96], lookback)
+            rng = np.random.default_rng(0)
+            params = pre.init_pre(rng, cfg, d_model=128)
+            x = Tensor(rng.normal(size=(batch, lookback)).astype(np.float32))
+            times = []
+            for _ in range(repetitions + 1):  # the first run is warm-up
+                started = time.perf_counter()
+                T.backward(T.sum_(pre.pre_embed_batch(x, params, cfg)))
+                times.append(time.perf_counter() - started)
+            return float(np.median(times[1:]))
+
+        def measure():
+            medians = [seconds(lookback) for lookback in (720, 1440, 2880)]
+            return medians, [b / a for a, b in zip(medians, medians[1:])]
+
+        medians, ratios = measure()
+        if not all(1.5 <= r <= 2.5 for r in ratios):
+            medians, ratios = measure()  # one retry; transient load skews medians
+        in_band = all(1.5 <= r <= 2.5 for r in ratios)
+        mark = "PASS" if in_band else "REPORT"
+        print(f"[criterion 05b] {mark}: pre_embed_batch fwd+bwd doubling ratios "
+              f"{[round(r, 2) for r in ratios]} (" + ", ".join(
+                  f"L={n}: {m * 1e3:.2f}ms" for n, m in zip((720, 1440, 2880), medians))
+              + ")")
+        assert all(m > 0 for m in medians)
+        if not in_band:
+            # soft criterion, like 05: linear scaling is asserted on an idle host only
+            warnings.warn(f"pyramid fwd+bwd scaling ratios {ratios} outside "
+                          f"[1.5, 2.5]; rerun on an idle machine to confirm linearity")
 
     def test_criterion_06_learning_signal_vs_baselines(self, synth_table,
                                                        synth_ranges,

@@ -4,6 +4,7 @@ enumeration, and the synthetic generators' advertised structure."""
 import numpy as np
 import pytest
 
+import oracles
 from prformer import data, synthetic
 from prformer.data import DataError, load_csv, save_csv, split_ranges, window_iter
 
@@ -176,6 +177,19 @@ class TestPredictionsCsv:
         assert first[:3] == ["10", "0", "a"]
         assert np.float32(first[3]) == y_true[0, 0, 0]
         assert np.float32(first[4]) == y_pred[0, 0, 0]
+
+    def test_byte_identical_to_row_loop(self, tmp_path):
+        rng = np.random.default_rng(93)
+        channels = ["a", "b,c", 'd"e']  # the last two need csv quoting
+        batches = []
+        for start, size in ((100, 4), (104, 4), (108, 2)):  # short last batch
+            batches.append((np.arange(start, start + size),
+                            rng.normal(size=(size, 5, 3)).astype(np.float32),
+                            rng.normal(size=(size, 5, 3)).astype(np.float32)))
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        data.write_predictions(str(fast), iter(batches), channels)
+        oracles.write_predictions(str(slow), iter(batches), channels)
+        assert fast.read_bytes() == slow.read_bytes()
 
 
 class TestSyntheticGenerators:

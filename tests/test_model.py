@@ -97,7 +97,7 @@ class TestVariants:
         x = Tensor(rng.normal(size=(1, 16, 2)).astype(np.float32))
         ops = set(Tape.trace(T.sum_(model.forward(x))).op_ids())
         assert "conv1d" not in ops
-        assert "sigmoid" not in ops and "tanh" not in ops
+        assert "gru_sequence" not in ops
         assert "upsample" not in ops
 
     def test_full_tape_shows_convolution_and_recurrence(self):
@@ -107,7 +107,7 @@ class TestVariants:
         counts = Tape.trace(T.sum_(model.forward(x))).op_counts()
         assert counts["conv1d"] == 2  # one per pyramid level
         assert counts["upsample"] == 1
-        assert counts["sigmoid"] > 0 and counts["tanh"] > 0
+        assert counts["gru_sequence"] == 2  # one per pyramid level
 
     def test_v3_truncates_to_bottom_level(self):
         model = make_variant(small_config(), "V3", channels=2)

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracles
 from prformer import nn, tensor as T
 from prformer.nn import GRUParams, LinearParams, MHAParams
 from prformer.tensor import Tape, backward, grad_check, tensor
@@ -51,14 +52,14 @@ class TestConv1d:
     def test_known_non_overlapping_value(self):
         x = f64([[[1.0, 2.0, 3.0, 4.0]]])
         w = f64([[[1.0, 1.0]]])
-        out = nn.conv1d(x, w, stride=2)
+        out = nn.conv1d(x, w)
         np.testing.assert_allclose(out.data, [[[3.0, 7.0]]])
 
     def test_matches_numpy_correlate_stride_one(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=16)
         w = rng.normal(size=5)
-        out = nn.conv1d(f64(x[None, None, :]), f64(w[None, None, :]), stride=1)
+        out = oracles.conv1d(f64(x[None, None, :]), f64(w[None, None, :]), stride=1)
         np.testing.assert_allclose(out.data[0, 0], np.correlate(x, w, mode="valid"),
                                    rtol=1e-10)
 
@@ -70,32 +71,66 @@ class TestConv1d:
             stride = int(rng.integers(1, k + 1))
             x = f64(rng.normal(size=(2, 3, length)))
             w = f64(rng.normal(size=(4, 3, k)))
-            out = nn.conv1d(x, w, stride=stride)
+            out = oracles.conv1d(x, w, stride=stride)
             assert out.shape == (2, 4, (length - k) // stride + 1)
+            assert nn.conv1d(x, w).shape == (2, 4, length // k)
 
     def test_bias_is_per_output_channel(self):
         x = f64(np.zeros((1, 1, 6)))
         w = f64(np.zeros((2, 1, 3)))
         b = f64([1.5, -2.0])
-        out = nn.conv1d(x, w, b, stride=3)
+        out = nn.conv1d(x, w, b)
         np.testing.assert_allclose(out.data[0, :, 0], [1.5, -2.0])
 
     def test_gradients_all_inputs(self):
+        # the strided oracle itself, at every stride the fused kernel is held to
         rng = np.random.default_rng(14)
         x = rng.normal(size=(2, 3, 10))
         w = rng.normal(size=(4, 3, 3))
         b = rng.normal(size=(4,))
         for stride in (1, 2, 3):
             err = grad_check(
-                lambda t: T.sum_(T.tanh(nn.conv1d(t, f64(w), f64(b), stride=stride))),
+                lambda t: T.sum_(T.tanh(oracles.conv1d(t, f64(w), f64(b), stride=stride))),
                 f64(x))
             assert err < GRAD_TOL, f"x grad, stride {stride}"
             err = grad_check(
-                lambda t: T.sum_(T.tanh(nn.conv1d(f64(x), t, f64(b), stride=stride))),
+                lambda t: T.sum_(T.tanh(oracles.conv1d(f64(x), t, f64(b), stride=stride))),
                 f64(w))
             assert err < GRAD_TOL, f"w grad, stride {stride}"
-        err = grad_check(lambda t: T.sum_(nn.conv1d(f64(x), f64(w), t, stride=2)), f64(b))
+        err = grad_check(lambda t: T.sum_(oracles.conv1d(f64(x), f64(w), t, stride=2)),
+                         f64(b))
         assert err < GRAD_TOL
+
+    @pytest.mark.parametrize("length,k", [(12, 3), (10, 3), (7, 7), (9, 1), (13, 4)])
+    def test_patch_gradients_match_finite_differences(self, length, k):
+        rng = np.random.default_rng(length * 10 + k)
+        x = rng.normal(size=(2, 3, length))
+        w = rng.normal(size=(4, 3, k))
+        b = rng.normal(size=(4,))
+        err = grad_check(lambda t: T.sum_(T.tanh(nn.conv1d(t, f64(w), f64(b)))), f64(x))
+        assert err < GRAD_TOL, "x grad"
+        err = grad_check(lambda t: T.sum_(T.tanh(nn.conv1d(f64(x), t, f64(b)))), f64(w))
+        assert err < GRAD_TOL, "w grad"
+        err = grad_check(lambda t: T.sum_(T.tanh(nn.conv1d(f64(x), f64(w), t))), f64(b))
+        assert err < GRAD_TOL, "b grad"
+
+    @pytest.mark.parametrize("length,k", [(24, 4), (26, 4), (15, 5), (17, 16), (6, 1)])
+    def test_patch_conv_matches_strided_oracle(self, length, k):
+        rng = np.random.default_rng(length * 100 + k)
+        x0 = rng.normal(size=(3, 2, length))
+        w0 = rng.normal(size=(5, 2, k))
+        b0 = rng.normal(size=(5,))
+        proj = f64(rng.normal(size=(3, 5, length // k)))
+        results = []
+        for conv, kwargs in ((nn.conv1d, {}), (oracles.conv1d, {"stride": k})):
+            x, w, b = f64(x0, True), f64(w0, True), f64(b0, True)
+            out = conv(x, w, b, **kwargs)
+            backward(T.sum_(T.mul(out, proj)))
+            results.append((out.data, x.grad, w.grad, b.grad))
+        for name, fused, ref in zip(("out", "x", "w", "b"), *results):
+            np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-6, err_msg=name)
+        if length % k:
+            assert np.all(results[0][1][:, :, length // k * k:] == 0.0)
 
     def test_shape_validation(self):
         with pytest.raises(T.ShapeMismatchError, match="conv1d"):
@@ -105,7 +140,7 @@ class TestConv1d:
 
     def test_appears_as_one_tape_op(self):
         x = tensor(np.ones((1, 1, 8)), requires_grad=True)
-        out = nn.conv1d(x, tensor(np.ones((2, 1, 4))), stride=4)
+        out = nn.conv1d(x, tensor(np.ones((2, 1, 4))))
         assert Tape.trace(T.sum_(out)).op_ids() == ["conv1d", "sum"]
 
 
@@ -138,41 +173,74 @@ class TestUpsampleRepeat:
             f64(rng.normal(size=(1, 2, 4))))
         assert err < GRAD_TOL
 
+    def test_gradient_exact_ratio(self):
+        # whole-number ratios take the reshape-sum path, the rest bincount
+        rng = np.random.default_rng(16)
+        for target in (4, 12):
+            weight = f64(rng.normal(size=(2, 3, target)))
+            err = grad_check(
+                lambda t: T.sum_(T.mul(nn.upsample_repeat(t, target), weight)),
+                f64(rng.normal(size=(2, 3, 4))))
+            assert err < GRAD_TOL, target
+
     def test_target_shorter_than_input_rejected(self):
         with pytest.raises(T.ShapeMismatchError, match="upsample"):
             nn.upsample_repeat(f64(np.zeros((1, 1, 8))), 4)
+
+
+GRU_FIELDS = tuple(f.name for f in dataclasses.fields(GRUParams))
+
+
+def f64_gru(params, requires_grad=False):
+    return GRUParams(**{name: f64(getattr(params, name).data, requires_grad)
+                        for name in GRU_FIELDS})
 
 
 class TestGRU:
     def test_hand_worked_step(self):
         # z = sigmoid(0) = 0.5, candidate = tanh(1), h_prev = 0
         params = scalar_gru(wh=1.0)
-        h = nn.gru_step(f64([[1.0]]), f64([[0.0]]), params)
+        h = oracles.gru_step(f64([[1.0]]), f64([[0.0]]), params)
         np.testing.assert_allclose(h.data, [[0.5 * np.tanh(1.0)]], atol=1e-12)
         np.testing.assert_allclose(h.data, [[0.380797]], atol=1e-6)
+        fused = nn.gru_forward(f64([[[1.0]]]), params)
+        np.testing.assert_allclose(fused.data, h.data, atol=1e-12)
 
     def test_reset_gate_blocks_history_in_candidate(self):
         # r ~ 0 (large negative br): candidate ignores h_prev, z ~ 1 (large bz)
         params = scalar_gru(bz=50.0, br=-50.0, uh=5.0, wh=1.0)
-        h = nn.gru_step(f64([[0.5]]), f64([[0.9]]), params)
+        h = oracles.gru_step(f64([[0.5]]), f64([[0.9]]), params)
         np.testing.assert_allclose(h.data, [[np.tanh(0.5)]], atol=1e-6)
 
     def test_update_gate_zero_keeps_state(self):
         params = scalar_gru(bz=-50.0, wh=1.0)
-        h = nn.gru_step(f64([[1.0]]), f64([[0.7]]), params)
+        h = oracles.gru_step(f64([[1.0]]), f64([[0.7]]), params)
         np.testing.assert_allclose(h.data, [[0.7]], atol=1e-6)
 
     def test_sequence_matches_stepwise_reference(self):
         rng = np.random.default_rng(16)
-        params = nn.init_gru(rng, 3, 4)
-        params = GRUParams(**{f: f64(getattr(params, f).data, requires_grad=True)
-                              for f in ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")})
+        params = f64_gru(nn.init_gru(rng, 3, 4), requires_grad=True)
         x = rng.normal(size=(6, 2, 3))
         fast = nn.gru_forward(f64(x), params)
         h = f64(np.zeros((2, 4)))
         for t in range(6):
-            h = nn.gru_step(f64(x[t]), h, params)
+            h = oracles.gru_step(f64(x[t]), h, params)
         np.testing.assert_allclose(fast.data, h.data, rtol=1e-10)
+
+    @pytest.mark.parametrize("t_len", [1, 2, 7])
+    def test_matches_composed_oracle_with_gradients(self, t_len):
+        rng = np.random.default_rng(60 + t_len)
+        base = nn.init_gru(rng, 3, 5)
+        x0 = rng.normal(size=(t_len, 4, 3))
+        proj = f64(rng.normal(size=(4, 5)))
+        results = []
+        for gru in (nn.gru_forward, oracles.gru_forward):
+            x, params = f64(x0, True), f64_gru(base, requires_grad=True)
+            out = gru(x, params)
+            backward(T.sum_(T.mul(out, proj)))
+            results.append([out.data, x.grad] + [getattr(params, n).grad for n in GRU_FIELDS])
+        for name, fused, ref in zip(("out", "x") + GRU_FIELDS, *results):
+            np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-6, err_msg=name)
 
     def test_matches_pure_numpy_recurrence(self):
         rng = np.random.default_rng(17)
@@ -190,20 +258,25 @@ class TestGRU:
             h = (1.0 - z) * h + z * cand
         np.testing.assert_allclose(out.data, h, atol=1e-5)
 
-    def test_two_dim_input_convenience(self):
-        rng = np.random.default_rng(18)
-        params = nn.init_gru(rng, 2, 3)
-        x = rng.normal(size=(4, 2)).astype(np.float32)
-        single = nn.gru_forward(tensor(x), params)
-        batched = nn.gru_forward(tensor(x[:, None, :]), params)
-        assert single.shape == (3,)
-        np.testing.assert_allclose(single.data, batched.data[0], rtol=1e-6)
+    def test_rejects_unbatched_input_and_initial_state(self):
+        params = nn.init_gru(np.random.default_rng(18), 2, 3)
+        with pytest.raises(T.ShapeMismatchError, match="gru"):
+            nn.gru_forward(tensor(np.zeros((4, 2), dtype=np.float32)), params)
+        with pytest.raises(T.ShapeMismatchError, match="gru"):
+            nn.gru_forward(tensor(np.zeros((4, 1, 3), dtype=np.float32)), params)
+        with pytest.raises(TypeError):
+            nn.gru_forward(tensor(np.zeros((4, 1, 2), dtype=np.float32)), params,
+                           tensor(np.ones((1, 3), dtype=np.float32)))
+
+    def test_appears_as_one_tape_op(self):
+        params = nn.init_gru(np.random.default_rng(22), 2, 3)
+        x = tensor(np.ones((6, 1, 2)), requires_grad=True)
+        tape = Tape.trace(T.sum_(nn.gru_forward(x, params)))
+        assert tape.op_ids() == ["gru_sequence", "sum"]
 
     def test_gradient_through_time(self):
         rng = np.random.default_rng(19)
-        params = nn.init_gru(rng, 2, 3)
-        params = GRUParams(**{f.name: f64(getattr(params, f.name).data)
-                              for f in dataclasses.fields(params)})
+        params = f64_gru(nn.init_gru(rng, 2, 3))
         err = grad_check(lambda t: T.sum_(nn.gru_forward(t, params)),
                          f64(rng.normal(size=(4, 2, 2))))
         assert err < GRAD_TOL
@@ -214,13 +287,27 @@ class TestGRU:
         x = f64(rng.normal(size=(4, 1, 2)))
 
         def f(t):
-            fields = {f.name: f64(getattr(base, f.name).data)
-                      for f in dataclasses.fields(base)}
-            fields["uh"] = t
-            return T.sum_(nn.gru_forward(x, GRUParams(**fields)))
+            params = f64_gru(base)
+            params.uh = t
+            return T.sum_(nn.gru_forward(x, params))
 
         err = grad_check(f, f64(base.uh.data))
         assert err < GRAD_TOL
+
+    @pytest.mark.parametrize("name", GRU_FIELDS)
+    def test_gradient_wrt_each_weight(self, name):
+        rng = np.random.default_rng(23)
+        base = nn.init_gru(rng, 2, 3)
+        x = f64(rng.normal(size=(5, 2, 2)))
+        proj = f64(rng.normal(size=(2, 3)))
+
+        def f(t):
+            params = f64_gru(base)
+            setattr(params, name, t)
+            return T.sum_(T.mul(nn.gru_forward(x, params), proj))
+
+        err = grad_check(f, f64(getattr(base, name).data))
+        assert err < GRAD_TOL, name
 
 
 class TestLayerNorm:

@@ -195,7 +195,7 @@ class TestStructure:
         counts = Tape.trace(T.sum_(out)).op_counts()
         assert counts["conv1d"] == 1
         assert "upsample" not in counts
-        assert counts["sigmoid"] > 0 and counts["tanh"] > 0  # the recurrence
+        assert counts["gru_sequence"] == 1  # the recurrence
 
     def test_forward_cost_linear_in_lookback(self):
         rng = np.random.default_rng(49)
@@ -208,6 +208,17 @@ class TestStructure:
             flops[lookback] = Tape.trace(T.sum_(out)).flops()
         ratio = flops[128] / flops[64]
         assert 1.8 <= ratio <= 2.2, ratio
+
+    def test_graph_size_independent_of_lookback(self):
+        # one tape node per kernel, whatever the number of time steps
+        rng = np.random.default_rng(52)
+        nodes = {}
+        for lookback in (64, 128):
+            cfg = build_pyramid_config([4, 8], lookback)
+            params = pre.init_pre(rng, cfg, d_model=8, conv_channels=4)
+            x = tensor(rng.normal(size=(3, lookback)).astype(np.float32))
+            nodes[lookback] = len(Tape.trace(T.sum_(pre.pre_embed_batch(x, params, cfg))))
+        assert nodes[64] == nodes[128]
 
 
 class TestGradients:
