@@ -4,8 +4,8 @@ wall-clock scaling benchmark.
 The PE check machine-verifies that the dot product of two sinusoidal
 positional encodings depends only on their offset (it equals a cosine sum
 over the frequency ladder), which is why attention over such encodings
-cannot tell absolute positions apart. The bench measures embed+encode
-forward time as the lookback doubles.
+cannot tell absolute positions apart. The bench measures the forward
+pass, or a full training step, as the lookback doubles.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from . import tensor as T
 from .config import RunConfig
 from .model import PRformer
 from .tensor import Tensor
+from .training import Adam, train_step
 
 
 def pe_frequencies(d_model):
@@ -83,18 +84,23 @@ def check_pe(trials=1000, d_model=None, seed=0):
 
 def bench_forward_seconds(model, channels, repetitions, batch_size=1,
                           include_backward=False, seed=0):
-    """Median/mean wall time of embed+encode on one batch; warm-up excluded."""
+    """Median/mean wall time of one forward pass on one batch, or with
+    `include_backward` of one full `train_step` (forward, loss, backward,
+    Adam); warm-up excluded."""
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.normal(size=(batch_size, model.config.lookback, channels))
-               .astype(np.float32))
+    inputs = rng.normal(size=(batch_size, model.config.lookback, channels)
+                        ).astype(np.float32)
+    if include_backward:
+        targets = rng.normal(size=(batch_size, model.config.pred_len, channels)
+                             ).astype(np.float32)
+        optimizer = Adam(model.named_parameters(), model.config.lr)
 
-    def run():
-        if include_backward:
-            loss = T.mean(T.abs_(model.forward(x)))
-            T.backward(loss)
-            for _, p in model.named_parameters():
-                p.grad = None
-        else:
+        def run():
+            train_step(model, optimizer, inputs, targets, rng)
+    else:
+        x = Tensor(inputs)
+
+        def run():
             with T.no_grad():
                 model.forward(x)
 
@@ -110,7 +116,8 @@ def bench_forward_seconds(model, channels, repetitions, batch_size=1,
 def scaling_bench(lookbacks, windows, d_model=64, channels=3, conv_channels=16,
                   e_layers=1, heads=4, repetitions=5, batch_size=1,
                   include_backward=False, seed=0):
-    """Time the forward pass across lookbacks; ratios come from medians.
+    """Time the forward pass (or a training step) across lookbacks; ratios
+    come from medians.
 
     Every lookback must cover the top window so each pyramid is valid; at
     least three points are needed to see a trend.

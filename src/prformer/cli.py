@@ -9,7 +9,6 @@ thread count before numpy loads.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -54,19 +53,9 @@ def _add_config_flags(sp):
 
 def resolve_config(args):
     """Merge config file, CLI overrides, and the seed fallback chain."""
-    from .config import ConfigError, RunConfig
+    from .config import ConfigError, RunConfig, read_config_file
 
-    merged = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                merged = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}") from None
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{args.config} is not valid JSON: {e}") from None
-        if not isinstance(merged, dict):
-            raise ConfigError(f"{args.config} must hold a JSON object")
+    merged = read_config_file(args.config) if args.config else {}
     for name in RunConfig.field_names():
         value = getattr(args, name, None)
         if value is not None:
@@ -258,7 +247,8 @@ def build_parser():
     p.add_argument("--out", default="predictions.csv")
     p.set_defaults(handler=cmd_predict)
 
-    p = sub.add_parser("bench", help="forward-time scaling across lookbacks")
+    p = sub.add_parser("bench", help="forward (or train-step) time scaling "
+                                     "across lookbacks")
     p.add_argument("--lookbacks", type=int, nargs="+",
                    default=[720, 1440, 2880])
     p.add_argument("--windows", type=int, nargs="+", default=[24, 48, 96])
@@ -270,7 +260,8 @@ def build_parser():
     p.add_argument("--repetitions", type=int, default=5)
     p.add_argument("--batch-size", type=int, default=1, dest="batch_size")
     p.add_argument("--backward", action="store_true",
-                   help="time forward+backward instead of forward only")
+                   help="time a full training step (forward, L1 loss, "
+                        "backward, Adam) instead of the forward pass only")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-pin", action="store_true",
                    help="skip pinning numerics to one thread")

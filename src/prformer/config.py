@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from .pre import build_pyramid_config, level_hidden_sizes
 
@@ -18,6 +19,27 @@ SPLIT_SCHEMES = ("6:2:2", "7:1:2")
 
 class ConfigError(ValueError):
     pass
+
+
+# JSON value kinds allowed by each annotation name in RunConfig
+_KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str,
+          "tuple": tuple, "None": type(None)}
+
+
+def read_config_file(path):
+    """The JSON object held in config file `path`, as a dict."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    return data
 
 
 @dataclass
@@ -46,11 +68,24 @@ class RunConfig:
     grad_clip: float | None = None
 
     def __post_init__(self):
-        self.pyramidal_windows = tuple(int(w) for w in self.pyramidal_windows)
-        if self.d_ff is None:
+        if isinstance(self.pyramidal_windows, list):
+            self.pyramidal_windows = tuple(self.pyramidal_windows)
+        if self.d_ff is None and isinstance(self.d_model, int):
             self.d_ff = 2 * self.d_model
 
     def validate(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kinds = f.type.split(" | ")
+            if (not isinstance(value, tuple(_KINDS[k] for k in kinds))
+                    or isinstance(value, bool) and "bool" not in kinds
+                    or isinstance(value, float) and not math.isfinite(value)):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        if not all(type(w) is int for w in self.pyramidal_windows):
+            raise ConfigError(f"pyramidal_windows must hold integers, got "
+                              f"{list(self.pyramidal_windows)!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         positive = {"lookback": self.lookback, "pred_len": self.pred_len,
                     "e_layers": self.e_layers, "d_model": self.d_model,
                     "d_ff": self.d_ff, "heads": self.heads,
@@ -58,7 +93,7 @@ class RunConfig:
                     "batch_size": self.batch_size, "max_epochs": self.max_epochs,
                     "patience": self.patience}
         for name, value in positive.items():
-            if not isinstance(value, int) or value < 1:
+            if value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
@@ -110,16 +145,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path):
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
-        if not isinstance(data, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(read_config_file(path))
 
     def to_file(self, path):
         with open(path, "w") as fh:

@@ -41,47 +41,60 @@ class WindowBatch:
 
 
 def load_csv(path):
-    """Parse a benchmark-format CSV into a SeriesTable."""
+    """Parse a benchmark-format CSV into a SeriesTable; every value must be
+    a finite float32."""
     try:
         fh = open(path, newline="")
     except FileNotFoundError:
         raise DataError(f"dataset file not found: {path}") from None
+    except OSError as e:
+        raise DataError(f"cannot read dataset {path}: {e.strerror}") from None
     with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            if len(header) < 2:
+                raise DataError(f"{path}: need a date column plus at least one channel")
+            channels = header[1:]
+            timestamps = []
+            rows = []
+            linenos = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"{path}:{lineno}: expected {len(header)} cells, "
+                                    f"got {len(row)}")
+                timestamps.append(row[0])
+                parsed = []
+                for col, cell in zip(channels, row[1:]):
+                    try:
+                        parsed.append(float(cell))
+                    except ValueError:
+                        raise DataError(
+                            f"{path}:{lineno}: non-numeric cell {cell!r} in column "
+                            f"{col!r}") from None
+                rows.append(parsed)
+                linenos.append(lineno)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        if len(header) < 2:
-            raise DataError(f"{path}: need a date column plus at least one channel")
-        channels = header[1:]
-        timestamps = []
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} cells, "
-                                f"got {len(row)}")
-            timestamps.append(row[0])
-            parsed = []
-            for col, cell in zip(channels, row[1:]):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno}: non-numeric cell {cell!r} in column "
-                        f"{col!r}") from None
-            rows.append(parsed)
+        except (UnicodeDecodeError, csv.Error) as e:
+            raise DataError(f"{path}: not a readable CSV file: {e}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
+    with np.errstate(over="ignore"):
+        values = np.asarray(rows, dtype=np.float32)
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        r, c = bad[0]
+        raise DataError(f"{path}:{linenos[r]}: value {rows[r][c]!r} in column "
+                        f"{channels[c]!r} is not a finite float32")
     for i in range(1, len(timestamps)):
         # benchmark dates are ISO-formatted, so string order is time order
         if timestamps[i] <= timestamps[i - 1]:
-            raise DataError(f"{path}: timestamps not strictly increasing at row "
-                            f"{i + 2} ({timestamps[i]!r} after {timestamps[i - 1]!r})")
-    return SeriesTable(timestamps=timestamps, channels=channels,
-                       values=np.asarray(rows, dtype=np.float32))
+            raise DataError(f"{path}: timestamps not strictly increasing at line "
+                            f"{linenos[i]} ({timestamps[i]!r} after {timestamps[i - 1]!r})")
+    return SeriesTable(timestamps=timestamps, channels=channels, values=values)
 
 
 def save_csv(table, path):

@@ -64,16 +64,13 @@ def init_encoder(rng, d_model, d_ff, heads, e_layers, horizon, token_linear=Fals
 
 
 def encode(h, params, dropout=0.0, rng=None, collect_attn=None):
-    """Run the layer stack over tokens (B, C, D) or (C, D).
+    """Run the layer stack over tokens (B, C, D).
 
     Each layer: A = LN(H + drop(mix(H))); H' = LN(A + drop(FFN(A))) where mix
     is multi-head attention (or the stand-in token linear) and FFN is
     linear -> relu -> linear. Dropout hits only the two sublayer outputs.
     `collect_attn`, if a list, receives each layer's attention probabilities.
     """
-    squeeze = h.ndim == 2
-    if squeeze:
-        h = T.reshape(h, (1,) + h.shape)
     if dropout > 0.0 and rng is None:
         raise ValueError("dropout requires an rng")
 
@@ -90,7 +87,7 @@ def encode(h, params, dropout=0.0, rng=None, collect_attn=None):
         a = nn.layer_norm(T.add(h, drop(mixed)), layer.ln1_gamma, layer.ln1_beta)
         ff = nn.linear(T.relu(nn.linear(a, layer.ff1)), layer.ff2)
         h = nn.layer_norm(T.add(a, drop(ff)), layer.ln2_gamma, layer.ln2_beta)
-    return T.reshape(h, h.shape[1:]) if squeeze else h
+    return h
 
 
 def project(tokens, params):

@@ -8,13 +8,12 @@ pyramid level. All variants share the same (B, L, C) -> (B, H, C) contract.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import encoder, nn, pre, revin, tensor as T
-from .config import RunConfig, VARIANTS
+from .config import RunConfig
 
 
 @dataclass
@@ -99,10 +98,3 @@ class PRformer:
 
     def param_count(self):
         return sum(p.size for _, p in self.named_parameters())
-
-
-def make_variant(config: RunConfig, variant: str, channels: int) -> PRformer:
-    """Build the requested ablation of `config` ("full", "V1", "V2", "V3")."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; one of {VARIANTS}")
-    return PRformer(dataclasses.replace(config, variant=variant), channels)

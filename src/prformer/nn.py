@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, _logistic, _node, register_primitive
+from .tensor import Tensor, _logistic, _node
 
 
 @dataclass
@@ -120,10 +120,7 @@ def iter_params(obj, prefix=""):
 
 
 def linear(x, params):
-    """x (..., in) @ w (in, out) + b."""
-    if x.ndim == 1:
-        x = T.reshape(x, (1, x.shape[0]))
-        return T.reshape(T.add(T.matmul(x, params.w), params.b), (params.w.shape[1],))
+    """x (..., in) @ w (in, out) + b; x has at least two axes."""
     return T.add(T.matmul(x, params.w), params.b)
 
 
@@ -192,10 +189,6 @@ def upsample_repeat(x, target_len):
         return (gx.reshape(x.shape).astype(x.data.dtype, copy=False),)
 
     return _node("upsample", x.data[:, :, idx], (x,), bwd)
-
-
-register_primitive("conv1d", conv1d)
-register_primitive("upsample", upsample_repeat)
 
 
 # ---------------------------------------------------------------------------

@@ -164,10 +164,3 @@ def pre_embed_batch(x, params, cfg, temperature=1.0):
     """Embed a batch of univariate series (B, L) -> (B, D)."""
     return multi_scale_rnn(top_down_fuse(bottom_up(x, params, cfg)),
                            params, temperature)
-
-
-def pre_embed(series, params, cfg, temperature=1.0):
-    """Embed one variable's lookback series (L,) -> (D,)."""
-    out = pre_embed_batch(T.reshape(series, (1, series.shape[0])),
-                          params, cfg, temperature)
-    return T.reshape(out, (out.shape[1],))

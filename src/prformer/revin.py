@@ -46,8 +46,14 @@ def normalize(x, params):
     centered = T.sub(x, mu)
     var = T.mean(T.mul(centered, centered), axis=time_axis, keepdims=True)
     sigma = T.sqrt(T.add(var, T.tensor(np.asarray(EPS, dtype=x.data.dtype))))
-    x_norm = T.add(T.mul(T.div(centered, sigma), params.gamma), params.beta)
-    return x_norm, RevinState(mu=mu, sigma=sigma)
+    return affine(centered, sigma, params), RevinState(mu=mu, sigma=sigma)
+
+
+def affine(centered, sigma, params):
+    """The forward map of `normalize` on values already centred by the window
+    mean: centered / sigma * gamma + beta. Also maps targets onto the
+    normalized scale for the normalized-loss objective."""
+    return T.add(T.mul(T.div(centered, sigma), params.gamma), params.beta)
 
 
 def denormalize(y_norm, state, params):

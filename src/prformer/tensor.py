@@ -11,7 +11,6 @@ requires_grad leaves.
 from __future__ import annotations
 
 import contextvars
-import itertools
 from contextlib import contextmanager
 
 import numpy as np
@@ -19,7 +18,6 @@ import numpy as np
 DEFAULT_DTYPE = np.float32
 WIDE_DTYPE = np.float64
 
-_seq_counter = itertools.count()
 _grad_enabled = contextvars.ContextVar("prformer_grad_enabled", default=True)
 
 
@@ -29,10 +27,6 @@ class ShapeMismatchError(ValueError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
-
-
-class UnknownOpError(KeyError):
-    pass
 
 
 class NonScalarLossError(ValueError):
@@ -51,7 +45,7 @@ class Tensor:
     """n-dimensional real array, optionally carrying a gradient and graph link."""
 
     __slots__ = ("data", "grad", "requires_grad", "op", "parents", "_backward",
-                 "_flops", "_seq")
+                 "_flops")
 
     def __init__(self, data, requires_grad=False, op=None, parents=(),
                  backward_fn=None, flops=None):
@@ -62,7 +56,6 @@ class Tensor:
         self.parents = parents
         self._backward = backward_fn
         self._flops = int(self.data.size) if flops is None else int(flops)
-        self._seq = next(_seq_counter)
 
     @property
     def shape(self):
@@ -80,60 +73,9 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self):
-        return float(self.data)
-
-    def detach(self):
-        return Tensor(self.data)
-
-    def zero_grad(self):
-        self.grad = None
-
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
-
-    # operator sugar; the module-level functions are the primary API
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
 
 
 def tensor(data, dtype=None, requires_grad=False):
@@ -150,10 +92,6 @@ def zeros(shape, dtype=DEFAULT_DTYPE, requires_grad=False):
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
 
 
-def ones(shape, dtype=DEFAULT_DTYPE, requires_grad=False):
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
-
-
 @contextmanager
 def no_grad():
     """Disable graph recording inside the block (evaluation / benchmarks)."""
@@ -162,10 +100,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled.reset(token)
-
-
-def grad_enabled():
-    return _grad_enabled.get()
 
 
 def _as_tensor(x, like=None):
@@ -489,54 +423,6 @@ def dropout_mask(x, rate, rng):
 
 
 # ---------------------------------------------------------------------------
-# primitive registry
-
-
-_PRIMITIVES = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "matmul": matmul,
-    "transpose": transpose,
-    "permute": permute,
-    "reshape": reshape,
-    "concat": concat,
-    "slice": narrow,
-    "sum": sum_,
-    "mean": mean,
-    "sqrt": sqrt,
-    "exp": exp,
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "relu": relu,
-    "abs": abs_,
-    "neg": neg,
-    "scale": scale,
-    "dropout": dropout_mask,
-}
-
-
-def register_primitive(op_id, fn):
-    """Register an extra primitive (used by the kernel layer for conv/upsample)."""
-    _PRIMITIVES[op_id] = fn
-
-
-def forward_primitive(op_id, inputs, attrs=None):
-    """Dispatch a primitive by name; `inputs` is a Tensor or a sequence of them."""
-    fn = _PRIMITIVES.get(op_id)
-    if fn is None:
-        raise UnknownOpError(
-            f"unknown op '{op_id}'; known ops: {sorted(_PRIMITIVES)}")
-    attrs = attrs or {}
-    if isinstance(inputs, Tensor):
-        return fn(inputs, **attrs)
-    if op_id == "concat":
-        return fn(list(inputs), **attrs)
-    return fn(*inputs, **attrs)
-
-
-# ---------------------------------------------------------------------------
 # backward pass
 
 
@@ -583,16 +469,14 @@ def backward(loss):
 
 
 class Tape:
-    """Ordered record of the primitive ops below one output tensor."""
+    """The primitive ops below one output tensor, each after its inputs."""
 
     def __init__(self, nodes):
         self.nodes = nodes
 
     @classmethod
     def trace(cls, root):
-        nodes = [n for n in _toposort(root) if n.op is not None]
-        nodes.sort(key=lambda n: n._seq)
-        return cls(nodes)
+        return cls([n for n in _toposort(root) if n.op is not None])
 
     def op_ids(self):
         return [n.op for n in self.nodes]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import revin, tensor as T
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .data import DataError, split_ranges, window_iter
 from .model import PRformer
 from .tensor import ShapeMismatchError, Tensor
@@ -95,16 +95,6 @@ def lr_for_epoch(base_lr, decay, epoch):
 
 
 @dataclass
-class TrainState:
-    model: PRformer
-    optimizer: Adam
-    epoch: int = 0
-    best_val_mae: float = float("inf")
-    patience_left: int = 0
-    seed: int = 0
-
-
-@dataclass
 class TrainResult:
     model: PRformer
     history: list = field(default_factory=list)  # per-epoch dicts
@@ -122,19 +112,37 @@ def _restore(model, snapshot):
         p.data[:] = saved
 
 
-def _normalized_target(y, state, params):
-    scaled = T.div(T.sub(y, state.mu), state.sigma)
-    return T.add(T.mul(scaled, params.gamma), params.beta)
+def train_step(model, optimizer, inputs, targets, dropout_rng, epoch=1,
+               batch=0):
+    """One optimizer step on windows (B, L, C) -> targets (B, H, C).
 
-
-def _loss_for_batch(model, batch, config, dropout_rng):
-    x = Tensor(batch.inputs)
-    y = Tensor(batch.targets)
-    y_raw, y_norm, state = model.forward_parts(x, training=True,
+    Training-mode forward, L1 loss (against targets mapped onto RevIN's
+    normalized scale when `normalized_loss` is set), backward, the optional
+    global-norm clip, Adam, then RevIN's gamma clamp; settings come from the
+    model's RunConfig. Every gradient is cleared on return. A non-finite loss
+    raises DivergenceError naming `epoch` and `batch` before anything
+    changes. Returns the loss value.
+    """
+    config = model.config
+    y = Tensor(targets)
+    y_raw, y_norm, state = model.forward_parts(Tensor(inputs), training=True,
                                                dropout_rng=dropout_rng)
     if config.normalized_loss:
-        return mae_loss(y_norm, _normalized_target(y, state, model.params.revin))
-    return mae_loss(y_raw, y)
+        loss = mae_loss(y_norm, revin.affine(T.sub(y, state.mu), state.sigma,
+                                             model.params.revin))
+    else:
+        loss = mae_loss(y_raw, y)
+    value = float(loss.data)
+    if not np.isfinite(value):
+        raise DivergenceError(f"non-finite loss {value} at epoch {epoch}, "
+                              f"batch {batch}, lr {optimizer.lr:.3e}")
+    T.backward(loss)
+    if config.grad_clip is not None:
+        clip_gradients(optimizer.named_params, config.grad_clip)
+    optimizer.step()
+    optimizer.zero_grad()
+    revin.clamp_gamma(model.params.revin)
+    return value
 
 
 def train(config: RunConfig, table, progress=None) -> TrainResult:
@@ -163,21 +171,9 @@ def train(config: RunConfig, table, progress=None) -> TrainResult:
         for batch in window_iter(table.values, train_range, config.lookback,
                                  config.pred_len, config.batch_size,
                                  shuffle_seed=(config.seed, 1 + epoch)):
-            loss = _loss_for_batch(model, batch, config, dropout_rng)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise DivergenceError(
-                    f"non-finite loss {value} at epoch {epoch}, batch {n_batches}, "
-                    f"lr {optimizer.lr:.3e}")
-            optimizer.zero_grad()
-            T.backward(loss)
-            if config.grad_clip is not None:
-                clip_gradients(optimizer.named_params, config.grad_clip)
-            optimizer.step()
-            revin.clamp_gamma(model.params.revin)
-            loss_sum += value
+            loss_sum += train_step(model, optimizer, batch.inputs, batch.targets,
+                                   dropout_rng, epoch, n_batches)
             n_batches += 1
-        optimizer.zero_grad()
 
         val = evaluate(model, table.values, val_range, config)
         row = {"epoch": epoch, "lr": optimizer.lr,
@@ -239,22 +235,18 @@ def predict_over_range(model, values, row_range, config):
 
 def single_batch_overfit(config: RunConfig, inputs, targets, steps=500,
                          report_every=None):
-    """Drive one fixed batch to near-zero MAE; returns the loss trace."""
+    """Drive one fixed batch to near-zero MAE; returns the loss trace.
+
+    Each step is one epoch of that single batch.
+    """
     model = PRformer(config, inputs.shape[2])
     optimizer = Adam(model.named_parameters(), config.lr)
-    x, y = Tensor(inputs), Tensor(targets)
+    dropout_rng = np.random.default_rng((config.seed, 1))
     losses = []
     for step in range(steps):
-        y_hat = model.forward(x)
-        loss = mae_loss(y_hat, y)
-        value = float(loss.data)
-        if not np.isfinite(value):
-            raise DivergenceError(f"non-finite loss at overfit step {step}")
+        value = train_step(model, optimizer, inputs, targets, dropout_rng,
+                           epoch=step + 1)
         losses.append(value)
-        optimizer.zero_grad()
-        T.backward(loss)
-        optimizer.step()
-        revin.clamp_gamma(model.params.revin)
         if report_every and (step + 1) % report_every == 0:
             print(f"  step {step + 1}: mae {value:.5f}")
     return losses
@@ -288,12 +280,19 @@ def save_checkpoint(path, model):
 
 
 def load_checkpoint(path):
-    """Rebuild a model from an archive; every shape is validated."""
+    """Rebuild a model from an archive.
+
+    The whole manifest is checked before the model is built; then every
+    parameter's name, shape and dtype must match the model, and the payloads
+    must fill the rest of the file exactly.
+    """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except FileNotFoundError:
         raise CheckpointError(f"checkpoint not found: {path}") from None
+    except OSError as e:
+        raise CheckpointError(f"cannot read checkpoint {path}: {e.strerror}") from None
     if len(raw) < 4:
         raise CheckpointError(f"{path}: truncated header")
     (length,) = struct.unpack("<I", raw[:4])
@@ -303,34 +302,57 @@ def load_checkpoint(path):
         manifest = json.loads(raw[4:4 + length].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise CheckpointError(f"{path}: manifest is not valid JSON") from None
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{path}: manifest is not a JSON object")
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version "
                               f"{manifest.get('format_version')!r}")
-    config = RunConfig.from_dict(manifest["config"])
-    model = PRformer(config, manifest["channels"])
+    if not isinstance(manifest.get("config"), dict):
+        raise CheckpointError(f"{path}: manifest config is missing or not an object")
+    channels = manifest.get("channels")
+    if type(channels) is not int or channels < 1:
+        raise CheckpointError(f"{path}: manifest channels must be a positive "
+                              f"integer, got {channels!r}")
+    entries = manifest.get("params")
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and set(e) == {"name", "shape", "dtype"}
+            and isinstance(e["name"], str) for e in entries):
+        raise CheckpointError(f"{path}: manifest params must be a list of "
+                              f"{{name, shape, dtype}} objects")
+    try:
+        config = RunConfig.from_dict(manifest["config"]).validate()
+    except ConfigError as e:
+        raise CheckpointError(f"{path}: invalid embedded config: {e}") from None
+
+    model = PRformer(config, channels)
     offset = 4 + length
     named = dict(model.named_parameters())
     seen = set()
-    for entry in manifest["params"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        dtype = np.dtype(entry["dtype"]).newbyteorder("<")
-        if name not in named:
-            raise CheckpointError(f"{path}: unknown parameter {name!r}")
+    for entry in entries:
+        name = entry["name"]
+        if name not in named or name in seen:
+            raise CheckpointError(f"{path}: unknown or repeated parameter {name!r}")
         p = named[name]
-        if p.data.shape != shape:
+        if entry["shape"] != list(p.data.shape):
             raise CheckpointError(f"{path}: shape mismatch for {name!r}: archive "
-                                  f"{shape}, model {p.data.shape}")
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if shape else dtype.itemsize
-        chunk = raw[offset:offset + nbytes]
-        if len(chunk) != nbytes:
+                                  f"{entry['shape']!r}, model {list(p.data.shape)}")
+        if entry["dtype"] != p.data.dtype.name:
+            raise CheckpointError(f"{path}: dtype mismatch for {name!r}: archive "
+                                  f"{entry['dtype']!r}, model {p.data.dtype.name}")
+        chunk = raw[offset:offset + p.data.nbytes]
+        if len(chunk) != p.data.nbytes:
             raise CheckpointError(f"{path}: truncated payload for {name!r}")
-        p.data[:] = np.frombuffer(chunk, dtype=dtype).reshape(shape)
-        offset += nbytes
+        p.data[:] = np.frombuffer(chunk, dtype=p.data.dtype.newbyteorder("<")
+                                  ).reshape(p.data.shape)
+        offset += p.data.nbytes
         seen.add(name)
     missing = set(named) - seen
     if missing:
         raise CheckpointError(f"{path}: archive missing parameters "
                               f"{sorted(missing)[:3]}...")
+    if offset != len(raw):
+        raise CheckpointError(f"{path}: {len(raw) - offset} unexpected bytes "
+                              f"after the last payload")
     return model
 
 

@@ -1,12 +1,15 @@
 """End-to-end runs of every subcommand plus the exit-code contract."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from prformer import cli, data, synthetic
-from prformer.training import load_checkpoint
+from prformer.config import RunConfig
+from prformer.model import PRformer
+from prformer.training import load_checkpoint, save_checkpoint
 
 FAST = ["--lookback", "32", "--pred-len", "8",
         "--pyramidal-windows", "4", "8", "--d-model", "16", "--heads", "2",
@@ -214,3 +217,124 @@ class TestExitCodes:
                        "--checkpoint", str(tmp_path / "m.ckpt"),
                        "--history", str(tmp_path / "h.csv")])
         assert rc == 1  # d_model 16 is not divisible by 5 heads
+
+
+def _ckpt_with(tmp_path, edit=None, tail=b""):
+    """A valid checkpoint of the FAST model, its manifest passed through `edit`."""
+    config = RunConfig(lookback=32, pred_len=8, pyramidal_windows=(4, 8),
+                       d_model=16, heads=2, conv_channels=4, seed=3)
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(str(path), PRformer(config, 3))
+    blob = path.read_bytes()
+    if edit is not None:
+        (n,) = struct.unpack("<I", blob[:4])
+        manifest = json.loads(blob[4:4 + n])
+        edit(manifest)
+        head = json.dumps(manifest).encode()
+        blob = struct.pack("<I", len(head)) + head + blob[4 + n:]
+    path.write_bytes(blob + tail)
+    return path
+
+
+BAD_CONFIGS = {
+    "not-json": b"{lookback: 32",
+    "json-list": b"[32, 8]",
+    "binary": b"\xff\xfe\x00\x81",
+    "lr-string": {"lr": "fast"},
+    "lr-nan": b'{"lookback": 32, "pred_len": 8, "lr": NaN}',
+    "windows-int": {"pyramidal_windows": 4},
+    "windows-strings": {"pyramidal_windows": ["a", "b"]},
+    "d-model-null": {"d_model": None},
+    "dropout-null": {"dropout": None},
+    "seed-negative": {"seed": -1},
+    "heads-zero": {"heads": 0},
+    "variant-list": {"variant": ["full"]},
+    "unknown-key": {"windows": [4]},
+}
+
+
+def _series(cells):
+    """A one-channel CSV with hourly dates and the given cells."""
+    return "date,a\n" + "".join(f"2016-07-{1 + i // 24:02d} {i % 24:02d}:00:00,{c}\n"
+                                 for i, c in enumerate(cells))
+
+
+BAD_CSVS = {
+    # long enough to split, so only the bad cell can stop the run
+    "nan": _series(["1.0"] * 150 + ["nan"] + ["1.0"] * 149),
+    "inf": _series(["1.0"] * 150 + ["-inf"] + ["1.0"] * 149),
+    "empty": "",
+    "header-only": "date,a\n",
+    "date-only": "date\n2016-07-01 00:00:00\n",
+    "ragged": "date,a,b\n2016-07-01 00:00:00,1.0\n",
+    "text-cell": _series(["1.0", "spam"]),
+    "nul-byte": _series(["1.0", "1\x00.0"]),
+    "repeated-date": "date,a\n2016-07-01 00:00:00,1.0\n2016-07-01 00:00:00,2.0\n",
+    "too-short": _series(["1.0"] * 20),
+}
+
+BAD_CHECKPOINTS = {
+    "empty": lambda tmp: _write(tmp, b""),
+    "garbage": lambda tmp: _write(tmp, b"\x10\x00\x00\x00not json at all!"),
+    "truncated": lambda tmp: _write(tmp, _ckpt_with(tmp).read_bytes()[:-9]),
+    "trailing-bytes": lambda tmp: _ckpt_with(tmp, tail=b"\x00" * 4),
+    "no-config": lambda tmp: _ckpt_with(tmp, lambda m: m.pop("config")),
+    "channels-negative": lambda tmp: _ckpt_with(tmp, lambda m: m.update(channels=-3)),
+    "params-string": lambda tmp: _ckpt_with(tmp, lambda m: m.update(params="w")),
+    "dtype-other": lambda tmp: _ckpt_with(
+        tmp, lambda m: m["params"][0].update(dtype="float64")),
+    "config-invalid": lambda tmp: _ckpt_with(
+        tmp, lambda m: m["config"].update(heads=3)),
+    "directory": lambda tmp: tmp,
+}
+
+
+def _write(tmp_path, blob, name="bad.bin"):
+    path = tmp_path / name
+    path.write_bytes(blob)
+    return path
+
+
+def _assert_clean_exit(rc, expected, capsys):
+    err = capsys.readouterr().err
+    assert rc == expected, err
+    assert "Traceback" not in err and err.strip()
+
+
+class TestMalformedInputContract:
+    """Bad configs, CSVs and checkpoints end in an exit code and a one-line
+    message, never in an exception."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_config(self, dataset, tmp_path, capsys, case):
+        content = BAD_CONFIGS[case]
+        if isinstance(content, dict):
+            content = json.dumps({"lookback": 32, "pred_len": 8, **content}).encode()
+        path = _write(tmp_path, content, "cfg.json")
+        rc = cli.main(["train", "--config", str(path), "--dataset", dataset,
+                       "--checkpoint", str(tmp_path / "m.ckpt"),
+                       "--history", str(tmp_path / "h.csv")])
+        _assert_clean_exit(rc, 1, capsys)
+
+    def test_config_directory(self, tmp_path, capsys):
+        _assert_clean_exit(cli.main(["train", "--config", str(tmp_path)]), 1, capsys)
+
+    @pytest.mark.parametrize("case", sorted(BAD_CSVS))
+    def test_csv(self, tmp_path, capsys, case):
+        path = _write(tmp_path, BAD_CSVS[case].encode(), "bad.csv")
+        rc = cli.main(["train", "--dataset", str(path), *FAST,
+                       "--checkpoint", str(tmp_path / "m.ckpt"),
+                       "--history", str(tmp_path / "h.csv")])
+        _assert_clean_exit(rc, 2, capsys)
+
+    def test_csv_directory(self, tmp_path, capsys):
+        rc = cli.main(["train", "--dataset", str(tmp_path), *FAST,
+                       "--checkpoint", str(tmp_path / "m.ckpt"),
+                       "--history", str(tmp_path / "h.csv")])
+        _assert_clean_exit(rc, 2, capsys)
+
+    @pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
+    def test_checkpoint(self, dataset, tmp_path, capsys, case):
+        path = BAD_CHECKPOINTS[case](tmp_path)
+        rc = cli.main(["evaluate", "--checkpoint", str(path), "--dataset", dataset])
+        _assert_clean_exit(rc, 2, capsys)

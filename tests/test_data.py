@@ -65,6 +65,22 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="not strictly increasing"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e39"])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
+        # the blank line keeps the reported line number honest; 1e39 is
+        # finite as a double but overflows float32
+        path = write(tmp_path, "date,a,b\n"
+                               "2016-07-01 00:00:00,1.0,2.0\n\n"
+                               f"2016-07-01 01:00:00,3.0,{cell}\n")
+        with pytest.raises(DataError, match=r"t\.csv:4: .* column 'b'"):
+            load_csv(path)
+
+    def test_binary_file_is_data_error(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"date,a\n\xff\xfe\x00\x81,1.0\n")
+        with pytest.raises(DataError, match="not a readable CSV"):
+            load_csv(str(p))
+
     def test_ragged_row(self, tmp_path):
         path = write(tmp_path, "date,a,b\n2016-07-01 00:00:00,1.0\n")
         with pytest.raises(DataError, match="expected 3 cells"):

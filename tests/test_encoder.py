@@ -21,12 +21,6 @@ class TestEncode:
             params = build(rng, e_layers=e_layers)
             assert encoder.encode(x, params).shape == (2, 5, 8)
 
-    def test_unbatched_tokens_accepted(self):
-        rng = np.random.default_rng(61)
-        params = build(rng)
-        out = encoder.encode(tensor(rng.normal(size=(5, 8)).astype(np.float32)), params)
-        assert out.shape == (5, 8)
-
     def test_channel_permutation_equivariance(self):
         # mathematically exact (no positional encoding); numerically the
         # permutation reorders BLAS accumulation, hence the small tolerance

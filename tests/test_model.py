@@ -6,7 +6,7 @@ import pytest
 
 from prformer import tensor as T
 from prformer.config import ConfigError, RunConfig
-from prformer.model import PRformer, make_variant
+from prformer.model import PRformer
 from prformer.pre import PyramidConfigWarning
 from prformer.tensor import Tape, Tensor
 
@@ -78,22 +78,22 @@ class TestVariants:
         rng = np.random.default_rng(110)
         x = Tensor(rng.normal(size=(2, 16, 3)).astype(np.float32))
         for variant in ("full", "V1", "V2", "V3"):
-            model = make_variant(small_config(), variant, channels=3)
+            model = PRformer(small_config(variant=variant), 3)
             out = model.forward(x)
             assert out.shape == (2, 6, 3), variant
 
     def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError, match="unknown variant"):
-            make_variant(small_config(), "V4", channels=3)
+        with pytest.raises(ConfigError, match="unknown variant"):
+            PRformer(small_config(variant="V4"), 3)
 
     def test_v1_has_token_linear_instead_of_attention(self):
-        model = make_variant(small_config(), "V1", channels=2)
+        model = PRformer(small_config(variant="V1"), 2)
         assert all(l.attn is None and l.token_mix is not None
                    for l in model.params.encoder.layers)
 
     def test_v2_tape_has_no_convolution_or_recurrence(self):
         rng = np.random.default_rng(111)
-        model = make_variant(small_config(), "V2", channels=2)
+        model = PRformer(small_config(variant="V2"), 2)
         x = Tensor(rng.normal(size=(1, 16, 2)).astype(np.float32))
         ops = set(Tape.trace(T.sum_(model.forward(x))).op_ids())
         assert "conv1d" not in ops
@@ -102,7 +102,7 @@ class TestVariants:
 
     def test_full_tape_shows_convolution_and_recurrence(self):
         rng = np.random.default_rng(112)
-        model = make_variant(small_config(), "full", channels=2)
+        model = PRformer(small_config(variant="full"), 2)
         x = Tensor(rng.normal(size=(1, 16, 2)).astype(np.float32))
         counts = Tape.trace(T.sum_(model.forward(x))).op_counts()
         assert counts["conv1d"] == 2  # one per pyramid level
@@ -110,13 +110,13 @@ class TestVariants:
         assert counts["gru_sequence"] == 2  # one per pyramid level
 
     def test_v3_truncates_to_bottom_level(self):
-        model = make_variant(small_config(), "V3", channels=2)
+        model = PRformer(small_config(variant="V3"), 2)
         assert model.pyramid.windows == (4,)
         assert model.pyramid.level_lengths == (4,)
 
     def test_v3_has_fewer_parameters_than_full(self):
-        full = make_variant(small_config(), "full", channels=2)
-        v3 = make_variant(small_config(), "V3", channels=2)
+        full = PRformer(small_config(variant="full"), 2)
+        v3 = PRformer(small_config(variant="V3"), 2)
         assert v3.param_count() < full.param_count()
 
 

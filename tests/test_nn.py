@@ -35,11 +35,6 @@ class TestLinear:
         out = nn.linear(f64(x), LinearParams(f64(w), f64(b)))
         np.testing.assert_allclose(out.data, x @ w + b, rtol=1e-12)
 
-    def test_one_dim_input(self):
-        out = nn.linear(f64([1.0, 2.0]), LinearParams(f64([[1.0], [1.0]]), f64([0.5])))
-        np.testing.assert_allclose(out.data, [3.5])
-        assert out.shape == (1,)
-
     def test_gradient(self):
         rng = np.random.default_rng(11)
         params = LinearParams(f64(rng.normal(size=(3, 2))), f64(rng.normal(size=(2,))))

@@ -159,9 +159,8 @@ class TestMultiScaleRnn:
                                            ((4, 8, 16), 64, 10), ((5,), 20, 3)]:
             cfg = build_pyramid_config(windows, lookback)
             params = pre.init_pre(rng, cfg, d_model, conv_channels=3)
-            out = pre.pre_embed(tensor(rng.normal(size=(lookback,)).astype(np.float32)),
-                                params, cfg)
-            assert out.shape == (d_model,)
+            x = tensor(rng.normal(size=(1, lookback)).astype(np.float32))
+            assert pre.pre_embed_batch(x, params, cfg).shape == (1, d_model)
 
     def test_sharpened_weights_select_one_level(self):
         cfg, params = tiny_setup(d_model=6)
@@ -190,8 +189,8 @@ class TestStructure:
         cfg = build_pyramid_config([4], 16)
         rng = np.random.default_rng(48)
         params = pre.init_pre(rng, cfg, d_model=4, conv_channels=2)
-        out = pre.pre_embed(tensor(rng.normal(size=(16,)).astype(np.float32)),
-                            params, cfg)
+        out = pre.pre_embed_batch(tensor(rng.normal(size=(1, 16)).astype(np.float32)),
+                                  params, cfg)
         counts = Tape.trace(T.sum_(out)).op_counts()
         assert counts["conv1d"] == 1
         assert "upsample" not in counts
@@ -203,8 +202,8 @@ class TestStructure:
         for lookback in (64, 128):
             cfg = build_pyramid_config([4, 8], lookback)
             params = pre.init_pre(rng, cfg, d_model=8, conv_channels=4)
-            out = pre.pre_embed(tensor(rng.normal(size=(lookback,)).astype(np.float32)),
-                                params, cfg)
+            x = tensor(rng.normal(size=(1, lookback)).astype(np.float32))
+            out = pre.pre_embed_batch(x, params, cfg)
             flops[lookback] = Tape.trace(T.sum_(out)).flops()
         ratio = flops[128] / flops[64]
         assert 1.8 <= ratio <= 2.2, ratio

@@ -47,6 +47,17 @@ class TestNormalize:
         np.testing.assert_allclose(out.data.std(axis=1)[0],
                                    np.abs(params.gamma.data), atol=1e-3)
 
+    def test_affine_maps_targets_like_inputs(self):
+        # the normalized-loss target runs the same affine as `normalize`
+        rng = np.random.default_rng(24)
+        params = neutral(2)
+        params.gamma.data[:] = [1.5, -0.5]
+        params.beta.data[:] = [0.25, 2.0]
+        x = tensor(rng.normal(size=(3, 7, 2)).astype(np.float32))
+        x_norm, state = revin.normalize(x, params)
+        again = revin.affine(T.sub(x, state.mu), state.sigma, params)
+        np.testing.assert_array_equal(again.data, x_norm.data)
+
     def test_short_window_rejected(self):
         with pytest.raises(ValueError, match=">= 2"):
             revin.normalize(tensor(np.zeros((1, 1, 3), dtype=np.float32)), neutral(3))

@@ -2,10 +2,12 @@
 against a hand-stepped oracle, LR schedule, early stopping, divergence
 guard, determinism, checkpoint archive round-trip, and the baselines."""
 
-import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prformer import baselines, synthetic, training, tensor as T
 from prformer.config import RunConfig
@@ -22,7 +24,9 @@ from prformer.training import (
     lr_for_epoch,
     mae_loss,
     save_checkpoint,
+    single_batch_overfit,
     train,
+    train_step,
 )
 
 
@@ -161,6 +165,38 @@ class TestTrainLoop:
         table = synthetic.mixed_table(n=200, seed=14)
         result = train(tiny_config(max_epochs=1, grad_clip=0.5), table)
         assert np.isfinite(result.history[0]["train_mae"])
+
+
+class TestTrainStep:
+    def test_updates_parameters_and_clears_gradients(self):
+        table = synthetic.mixed_table(n=60, seed=18)
+        model = PRformer(tiny_config(dropout=0.1), 3)
+        optimizer = Adam(model.named_parameters(), 1e-3)
+        before = [p.data.copy() for _, p in model.named_parameters()]
+        value = train_step(model, optimizer, table.values[None, :24],
+                           table.values[None, 24:28], np.random.default_rng(0))
+        assert np.isfinite(value)
+        assert all(p.grad is None for _, p in model.named_parameters())
+        assert any(not np.array_equal(b, p.data)
+                   for b, (_, p) in zip(before, model.named_parameters()))
+
+    def test_non_finite_loss_names_epoch_and_batch_and_changes_nothing(self):
+        model = PRformer(tiny_config(), 3)
+        optimizer = Adam(model.named_parameters(), 1e-3)
+        before = [p.data.copy() for _, p in model.named_parameters()]
+        inputs = np.ones((1, 24, 3), dtype=np.float32)
+        targets = np.full((1, 4, 3), np.inf, dtype=np.float32)
+        with pytest.raises(DivergenceError, match="epoch 5, batch 7"):
+            train_step(model, optimizer, inputs, targets, None, epoch=5, batch=7)
+        assert optimizer.t == 0
+        assert all(np.array_equal(b, p.data)
+                   for b, (_, p) in zip(before, model.named_parameters()))
+
+    def test_overfit_divergence_names_the_step(self):
+        inputs = np.ones((1, 24, 2), dtype=np.float32)
+        targets = np.full((1, 4, 2), np.nan, dtype=np.float32)
+        with pytest.raises(DivergenceError, match="epoch 1, batch 0"):
+            single_batch_overfit(tiny_config(), inputs, targets, steps=3)
 
 
 class TestOverfit:
@@ -304,3 +340,131 @@ class TestBaselines:
         mse_per, _ = baselines.baseline_metrics(
             lambda x: baselines.persistence_forecast(x, 4), values, (400, 500), 8, 4)
         assert mse_reg < mse_per
+
+
+def _saved_checkpoint(path):
+    save_checkpoint(str(path), PRformer(tiny_config(), 2))
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<I", blob[:4])
+    return json.loads(blob[4:4 + length]), blob[4 + length:]
+
+
+def _write_archive(path, manifest, payload):
+    head = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(struct.pack("<I", len(head)) + head + payload)
+
+
+def _set(key, value):
+    return lambda m: m.update({key: value})
+
+
+def _set_config(key, value):
+    return lambda m: m["config"].update({key: value})
+
+
+def _set_entry(key, value):
+    return lambda m: m["params"][0].update({key: value})
+
+
+class TestCheckpointManifest:
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda m: m.pop("config"), "config is missing", id="no-config"),
+        pytest.param(_set("config", [1, 2]), "config is missing or not an object",
+                     id="config-list"),
+        pytest.param(_set("channels", -3), "channels must be a positive integer",
+                     id="channels-negative"),
+        pytest.param(_set("channels", "2"), "channels must be a positive integer",
+                     id="channels-string"),
+        pytest.param(_set("channels", True), "channels must be a positive integer",
+                     id="channels-bool"),
+        pytest.param(_set("params", "weights"), "params must be a list",
+                     id="params-string"),
+        pytest.param(_set("params", [["revin.gamma", [2], "float32"]]),
+                     "params must be a list", id="entry-list"),
+        pytest.param(lambda m: m["params"][0].pop("dtype"), "params must be a list",
+                     id="entry-no-dtype"),
+        pytest.param(_set_entry("name", 5), "params must be a list", id="entry-name-int"),
+        pytest.param(_set_entry("dtype", "float64"), "dtype mismatch", id="dtype-wider"),
+        pytest.param(_set_entry("dtype", "float33"), "dtype mismatch", id="dtype-unknown"),
+        pytest.param(_set_entry("shape", "2"), "shape mismatch", id="shape-string"),
+        pytest.param(lambda m: m["params"].append(dict(m["params"][0])),
+                     "repeated parameter", id="entry-repeated"),
+        pytest.param(_set_config("heads", 3), "invalid embedded config.*divide",
+                     id="config-heads"),
+        pytest.param(_set_config("lr", "fast"), "invalid embedded config.*lr",
+                     id="config-lr-string"),
+        pytest.param(_set_config("pyramidal_windows", 4), "invalid embedded config",
+                     id="config-windows-int"),
+        pytest.param(_set_config("bogus", 1), "invalid embedded config.*unknown",
+                     id="config-unknown-key"),
+        pytest.param(lambda m: m.clear(), "format version", id="empty-object"),
+    ])
+    def test_bad_manifest_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "m.ckpt"
+        manifest, payload = _saved_checkpoint(path)
+        edit(manifest)
+        _write_archive(path, manifest, payload)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(str(path))
+
+    def test_manifest_not_an_object(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        _, payload = _saved_checkpoint(path)
+        _write_archive(path, [1], payload)
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            load_checkpoint(str(path))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        manifest, payload = _saved_checkpoint(path)
+        _write_archive(path, manifest, payload + b"\0")
+        with pytest.raises(CheckpointError, match="1 unexpected bytes"):
+            load_checkpoint(str(path))
+
+    def test_directory_is_checkpoint_error(self, tmp_path):
+        with pytest.raises(CheckpointError, match="cannot read"):
+            load_checkpoint(str(tmp_path))
+
+
+@pytest.fixture(scope="module")
+def checkpoint_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    save_checkpoint(str(path), PRformer(tiny_config(), 2))
+    return path.read_bytes()
+
+
+def _load_bytes(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "probe.ckpt"
+    path.write_bytes(blob)
+    return load_checkpoint(str(path))
+
+
+class TestCheckpointProperties:
+    """Damaged archives end in CheckpointError or a loaded model, never in
+    another exception. Half the drawn positions fall in the length header or
+    the manifest, which are a small share of the file."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_every_truncation_rejected(self, checkpoint_blob, tmp_path_factory, data):
+        (length,) = struct.unpack("<I", checkpoint_blob[:4])
+        cut = data.draw(st.one_of(st.integers(0, 4 + length),
+                                  st.integers(0, len(checkpoint_blob) - 1)))
+        with pytest.raises(CheckpointError):
+            _load_bytes(tmp_path_factory, checkpoint_blob[:cut])
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_single_byte_flip_rejected_or_loaded(self, checkpoint_blob,
+                                                 tmp_path_factory, data):
+        (length,) = struct.unpack("<I", checkpoint_blob[:4])
+        at = data.draw(st.one_of(st.integers(0, 4 + length - 1),
+                                 st.integers(0, len(checkpoint_blob) - 1)))
+        flip = data.draw(st.integers(1, 255))
+        blob = bytearray(checkpoint_blob)
+        blob[at] ^= flip
+        try:
+            model = _load_bytes(tmp_path_factory, bytes(blob))
+        except CheckpointError:
+            return
+        assert model.channels >= 1
