@@ -1,16 +1,18 @@
 """Command-line front end.
 
 Subcommands: train, evaluate, predict, bench, inspect-embeddings, check-pe.
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
-failure. Heavy imports stay inside handlers so `bench` can pin the BLAS
-thread count before numpy loads.
+Exit codes: 0 success, 1 usage/config error, 2 data error (an unwritable
+output path included), 3 numeric failure. Heavy imports stay inside
+handlers so `bench` can pin the BLAS thread count before numpy loads.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
+from contextlib import contextmanager
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -21,34 +23,21 @@ _SPLIT_INDEX = {"train": 0, "val": 1, "test": 2}
 
 
 def _add_config_flags(sp):
+    """One flag per RunConfig field, typed by its annotation; None means unset."""
+    from .config import RunConfig
+
     sp.add_argument("--config", metavar="JSON",
                     help="config file; flags below override its values")
-    sp.add_argument("--dataset", help="benchmark-format CSV path")
-    sp.add_argument("--lookback", type=int)
-    sp.add_argument("--pred-len", type=int, dest="pred_len")
-    sp.add_argument("--pyramidal-windows", type=int, nargs="+",
-                    dest="pyramidal_windows", metavar="W")
-    sp.add_argument("--e-layers", type=int, dest="e_layers")
-    sp.add_argument("--d-model", type=int, dest="d_model")
-    sp.add_argument("--d-ff", type=int, dest="d_ff")
-    sp.add_argument("--heads", type=int)
-    sp.add_argument("--conv-channels", type=int, dest="conv_channels")
-    sp.add_argument("--dropout", type=float)
-    sp.add_argument("--batch-size", type=int, dest="batch_size")
-    sp.add_argument("--lr", type=float)
-    sp.add_argument("--temperature", type=float)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--variant", choices=("full", "V1", "V2", "V3"))
-    sp.add_argument("--split-scheme", choices=("6:2:2", "7:1:2"),
-                    dest="split_scheme")
-    sp.add_argument("--strict-split", action="store_true", default=None,
-                    dest="strict_split")
-    sp.add_argument("--max-epochs", type=int, dest="max_epochs")
-    sp.add_argument("--patience", type=int)
-    sp.add_argument("--lr-decay", type=float, dest="lr_decay")
-    sp.add_argument("--normalized-loss", action="store_true", default=None,
-                    dest="normalized_loss")
-    sp.add_argument("--grad-clip", type=float, dest="grad_clip")
+    for f in dataclasses.fields(RunConfig):
+        flag = "--" + f.name.replace("_", "-")
+        kind = f.type.split(" | ")[0]
+        if kind == "bool":
+            sp.add_argument(flag, action="store_true", default=None, dest=f.name)
+        elif kind == "tuple":  # pyramidal windows: one or more integers
+            sp.add_argument(flag, type=int, nargs="+", dest=f.name, **f.metadata)
+        else:
+            sp.add_argument(flag, type={"int": int, "float": float, "str": str}[kind],
+                            dest=f.name, **f.metadata)
 
 
 def resolve_config(args):
@@ -82,26 +71,50 @@ def _load_table(path):
     return load_csv(path)
 
 
-def _split_range(table, config, name):
-    from .data import split_ranges
+def _load_split(args):
+    """The model in `--checkpoint`, its dataset and the row range of `--split`."""
+    from .data import DataError, split_ranges
+    from .training import load_checkpoint
 
-    ranges = split_ranges(table.length, config.split_scheme, config.lookback,
-                          config.pred_len, config.strict_split)
-    return ranges[_SPLIT_INDEX[name]]
-
-
-def _check_channels(model, table):
-    from .data import DataError
-
+    model = load_checkpoint(args.checkpoint)
+    table = _load_table(args.dataset or model.config.dataset)
     if model.channels != table.n_channels:
         raise DataError(f"checkpoint expects {model.channels} channels, dataset "
                         f"has {table.n_channels}")
+    config = model.config
+    ranges = split_ranges(table.length, config.split_scheme, config.lookback,
+                          config.pred_len, config.strict_split)
+    return model, table, ranges[_SPLIT_INDEX[args.split]]
+
+
+def _check_output(path):
+    """Raise DataError now if `path` could not be written at the end of the run."""
+    from .data import DataError
+
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise DataError(f"cannot write {path}: no directory {folder}")
+    if os.path.isdir(path) or not os.access(folder, os.W_OK):
+        raise DataError(f"cannot write {path}: not a writable file path")
+
+
+@contextmanager
+def _writing(path):
+    """Report an OSError raised while writing `path` as a DataError naming it."""
+    from .data import DataError
+
+    try:
+        yield
+    except OSError as e:
+        raise DataError(f"cannot write {path}: {e.strerror or e}") from None
 
 
 def cmd_train(args):
     from .training import save_checkpoint, train, write_history
 
     config = resolve_config(args)
+    _check_output(args.checkpoint)
+    _check_output(args.history)
     table = _load_table(args.dataset or config.dataset)
 
     def progress(row):
@@ -110,8 +123,10 @@ def cmd_train(args):
               f"val_mse {row['val_mse']:.5f}  {row['seconds']:.1f}s")
 
     result = train(config, table, progress=progress)
-    save_checkpoint(args.checkpoint, result.model)
-    write_history(args.history, result.history)
+    with _writing(args.checkpoint):
+        save_checkpoint(args.checkpoint, result.model)
+    with _writing(args.history):
+        write_history(args.history, result.history)
     stop = "early stop" if result.stopped_early else "epoch cap"
     print(f"done ({stop}) after {result.epochs_run} epochs; "
           f"best val_mae {result.best_val_mae:.5f}")
@@ -121,12 +136,9 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    from .training import evaluate, load_checkpoint
+    from .training import evaluate
 
-    model = load_checkpoint(args.checkpoint)
-    table = _load_table(args.dataset or model.config.dataset)
-    _check_channels(model, table)
-    row_range = _split_range(table, model.config, args.split)
+    model, table, row_range = _load_split(args)
     metrics = evaluate(model, table.values, row_range, model.config,
                        per_horizon=args.per_horizon)
     print(f"{args.split} mse {metrics.mse:.6f} mae {metrics.mae:.6f}")
@@ -138,14 +150,13 @@ def cmd_evaluate(args):
 
 def cmd_predict(args):
     from .data import write_predictions
-    from .training import load_checkpoint, predict_over_range
+    from .training import predict_over_range
 
-    model = load_checkpoint(args.checkpoint)
-    table = _load_table(args.dataset or model.config.dataset)
-    _check_channels(model, table)
-    row_range = _split_range(table, model.config, args.split)
+    _check_output(args.out)
+    model, table, row_range = _load_split(args)
     batches = predict_over_range(model, table.values, row_range, model.config)
-    write_predictions(args.out, batches, table.channels)
+    with _writing(args.out):
+        write_predictions(args.out, batches, table.channels)
     print(f"predictions: {args.out}")
     return EXIT_OK
 
@@ -154,6 +165,7 @@ def cmd_bench(args):
     from .analysis import scaling_bench, write_bench_csv
     from .data import DataError
 
+    _check_output(args.out)
     try:
         rows = scaling_bench(args.lookbacks, args.windows, d_model=args.d_model,
                              channels=args.channels,
@@ -170,7 +182,8 @@ def cmd_bench(args):
         ratio = "" if row["ratio"] is None else f"{row['ratio']:.2f}"
         print(f"{row['lookback']:9d} {row['median_s']:10.5f} "
               f"{row['mean_s']:10.5f} {ratio:>7}")
-    write_bench_csv(args.out, rows)
+    with _writing(args.out):
+        write_bench_csv(args.out, rows)
     print(f"bench csv: {args.out}")
     return EXIT_OK
 
@@ -183,18 +196,15 @@ def cmd_inspect_embeddings(args):
     from . import revin
     from .data import window_iter
     from .tensor import Tensor, no_grad
-    from .training import load_checkpoint
 
-    model = load_checkpoint(args.checkpoint)
-    table = _load_table(args.dataset or model.config.dataset)
-    _check_channels(model, table)
-    row_range = _split_range(table, model.config, args.split)
+    _check_output(args.out)
+    model, table, row_range = _load_split(args)
     batch = next(window_iter(table.values, row_range, model.config.lookback,
                              model.config.pred_len, batch_size=args.count))
     with no_grad():
         x_norm, _ = revin.normalize(Tensor(batch.inputs), model.params.revin)
         tokens = model.embed(x_norm).data  # (windows, C, D)
-    with open(args.out, "w", newline="") as fh:
+    with _writing(args.out), open(args.out, "w", newline="") as fh:
         writer = csv_mod.writer(fh)
         writer.writerow(["window_start", "variable"]
                         + [f"e{i}" for i in range(tokens.shape[2])])

@@ -1,7 +1,9 @@
 """Run configuration: one dataclass, JSON in, JSON out.
 
 The JSON file uses exactly these field names; CLI flags override file
-values. `d_ff` left unset resolves to twice the model width.
+values. `d_ff` left unset resolves to twice the model width. Each field's
+metadata holds extra keyword arguments for its command-line flag; `choices`
+there is also the set of values `validate` accepts.
 """
 
 from __future__ import annotations
@@ -9,12 +11,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from .data import SPLIT_SCHEMES
 from .pre import build_pyramid_config, level_hidden_sizes
-
-VARIANTS = ("full", "V1", "V2", "V3")
-SPLIT_SCHEMES = ("6:2:2", "7:1:2")
 
 
 class ConfigError(ValueError):
@@ -46,7 +46,7 @@ def read_config_file(path):
 class RunConfig:
     lookback: int
     pred_len: int
-    pyramidal_windows: tuple = (24,)
+    pyramidal_windows: tuple = field(default=(24,), metadata={"metavar": "W"})
     e_layers: int = 1
     d_model: int = 128
     d_ff: int | None = None
@@ -57,9 +57,12 @@ class RunConfig:
     lr: float = 1e-3
     temperature: float = 1.0
     seed: int = 0
-    variant: str = "full"
-    dataset: str | None = None
-    split_scheme: str = "6:2:2"
+    variant: str = field(default="full",
+                         metadata={"choices": ("full", "V1", "V2", "V3")})
+    dataset: str | None = field(default=None,
+                                metadata={"help": "benchmark-format CSV path"})
+    split_scheme: str = field(default="6:2:2",
+                              metadata={"choices": tuple(SPLIT_SCHEMES)})
     strict_split: bool = False
     max_epochs: int = 30
     patience: int = 10
@@ -81,6 +84,10 @@ class RunConfig:
                     or isinstance(value, bool) and "bool" not in kinds
                     or isinstance(value, float) and not math.isfinite(value)):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            choices = f.metadata.get("choices")
+            if choices is not None and value not in choices:
+                raise ConfigError(f"unknown {f.name.replace('_', ' ')} {value!r}; "
+                                  f"one of {choices}")
         if not all(type(w) is int for w in self.pyramidal_windows):
             raise ConfigError(f"pyramidal_windows must hold integers, got "
                               f"{list(self.pyramidal_windows)!r}")
@@ -108,11 +115,6 @@ class RunConfig:
         if self.d_model % self.heads != 0:
             raise ConfigError(
                 f"heads ({self.heads}) must divide d_model ({self.d_model})")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}; one of {VARIANTS}")
-        if self.split_scheme not in SPLIT_SCHEMES:
-            raise ConfigError(
-                f"unknown split scheme {self.split_scheme!r}; one of {SPLIT_SCHEMES}")
         if self.variant != "V2":
             windows = self.pyramidal_windows
             if self.variant == "V3":

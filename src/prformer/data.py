@@ -106,7 +106,8 @@ def save_csv(table, path):
             writer.writerow([ts] + [repr(float(v)) for v in row])
 
 
-_SCHEMES = {"6:2:2": (6, 2), "7:1:2": (7, 1)}
+# split scheme -> (train, val) share in tenths; test takes the rest
+SPLIT_SCHEMES = {"6:2:2": (6, 2), "7:1:2": (7, 1)}
 
 
 def split_ranges(n, scheme, lookback, horizon, strict=False):
@@ -117,9 +118,9 @@ def split_ranges(n, scheme, lookback, horizon, strict=False):
     preceding split's tail (targets never leave their own split); strict mode
     confines whole windows to their split.
     """
-    if scheme not in _SCHEMES:
+    if scheme not in SPLIT_SCHEMES:
         raise DataError(f"unknown split scheme {scheme!r}")
-    r_train, r_val = _SCHEMES[scheme]
+    r_train, r_val = SPLIT_SCHEMES[scheme]
     n_train = n * r_train // 10
     n_val = n * r_val // 10
     n_test = n - n_train - n_val

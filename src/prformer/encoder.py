@@ -90,12 +90,7 @@ def encode(h, params, dropout=0.0, rng=None, collect_attn=None):
     return h
 
 
-def project(tokens, params):
-    """Map final tokens (..., D) to per-channel forecasts (..., H)."""
-    return nn.linear(tokens, params.head)
-
-
 def forecast(tokens, params):
     """Assemble the full forecast: tokens (B, C, D) -> (B, H, C)."""
-    per_channel = project(tokens, params)  # (B, C, H)
+    per_channel = nn.linear(tokens, params.head)  # (B, C, H)
     return T.permute(per_channel, (0, 2, 1))

@@ -95,7 +95,7 @@ def init_conv1d(rng, in_channels, out_channels, kernel):
 def iter_params(obj, prefix=""):
     """Yield (name, Tensor) pairs in deterministic field order.
 
-    Walks dataclasses, lists/tuples and dicts; the traversal order fixes the
+    Walks dataclasses and lists/tuples; the traversal order fixes the
     checkpoint layout, so keep it stable.
     """
     if isinstance(obj, Tensor):
@@ -109,10 +109,6 @@ def iter_params(obj, prefix=""):
     if isinstance(obj, (list, tuple)):
         for i, item in enumerate(obj):
             yield from iter_params(item, f"{prefix}.{i}" if prefix else str(i))
-        return
-    if isinstance(obj, dict):
-        for key in obj:
-            yield from iter_params(obj[key], f"{prefix}.{key}" if prefix else str(key))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +120,7 @@ def linear(x, params):
     return T.add(T.matmul(x, params.w), params.b)
 
 
-def conv1d(x, weight, bias=None):
+def conv1d(x, weight, bias):
     """Patch convolution: valid 1-d convolution with stride == kernel.
 
     x (B, C_in, L), weight (C_out, C_in, K) -> (B, C_out, L // K). The
@@ -147,8 +143,7 @@ def conv1d(x, weight, bias=None):
                .transpose(0, 2, 1, 3).reshape(b_sz * l_out, c_in * k))
     w_flat = weight.data.reshape(c_out, c_in * k)
     out = patches @ w_flat.T
-    if bias is not None:
-        out += bias.data
+    out += bias.data
     out = out.reshape(b_sz, l_out, c_out).transpose(0, 2, 1)
     flops = 2 * b_sz * c_out * c_in * k * l_out
 
@@ -161,12 +156,10 @@ def conv1d(x, weight, bias=None):
         else:
             gx = np.zeros_like(x.data)
             gx[:, :, :l_out * k] = g_patches.reshape(b_sz, c_in, l_out * k)
-        if bias is None:
-            return (gx, gw)
         return (gx, gw, g.sum(axis=(0, 2)))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _node("conv1d", out.astype(x.data.dtype, copy=False), parents, bwd, flops=flops)
+    return _node("conv1d", out.astype(x.data.dtype, copy=False), (x, weight, bias), bwd,
+                 flops=flops)
 
 
 def upsample_repeat(x, target_len):
@@ -308,7 +301,7 @@ def multi_head_attention(x, params, heads):
     q = split_heads(linear(x, LinearParams(params.wq, params.bq)))
     k = split_heads(linear(x, LinearParams(params.wk, params.bk)))
     v = split_heads(linear(x, LinearParams(params.wv, params.bv)))
-    scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(dh))
+    scores = T.scale(T.matmul(q, T.permute(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     probs = softmax(scores, axis=-1)
     ctx = T.matmul(probs, v)  # (b, heads, n, dh)
     merged = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (b, n, d))

@@ -77,12 +77,10 @@ def build_pyramid_config(windows, lookback):
                          level_lengths=tuple(lengths), lookback=lookback)
 
 
-def level_hidden_sizes(d_model, levels, strict=False):
+def level_hidden_sizes(d_model, levels):
     """Split D across per-level GRUs; the last level absorbs any remainder."""
     if d_model < levels:
         raise ValueError(f"d_model {d_model} smaller than level count {levels}")
-    if strict and d_model % levels:
-        raise ValueError(f"d_model {d_model} not divisible by {levels} levels")
     base = d_model // levels
     sizes = [base] * levels
     sizes[-1] = d_model - base * (levels - 1)

@@ -88,10 +88,6 @@ def tensor(data, dtype=None, requires_grad=False):
     return Tensor(arr, requires_grad=requires_grad)
 
 
-def zeros(shape, dtype=DEFAULT_DTYPE, requires_grad=False):
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-
-
 @contextmanager
 def no_grad():
     """Disable graph recording inside the block (evaluation / benchmarks)."""
@@ -100,13 +96,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled.reset(token)
-
-
-def _as_tensor(x, like=None):
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.data.dtype if like is not None else DEFAULT_DTYPE
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 def _node(op, data, parents, backward_fn, flops=None):
@@ -142,8 +131,6 @@ def _check_broadcast(op, a, b):
 
 
 def add(a, b):
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
     _check_broadcast("add", a, b)
 
     def bwd(g):
@@ -153,8 +140,6 @@ def add(a, b):
 
 
 def sub(a, b):
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
     _check_broadcast("sub", a, b)
 
     def bwd(g):
@@ -164,8 +149,6 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
     _check_broadcast("mul", a, b)
 
     def bwd(g):
@@ -175,8 +158,6 @@ def mul(a, b):
 
 
 def div(a, b):
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
     _check_broadcast("div", a, b)
     out = a.data / b.data
 
@@ -193,8 +174,6 @@ def div(a, b):
 
 
 def matmul(a, b):
-    a = _as_tensor(a)
-    b = _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeMismatchError("matmul", a.shape, b.shape, "operands must be >= 2-d")
     if a.shape[-1] != b.shape[-2]:
@@ -216,7 +195,6 @@ def matmul(a, b):
 
 
 def permute(x, axes):
-    x = _as_tensor(x)
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
 
@@ -226,17 +204,7 @@ def permute(x, axes):
     return _node("permute", np.transpose(x.data, axes), (x,), bwd)
 
 
-def transpose(x):
-    """Swap the last two axes."""
-    x = _as_tensor(x)
-    if x.ndim < 2:
-        raise ShapeMismatchError("transpose", x.shape, x.shape, "needs >= 2-d")
-    axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
-    return permute(x, axes)
-
-
 def reshape(x, shape):
-    x = _as_tensor(x)
     shape = tuple(shape)
     target = int(np.prod(shape, dtype=np.int64)) if -1 not in shape else -1
     if target != -1 and target != x.size:
@@ -250,7 +218,6 @@ def reshape(x, shape):
 
 
 def concat(tensors, axis=0):
-    tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ValueError("concat: empty input list")
     ref = tensors[0].shape
@@ -270,7 +237,6 @@ def concat(tensors, axis=0):
 
 def narrow(x, axis, start, length):
     """Contiguous slice of `length` elements along `axis`."""
-    x = _as_tensor(x)
     if start < 0 or start + length > x.shape[axis]:
         raise ShapeMismatchError("slice", x.shape, (start, start + length),
                                  f"out of range on axis {axis}")
@@ -291,7 +257,6 @@ def narrow(x, axis, start, length):
 
 
 def sum_(x, axis=None, keepdims=False):
-    x = _as_tensor(x)
     out = x.data.sum(axis=axis, keepdims=keepdims)
 
     def bwd(g):
@@ -304,7 +269,6 @@ def sum_(x, axis=None, keepdims=False):
 
 
 def mean(x, axis=None, keepdims=False):
-    x = _as_tensor(x)
     out = x.data.mean(axis=axis, keepdims=keepdims)
     count = x.size if axis is None else x.shape[axis]
 
@@ -323,7 +287,6 @@ def mean(x, axis=None, keepdims=False):
 
 
 def sqrt(x):
-    x = _as_tensor(x)
     out = np.sqrt(x.data)
 
     def bwd(g):
@@ -333,7 +296,6 @@ def sqrt(x):
 
 
 def exp(x):
-    x = _as_tensor(x)
     out = np.exp(x.data)
 
     def bwd(g):
@@ -342,33 +304,12 @@ def exp(x):
     return _node("exp", out, (x,), bwd)
 
 
-def tanh(x):
-    x = _as_tensor(x)
-    out = np.tanh(x.data)
-
-    def bwd(g):
-        return (g * (1.0 - out * out),)
-
-    return _node("tanh", out, (x,), bwd)
-
-
 def _logistic(a):
     # evaluated via tanh for stability on large negative inputs
     return 0.5 * (np.tanh(0.5 * a) + 1.0)
 
 
-def sigmoid(x):
-    x = _as_tensor(x)
-    out = _logistic(x.data)
-
-    def bwd(g):
-        return (g * out * (1.0 - out),)
-
-    return _node("sigmoid", out, (x,), bwd)
-
-
 def relu(x):
-    x = _as_tensor(x)
     out = np.maximum(x.data, 0.0)
 
     def bwd(g):
@@ -378,8 +319,6 @@ def relu(x):
 
 
 def abs_(x):
-    x = _as_tensor(x)
-
     def bwd(g):
         # sign(0) == 0: subgradient 0 at ties
         return (g * np.sign(x.data),)
@@ -387,18 +326,8 @@ def abs_(x):
     return _node("abs", np.abs(x.data), (x,), bwd)
 
 
-def neg(x):
-    x = _as_tensor(x)
-
-    def bwd(g):
-        return (-g,)
-
-    return _node("neg", -x.data, (x,), bwd)
-
-
 def scale(x, factor):
     """Multiply by a python scalar."""
-    x = _as_tensor(x)
     factor = float(factor)
 
     def bwd(g):
@@ -409,7 +338,6 @@ def scale(x, factor):
 
 def dropout_mask(x, rate, rng):
     """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate)."""
-    x = _as_tensor(x)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:

@@ -206,16 +206,11 @@ def evaluate(model, values, row_range, config, per_horizon=False) -> Metrics:
     sq_sum = np.zeros(horizon)
     abs_sum = np.zeros(horizon)
     count = 0
-    with T.no_grad():
-        for batch in window_iter(values, row_range, config.lookback, horizon,
-                                 config.batch_size):
-            pred = model.forward(Tensor(batch.inputs)).data
-            err = (pred - batch.targets).astype(np.float64)
-            sq_sum += (err ** 2).mean(axis=2).sum(axis=0)
-            abs_sum += np.abs(err).mean(axis=2).sum(axis=0)
-            count += len(batch.starts)
-    if count == 0:
-        raise DataError(f"no windows in range {row_range}")
+    for starts, targets, pred in predict_over_range(model, values, row_range, config):
+        err = (pred - targets).astype(np.float64)
+        sq_sum += (err ** 2).mean(axis=2).sum(axis=0)
+        abs_sum += np.abs(err).mean(axis=2).sum(axis=0)
+        count += len(starts)
     metrics = Metrics(mse=float(sq_sum.sum() / (horizon * count)),
                       mae=float(abs_sum.sum() / (horizon * count)))
     if per_horizon:
@@ -225,12 +220,14 @@ def evaluate(model, values, row_range, config, per_horizon=False) -> Metrics:
 
 
 def predict_over_range(model, values, row_range, config):
-    """Yield (starts, y_true, y_pred) per ordered batch; feeds the CSV writer."""
-    with T.no_grad():
-        for batch in window_iter(values, row_range, config.lookback,
-                                 config.pred_len, config.batch_size):
+    """Yield (starts, y_true, y_pred) per ordered batch, for `evaluate` and the
+    CSV writer. Only the forward runs without a graph, so the caller's code
+    between batches records as usual."""
+    for batch in window_iter(values, row_range, config.lookback,
+                             config.pred_len, config.batch_size):
+        with T.no_grad():
             pred = model.forward(Tensor(batch.inputs)).data
-            yield batch.starts, batch.targets, pred
+        yield batch.starts, batch.targets, pred
 
 
 def single_batch_overfit(config: RunConfig, inputs, targets, steps=500,

@@ -4,7 +4,9 @@ These are the straightforward forms of the pyramid kernels, built from the
 tensor primitives (or plain loops) so that their gradients come from the
 generic autodiff engine. They are slow on purpose: a general strided conv,
 a GRU that records every gate of every step on the tape, and the
-row-by-row predictions writer.
+row-by-row predictions writer. The GRU's two gate nonlinearities, `tanh`
+and `sigmoid`, are tape ops of their own here; the tests also use them as
+smooth nonlinear test functions.
 """
 
 import csv
@@ -14,7 +16,25 @@ import numpy as np
 from prformer import nn, tensor as T
 from prformer.data import PREDICTION_COLUMNS
 from prformer.nn import LinearParams
-from prformer.tensor import _node
+from prformer.tensor import Tensor, _logistic, _node
+
+
+def tanh(x):
+    out = np.tanh(x.data)
+
+    def bwd(g):
+        return (g * (1.0 - out * out),)
+
+    return _node("tanh", out, (x,), bwd)
+
+
+def sigmoid(x):
+    out = _logistic(x.data)
+
+    def bwd(g):
+        return (g * out * (1.0 - out),)
+
+    return _node("sigmoid", out, (x,), bwd)
 
 
 def conv1d(x, weight, bias=None, stride=1):
@@ -46,12 +66,12 @@ def conv1d(x, weight, bias=None, stride=1):
 
 def gru_step(x_t, h_prev, params):
     """One GRU update; x_t (B, in), h_prev (B, H) -> h_t (B, H)."""
-    z = T.sigmoid(T.add(nn.linear(x_t, LinearParams(params.wz, params.bz)),
-                        T.matmul(h_prev, params.uz)))
-    r = T.sigmoid(T.add(nn.linear(x_t, LinearParams(params.wr, params.br)),
-                        T.matmul(h_prev, params.ur)))
-    cand = T.tanh(T.add(nn.linear(x_t, LinearParams(params.wh, params.bh)),
-                        T.matmul(T.mul(r, h_prev), params.uh)))
+    z = sigmoid(T.add(nn.linear(x_t, LinearParams(params.wz, params.bz)),
+                      T.matmul(h_prev, params.uz)))
+    r = sigmoid(T.add(nn.linear(x_t, LinearParams(params.wr, params.br)),
+                      T.matmul(h_prev, params.ur)))
+    cand = tanh(T.add(nn.linear(x_t, LinearParams(params.wh, params.bh)),
+                      T.matmul(T.mul(r, h_prev), params.uh)))
     # h_t = (1 - z) * h_prev + z * cand, rewritten to three ops
     return T.add(h_prev, T.mul(z, T.sub(cand, h_prev)))
 
@@ -59,7 +79,7 @@ def gru_step(x_t, h_prev, params):
 def gru_forward(x, params):
     """GRU over x (T, B, in) from a zero state, one tape op per gate per step."""
     t_len, batch, _ = x.shape
-    h = T.zeros((batch, params.hidden_size), dtype=x.data.dtype)
+    h = Tensor(np.zeros((batch, params.hidden_size), dtype=x.data.dtype))
     for t in range(t_len):
         x_t = T.reshape(T.narrow(x, 0, t, 1), (batch, x.shape[2]))
         h = gru_step(x_t, h, params)

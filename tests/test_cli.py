@@ -338,3 +338,64 @@ class TestMalformedInputContract:
         path = BAD_CHECKPOINTS[case](tmp_path)
         rc = cli.main(["evaluate", "--checkpoint", str(path), "--dataset", dataset])
         _assert_clean_exit(rc, 2, capsys)
+
+    @pytest.mark.parametrize("command", ["train-checkpoint", "train-history", "predict",
+                                         "inspect-embeddings", "bench"])
+    def test_output_in_missing_directory(self, dataset, tmp_path, capsys, command):
+        missing = str(tmp_path / "no-such-dir" / "out.csv")
+        ckpt = str(_ckpt_with(tmp_path))
+        argv = {
+            "train-checkpoint": ["train", "--dataset", dataset, *FAST,
+                                 "--checkpoint", missing,
+                                 "--history", str(tmp_path / "h.csv")],
+            "train-history": ["train", "--dataset", dataset, *FAST,
+                              "--checkpoint", str(tmp_path / "m.ckpt"),
+                              "--history", missing],
+            "predict": ["predict", "--checkpoint", ckpt, "--dataset", dataset,
+                        "--out", missing],
+            "inspect-embeddings": ["inspect-embeddings", "--checkpoint", ckpt,
+                                   "--dataset", dataset, "--out", missing],
+            "bench": ["bench", "--lookbacks", "16", "--windows", "4", "--d-model", "16",
+                      "--heads", "2", "--repetitions", "1", "--no-pin",
+                      "--out", missing],
+        }[command]
+        rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2, err
+        assert "Traceback" not in err and missing in err
+        assert "epoch" not in out  # train stops before its first epoch
+
+
+RUN_CONFIG_FLAG_VALUES = {
+    "lookback": (["64"], 64),
+    "pred_len": (["16"], 16),
+    "pyramidal_windows": (["4", "8"], (4, 8)),
+    "e_layers": (["2"], 2),
+    "d_model": (["32"], 32),
+    "d_ff": (["48"], 48),
+    "heads": (["4"], 4),
+    "conv_channels": (["8"], 8),
+    "dropout": (["0.25"], 0.25),
+    "batch_size": (["16"], 16),
+    "lr": (["0.01"], 0.01),
+    "temperature": (["0.5"], 0.5),
+    "seed": (["7"], 7),
+    "variant": (["V3"], "V3"),
+    "dataset": (["elsewhere.csv"], "elsewhere.csv"),
+    "split_scheme": (["7:1:2"], "7:1:2"),
+    "strict_split": ([], True),
+    "max_epochs": (["5"], 5),
+    "patience": (["3"], 3),
+    "lr_decay": (["0.5"], 0.5),
+    "normalized_loss": ([], True),
+    "grad_clip": (["1.5"], 1.5),
+}
+
+
+@pytest.mark.parametrize("name", RunConfig.field_names())
+def test_every_config_field_has_a_flag(name):
+    values, expected = RUN_CONFIG_FLAG_VALUES[name]
+    flag = "--" + name.replace("_", "-")
+    args = cli.build_parser().parse_args(
+        ["train", "--lookback", "32", "--pred-len", "8", flag, *values])
+    assert getattr(cli.resolve_config(args), name) == expected

@@ -117,8 +117,8 @@ class TestProjectionHead:
         params.head.w.data[:] = np.eye(8, dtype=np.float32)
         params.head.b.data[:] = 0.0
         tokens = rng.normal(size=(1, 2, 8)).astype(np.float32)
-        out = encoder.project(tensor(tokens), params)
-        np.testing.assert_allclose(out.data, tokens, atol=1e-6)
+        out = encoder.forecast(tensor(tokens), params)
+        np.testing.assert_allclose(out.data, tokens.transpose(0, 2, 1), atol=1e-6)
 
     def test_equal_embeddings_share_forecasts(self):
         rng = np.random.default_rng(72)

