@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .model import PRformer
 from .tensor import Tensor
 from .training import Adam, train_step
@@ -32,8 +32,8 @@ def pe_frequencies(d_model):
 
 def sinusoidal_pe(d_model, position):
     """The classic interleaved sin/cos encoding of one position."""
-    if d_model % 2:
-        raise ValueError(f"d_model must be even, got {d_model}")
+    if d_model < 2 or d_model % 2:
+        raise ConfigError(f"d_model must be even and at least 2, got {d_model}")
     w = pe_frequencies(d_model)
     pe = np.empty(d_model, dtype=np.float64)
     pe[0::2] = np.sin(position * w)
@@ -124,11 +124,11 @@ def scaling_bench(lookbacks, windows, d_model=64, channels=3, conv_channels=16,
     """
     lookbacks = sorted(int(v) for v in lookbacks)
     if len(lookbacks) < 3:
-        raise ValueError("need at least 3 lookback values")
+        raise ConfigError("need at least 3 lookback values")
     top = max(windows)
     bad = [v for v in lookbacks if v < top]
     if bad:
-        raise ValueError(f"lookbacks {bad} are smaller than the top window {top}")
+        raise ConfigError(f"lookbacks {bad} are smaller than the top window {top}")
 
     rows = []
     prev_median = None
@@ -155,8 +155,4 @@ def write_bench_csv(path, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=BENCH_COLUMNS)
         writer.writeheader()
-        for row in rows:
-            out = dict(row)
-            if out["ratio"] is None:
-                out["ratio"] = ""
-            writer.writerow(out)
+        writer.writerows(rows)

@@ -1,5 +1,5 @@
-"""Reference forecasters the model must beat: persistence and a
-per-channel least-squares map from lookback window to horizon."""
+"""Reference forecasts the model must beat: persistence (last value or last
+season), scored over ordered windows like any other forecast function."""
 
 from __future__ import annotations
 
@@ -25,44 +25,6 @@ def persistence_forecast(inputs, horizon, period=None):
         # at L - period; copy from one season earlier
         out[:, h, :] = inputs[:, length - period + h % period, :]
     return out
-
-
-class WindowRegression:
-    """Independent per-channel ridge-free OLS: lookback window -> horizon."""
-
-    def __init__(self, weights, intercepts):
-        self.weights = weights  # (C, L, H)
-        self.intercepts = intercepts  # (C, H)
-
-    @classmethod
-    def fit(cls, values, row_range, lookback, horizon):
-        xs, ys = [], []
-        for batch in window_iter(values, row_range, lookback, horizon,
-                                 batch_size=4096):
-            xs.append(batch.inputs)
-            ys.append(batch.targets)
-        x = np.concatenate(xs).astype(np.float64)  # (N, L, C)
-        y = np.concatenate(ys).astype(np.float64)  # (N, H, C)
-        n, length, channels = x.shape
-        weights = np.empty((channels, length, y.shape[1]))
-        intercepts = np.empty((channels, y.shape[1]))
-        design = np.empty((n, length + 1))
-        design[:, -1] = 1.0
-        for c in range(channels):
-            design[:, :length] = x[:, :, c]
-            sol, *_ = np.linalg.lstsq(design, y[:, :, c], rcond=None)
-            weights[c] = sol[:length]
-            intercepts[c] = sol[length]
-        return cls(weights, intercepts)
-
-    def predict(self, inputs):
-        """(b, L, C) -> (b, H, C)."""
-        b, length, channels = inputs.shape
-        out = np.empty((b, self.weights.shape[2], channels))
-        x = inputs.astype(np.float64)
-        for c in range(channels):
-            out[:, :, c] = x[:, :, c] @ self.weights[c] + self.intercepts[c]
-        return out.astype(inputs.dtype)
 
 
 def baseline_metrics(forecast_fn, values, row_range, lookback, horizon,

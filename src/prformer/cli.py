@@ -22,6 +22,14 @@ EXIT_NUMERIC = 3
 _SPLIT_INDEX = {"train": 0, "val": 1, "test": 2}
 
 
+def _positive_int(text):
+    """argparse type for counts: an integer of at least one."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_config_flags(sp):
     """One flag per RunConfig field, typed by its annotation; None means unset."""
     from .config import RunConfig
@@ -263,11 +271,11 @@ def build_parser():
                    default=[720, 1440, 2880])
     p.add_argument("--windows", type=int, nargs="+", default=[24, 48, 96])
     p.add_argument("--d-model", type=int, default=64, dest="d_model")
-    p.add_argument("--channels", type=int, default=3)
+    p.add_argument("--channels", type=_positive_int, default=3)
     p.add_argument("--conv-channels", type=int, default=16, dest="conv_channels")
     p.add_argument("--e-layers", type=int, default=1, dest="e_layers")
     p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--repetitions", type=int, default=5)
+    p.add_argument("--repetitions", type=_positive_int, default=5)
     p.add_argument("--batch-size", type=int, default=1, dest="batch_size")
     p.add_argument("--backward", action="store_true",
                    help="time a full training step (forward, L1 loss, "
@@ -283,7 +291,7 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset")
     p.add_argument("--split", choices=tuple(_SPLIT_INDEX), default="test")
-    p.add_argument("--count", type=int, default=1,
+    p.add_argument("--count", type=_positive_int, default=1,
                    help="number of windows to export")
     p.add_argument("--out", default="embeddings.csv")
     p.set_defaults(handler=cmd_inspect_embeddings)
@@ -292,7 +300,7 @@ def build_parser():
                        help="verify positional-encoding translation invariance")
     p.add_argument("--d-model", type=int, default=None, dest="d_model",
                    help="fixed width; default draws random even widths")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.set_defaults(handler=cmd_check_pe)

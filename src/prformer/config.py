@@ -144,12 +144,3 @@ class RunConfig:
         if missing:
             raise ConfigError(f"missing required config keys: {sorted(missing)}")
         return cls(**data)
-
-    @classmethod
-    def from_file(cls, path):
-        return cls.from_dict(read_config_file(path))
-
-    def to_file(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")

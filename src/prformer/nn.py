@@ -145,7 +145,6 @@ def conv1d(x, weight, bias):
     out = patches @ w_flat.T
     out += bias.data
     out = out.reshape(b_sz, l_out, c_out).transpose(0, 2, 1)
-    flops = 2 * b_sz * c_out * c_in * k * l_out
 
     def bwd(g):
         g_rows = g.transpose(0, 2, 1).reshape(b_sz * l_out, c_out)
@@ -158,8 +157,7 @@ def conv1d(x, weight, bias):
             gx[:, :, :l_out * k] = g_patches.reshape(b_sz, c_in, l_out * k)
         return (gx, gw, g.sum(axis=(0, 2)))
 
-    return _node("conv1d", out.astype(x.data.dtype, copy=False), (x, weight, bias), bwd,
-                 flops=flops)
+    return _node("conv1d", out.astype(x.data.dtype, copy=False), (x, weight, bias), bwd)
 
 
 def upsample_repeat(x, target_len):
@@ -224,8 +222,6 @@ def gru_forward(x, params):
         cand[t] = np.tanh(proj[t, :, 2 * hidden:] + (r * h) @ u_h)
         hs[t + 1] = h + z * (cand[t] - h)
     del proj
-    # input projection, the two recurrent products, ~10 elementwise ops per unit
-    flops = t_len * batch * (2 * in_dim * 3 * hidden + 2 * 3 * hidden * hidden + 10 * hidden)
 
     def bwd(g):
         g_proj = np.empty((t_len, batch, 3 * hidden), dtype=np.result_type(g, dtype))
@@ -253,7 +249,7 @@ def gru_forward(x, params):
 
     parents = (x, params.wz, params.uz, params.bz, params.wr, params.ur, params.br,
                params.wh, params.uh, params.bh)
-    return _node("gru_sequence", hs[t_len].copy(), parents, bwd, flops=flops)
+    return _node("gru_sequence", hs[t_len].copy(), parents, bwd)
 
 
 # ---------------------------------------------------------------------------

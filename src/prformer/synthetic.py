@@ -54,30 +54,3 @@ def mixed_table(n=2000, seed=0, noise=0.1, coupling=0.8, lag=12, rho=0.9,
                        channels=["driver", "seasonal", "lagged"],
                        values=values)
 
-
-def periodic_table(n=960, period=24, channels=2, amplitude=1.0):
-    """Bitwise-periodic sinusoids: one period sampled once, then tiled.
-
-    Tiling makes values at t and t + period identical to the last bit, so a
-    seasonal persistence forecast is exact.
-    """
-    one = amplitude * np.sin(2 * np.pi * np.arange(period) / period)
-    reps = -(-n // period)  # ceil
-    base = np.tile(one, reps)[:n]
-    cols = [np.roll(base, c * 3) for c in range(channels)]
-    values = np.stack(cols, axis=1).astype(np.float32)
-    return SeriesTable(timestamps=_hourly_timestamps(n),
-                       channels=[f"s{c}" for c in range(channels)],
-                       values=values)
-
-
-def sine_pair_table(n=400, seed=0):
-    """Two clean incommensurate sinusoids; easy to overfit, no noise."""
-    rng = np.random.default_rng(seed)
-    t = np.arange(n)
-    phase = rng.uniform(0, 2 * np.pi, size=2)
-    values = np.stack([np.sin(2 * np.pi * t / 24.0 + phase[0]),
-                       0.7 * np.sin(2 * np.pi * t / 36.0 + phase[1])],
-                      axis=1).astype(np.float32)
-    return SeriesTable(timestamps=_hourly_timestamps(n),
-                       channels=["a", "b"], values=values)

@@ -16,7 +16,6 @@ from contextlib import contextmanager
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
-WIDE_DTYPE = np.float64
 
 _grad_enabled = contextvars.ContextVar("prformer_grad_enabled", default=True)
 
@@ -37,25 +36,19 @@ class DetachedLossError(ValueError):
     pass
 
 
-class NonDeterministicFunctionError(RuntimeError):
-    pass
-
-
 class Tensor:
     """n-dimensional real array, optionally carrying a gradient and graph link."""
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "parents", "_backward",
-                 "_flops")
+    __slots__ = ("data", "grad", "requires_grad", "op", "parents", "_backward")
 
     def __init__(self, data, requires_grad=False, op=None, parents=(),
-                 backward_fn=None, flops=None):
+                 backward_fn=None):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data)
         self.grad = None
         self.requires_grad = requires_grad
         self.op = op
         self.parents = parents
         self._backward = backward_fn
-        self._flops = int(self.data.size) if flops is None else int(flops)
 
     @property
     def shape(self):
@@ -98,11 +91,11 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
-def _node(op, data, parents, backward_fn, flops=None):
+def _node(op, data, parents, backward_fn):
     """Build the output tensor, recording the op only when a parent needs grad."""
     if _grad_enabled.get() and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, op=op, parents=tuple(parents),
-                      backward_fn=backward_fn, flops=flops)
+                      backward_fn=backward_fn)
     return Tensor(data)
 
 
@@ -179,19 +172,17 @@ def matmul(a, b):
     if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError("matmul", a.shape, b.shape, "inner dims differ")
     try:
-        batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     except ValueError:
         raise ShapeMismatchError("matmul", a.shape, b.shape, "batch dims differ") from None
     out = np.matmul(a.data, b.data)
-    m, k, n = a.shape[-2], a.shape[-1], b.shape[-1]
-    flops = 2 * m * k * n * int(np.prod(batch, dtype=np.int64)) if batch else 2 * m * k * n
 
     def bwd(g):
         ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
         gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
         return (ga, gb)
 
-    return _node("matmul", out, (a, b), bwd, flops=flops)
+    return _node("matmul", out, (a, b), bwd)
 
 
 def permute(x, axes):
@@ -265,7 +256,7 @@ def sum_(x, axis=None, keepdims=False):
         gg = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, x.shape).copy(),)
 
-    return _node("sum", out, (x,), bwd, flops=x.size)
+    return _node("sum", out, (x,), bwd)
 
 
 def mean(x, axis=None, keepdims=False):
@@ -279,7 +270,7 @@ def mean(x, axis=None, keepdims=False):
         gg = scale_g if keepdims else np.expand_dims(scale_g, axis)
         return (np.broadcast_to(gg, x.shape).copy(),)
 
-    return _node("mean", out, (x,), bwd, flops=x.size)
+    return _node("mean", out, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -395,77 +386,3 @@ def backward(loss):
             key = id(p)
             grads[key] = pg if key not in grads else grads[key] + pg
 
-
-class Tape:
-    """The primitive ops below one output tensor, each after its inputs."""
-
-    def __init__(self, nodes):
-        self.nodes = nodes
-
-    @classmethod
-    def trace(cls, root):
-        return cls([n for n in _toposort(root) if n.op is not None])
-
-    def op_ids(self):
-        return [n.op for n in self.nodes]
-
-    def op_counts(self):
-        counts = {}
-        for n in self.nodes:
-            counts[n.op] = counts.get(n.op, 0) + 1
-        return counts
-
-    def flops(self):
-        """Rough forward cost: multiply-add counts for matmul/conv, element counts elsewhere."""
-        return sum(n._flops for n in self.nodes)
-
-    def __len__(self):
-        return len(self.nodes)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle
-
-
-def grad_check(fn, point, eps=1e-5):
-    """Max relative error between analytic gradient of `fn` and central differences.
-
-    `fn` maps a Tensor to a scalar Tensor. Evaluation runs in float64; the
-    analytic side uses one backward pass, the numeric side perturbs every
-    coordinate by +-eps. Error per coordinate is
-    |analytic - fd| / max(1, |analytic|).
-    """
-    if not (1e-7 <= eps <= 1e-3):
-        raise ValueError(f"eps must lie in [1e-7, 1e-3], got {eps}")
-    base = np.asarray(point.data if isinstance(point, Tensor) else point,
-                      dtype=WIDE_DTYPE)
-
-    def evaluate(arr):
-        out = fn(Tensor(arr.copy()))
-        if out.size != 1:
-            raise NonScalarLossError("grad_check target must return a scalar")
-        return float(out.data)
-
-    with no_grad():
-        first, second = evaluate(base), evaluate(base)
-    if first != second:
-        raise NonDeterministicFunctionError(
-            f"function returned {first} then {second} at the same point")
-
-    leaf = Tensor(base.copy(), requires_grad=True)
-    backward(fn(leaf))
-    analytic = leaf.grad.reshape(-1)
-
-    flat = base.reshape(-1)
-    fd = np.empty_like(flat)
-    with no_grad():
-        for i in range(flat.size):
-            bumped = flat.copy()
-            bumped[i] = flat[i] + eps
-            hi = evaluate(bumped.reshape(base.shape))
-            bumped[i] = flat[i] - eps
-            lo = evaluate(bumped.reshape(base.shape))
-            fd[i] = (hi - lo) / (2.0 * eps)
-
-    denom = np.maximum(1.0, np.abs(analytic))
-    return float(np.max(np.abs(analytic - fd) / denom)) if flat.size else 0.0

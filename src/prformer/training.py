@@ -230,25 +230,6 @@ def predict_over_range(model, values, row_range, config):
         yield batch.starts, batch.targets, pred
 
 
-def single_batch_overfit(config: RunConfig, inputs, targets, steps=500,
-                         report_every=None):
-    """Drive one fixed batch to near-zero MAE; returns the loss trace.
-
-    Each step is one epoch of that single batch.
-    """
-    model = PRformer(config, inputs.shape[2])
-    optimizer = Adam(model.named_parameters(), config.lr)
-    dropout_rng = np.random.default_rng((config.seed, 1))
-    losses = []
-    for step in range(steps):
-        value = train_step(model, optimizer, inputs, targets, dropout_rng,
-                           epoch=step + 1)
-        losses.append(value)
-        if report_every and (step + 1) % report_every == 0:
-            print(f"  step {step + 1}: mae {value:.5f}")
-    return losses
-
-
 # ---------------------------------------------------------------------------
 # checkpoint archive: 4-byte little-endian manifest length, JSON manifest,
 # then each parameter's raw little-endian buffer in manifest order
@@ -360,5 +341,4 @@ def write_history(path, history):
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=HISTORY_COLUMNS)
         writer.writeheader()
-        for row in history:
-            writer.writerow({k: row[k] for k in HISTORY_COLUMNS})
+        writer.writerows(history)

@@ -1,12 +1,17 @@
-"""Composed reference kernels that the fused ones are checked against.
+"""Reference code the program is checked against.
 
-These are the straightforward forms of the pyramid kernels, built from the
-tensor primitives (or plain loops) so that their gradients come from the
-generic autodiff engine. They are slow on purpose: a general strided conv,
-a GRU that records every gate of every step on the tape, and the
-row-by-row predictions writer. The GRU's two gate nonlinearities, `tanh`
-and `sigmoid`, are tape ops of their own here; the tests also use them as
-smooth nonlinear test functions.
+The composed kernels are the straightforward forms of the pyramid kernels,
+built from the tensor primitives (or plain loops) so that their gradients
+come from the generic autodiff engine. They are slow on purpose: a general
+strided conv, a GRU that records every gate of every step on the tape, and
+the row-by-row predictions writer. The GRU's two gate nonlinearities,
+`tanh` and `sigmoid`, are tape ops of their own here; the tests also use
+them as smooth nonlinear test functions.
+
+The other oracles: `Tape`, the recorded ops below one output with a cost
+per op derived from its shapes; `grad_check`, the central finite-difference
+check every gradient is held to; and `WindowRegression`, the per-channel
+least-squares forecaster the model must beat.
 """
 
 import csv
@@ -14,9 +19,23 @@ import csv
 import numpy as np
 
 from prformer import nn, tensor as T
-from prformer.data import PREDICTION_COLUMNS
+from prformer.data import PREDICTION_COLUMNS, window_iter
 from prformer.nn import LinearParams
-from prformer.tensor import Tensor, _logistic, _node
+from prformer.tensor import (
+    NonScalarLossError,
+    Tensor,
+    _logistic,
+    _node,
+    _toposort,
+    backward,
+    no_grad,
+)
+
+WIDE_DTYPE = np.float64
+
+
+class NonDeterministicFunctionError(RuntimeError):
+    pass
 
 
 def tanh(x):
@@ -98,3 +117,131 @@ def write_predictions(path, batches, channels):
                         writer.writerow([int(s), h, name,
                                          repr(float(y_true[i, h, c])),
                                          repr(float(y_pred[i, h, c]))])
+
+
+def _op_flops(node):
+    """Rough forward cost of one tape node: multiply-adds for the matrix
+    products, elements touched elsewhere."""
+    out = node.data
+    if node.op == "matmul":
+        return 2 * out.size * node.parents[0].shape[-1]
+    if node.op == "conv1d":
+        weight = node.parents[1]
+        return 2 * out.size * weight.size // weight.shape[0]
+    if node.op in ("sum", "mean"):
+        return node.parents[0].size
+    if node.op == "gru_sequence":
+        x, hidden = node.parents[0], node.parents[2].shape[0]
+        t_len, batch, in_dim = x.shape
+        # input projection, the two recurrent products, ~10 elementwise ops per unit
+        return t_len * batch * (6 * in_dim * hidden + 6 * hidden * hidden + 10 * hidden)
+    return out.size
+
+
+class Tape:
+    """The primitive ops below one output tensor, each after its inputs."""
+
+    def __init__(self, nodes):
+        self.nodes = nodes
+
+    @classmethod
+    def trace(cls, root):
+        return cls([n for n in _toposort(root) if n.op is not None])
+
+    def op_ids(self):
+        return [n.op for n in self.nodes]
+
+    def op_counts(self):
+        counts = {}
+        for n in self.nodes:
+            counts[n.op] = counts.get(n.op, 0) + 1
+        return counts
+
+    def flops(self):
+        """Rough forward cost: multiply-add counts for matmul/conv, element counts elsewhere."""
+        return sum(_op_flops(n) for n in self.nodes)
+
+    def __len__(self):
+        return len(self.nodes)
+
+
+def grad_check(fn, point, eps=1e-5):
+    """Max relative error between analytic gradient of `fn` and central differences.
+
+    `fn` maps a Tensor to a scalar Tensor. Evaluation runs in float64; the
+    analytic side uses one backward pass, the numeric side perturbs every
+    coordinate by +-eps. Error per coordinate is
+    |analytic - fd| / max(1, |analytic|).
+    """
+    if not (1e-7 <= eps <= 1e-3):
+        raise ValueError(f"eps must lie in [1e-7, 1e-3], got {eps}")
+    base = np.asarray(point.data if isinstance(point, Tensor) else point,
+                      dtype=WIDE_DTYPE)
+
+    def evaluate(arr):
+        out = fn(Tensor(arr.copy()))
+        if out.size != 1:
+            raise NonScalarLossError("grad_check target must return a scalar")
+        return float(out.data)
+
+    with no_grad():
+        first, second = evaluate(base), evaluate(base)
+    if first != second:
+        raise NonDeterministicFunctionError(
+            f"function returned {first} then {second} at the same point")
+
+    leaf = Tensor(base.copy(), requires_grad=True)
+    backward(fn(leaf))
+    analytic = leaf.grad.reshape(-1)
+
+    flat = base.reshape(-1)
+    fd = np.empty_like(flat)
+    with no_grad():
+        for i in range(flat.size):
+            bumped = flat.copy()
+            bumped[i] = flat[i] + eps
+            hi = evaluate(bumped.reshape(base.shape))
+            bumped[i] = flat[i] - eps
+            lo = evaluate(bumped.reshape(base.shape))
+            fd[i] = (hi - lo) / (2.0 * eps)
+
+    denom = np.maximum(1.0, np.abs(analytic))
+    return float(np.max(np.abs(analytic - fd) / denom)) if flat.size else 0.0
+
+
+class WindowRegression:
+    """Independent per-channel ridge-free OLS: lookback window -> horizon."""
+
+    def __init__(self, weights, intercepts):
+        self.weights = weights  # (C, L, H)
+        self.intercepts = intercepts  # (C, H)
+
+    @classmethod
+    def fit(cls, values, row_range, lookback, horizon):
+        xs, ys = [], []
+        for batch in window_iter(values, row_range, lookback, horizon,
+                                 batch_size=4096):
+            xs.append(batch.inputs)
+            ys.append(batch.targets)
+        x = np.concatenate(xs).astype(np.float64)  # (N, L, C)
+        y = np.concatenate(ys).astype(np.float64)  # (N, H, C)
+        n, length, channels = x.shape
+        weights = np.empty((channels, length, y.shape[1]))
+        intercepts = np.empty((channels, y.shape[1]))
+        design = np.empty((n, length + 1))
+        design[:, -1] = 1.0
+        for c in range(channels):
+            design[:, :length] = x[:, :, c]
+            sol, *_ = np.linalg.lstsq(design, y[:, :, c], rcond=None)
+            weights[c] = sol[:length]
+            intercepts[c] = sol[length]
+        return cls(weights, intercepts)
+
+    def predict(self, inputs):
+        """(b, L, C) -> (b, H, C)."""
+        b, length, channels = inputs.shape
+        out = np.empty((b, self.weights.shape[2], channels))
+        x = inputs.astype(np.float64)
+        for c in range(channels):
+            out[:, :, c] = x[:, :, c] @ self.weights[c] + self.intercepts[c]
+        return out.astype(inputs.dtype)

@@ -16,7 +16,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import grad_check_all_params
+from conftest import grad_check_all_params, sine_pair_table, single_batch_overfit
+from oracles import WindowRegression
 from prformer import baselines, pre, revin, synthetic
 from prformer import tensor as T
 from prformer.analysis import check_pe, pe_dot_invariance, scaling_bench
@@ -28,7 +29,6 @@ from prformer.tensor import Tensor
 from prformer.training import (
     evaluate,
     save_checkpoint,
-    single_batch_overfit,
     train,
 )
 
@@ -239,8 +239,8 @@ class TestAcceptance:
         pers_mse, _ = baselines.baseline_metrics(
             lambda x: baselines.persistence_forecast(x, horizon),
             synth_table.values, synth_ranges[2], lookback, horizon)
-        reg = baselines.WindowRegression.fit(synth_table.values,
-                                             synth_ranges[0], lookback, horizon)
+        reg = WindowRegression.fit(synth_table.values, synth_ranges[0],
+                                   lookback, horizon)
         reg_mse, _ = baselines.baseline_metrics(
             reg.predict, synth_table.values, synth_ranges[2], lookback, horizon)
         passed = (run["mse"] <= 0.7 * pers_mse and run["mse"] < reg_mse
@@ -255,7 +255,7 @@ class TestAcceptance:
         assert run["seconds"] < 900
 
     def test_criterion_07_single_batch_overfit(self):
-        table = synthetic.sine_pair_table(n=400, seed=0)
+        table = sine_pair_table(n=400, seed=0)
         batch = next(window_iter(table.values, (0, 300), 48, 12, batch_size=16))
         cfg = RunConfig(lookback=48, pred_len=12, pyramidal_windows=(4, 8),
                         d_model=32, heads=4, conv_channels=8, dropout=0.0,

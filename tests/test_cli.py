@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import sine_pair_table
 from prformer import cli, data, synthetic
 from prformer.config import RunConfig
 from prformer.model import PRformer
@@ -127,7 +128,7 @@ class TestRoundTrip:
         rc, ckpt, _ = train_fast(dataset, tmp_path)
         assert rc == 0
         other = tmp_path / "two.csv"
-        data.save_csv(synthetic.sine_pair_table(n=200, seed=0), str(other))
+        data.save_csv(sine_pair_table(n=200, seed=0), str(other))
         assert cli.main(["evaluate", "--checkpoint", ckpt,
                          "--dataset", str(other)]) == 2
 
@@ -289,6 +290,20 @@ BAD_CHECKPOINTS = {
 }
 
 
+# flags outside RunConfig that used to crash or check nothing
+BAD_FLAGS = {
+    "count-zero": ["inspect-embeddings", "--count", "0"],
+    "count-negative": ["inspect-embeddings", "--count", "-1"],
+    "lookbacks-two": ["bench", "--lookbacks", "720", "1440", "--no-pin"],
+    "lookbacks-below-window": ["bench", "--lookbacks", "10", "20", "30", "--no-pin"],
+    "repetitions-zero": ["bench", "--repetitions", "0", "--no-pin"],
+    "channels-zero": ["bench", "--channels", "0", "--no-pin"],
+    "pe-width-odd": ["check-pe", "--d-model", "3"],
+    "pe-width-zero": ["check-pe", "--d-model", "0"],
+    "pe-trials-zero": ["check-pe", "--trials", "0"],
+}
+
+
 def _write(tmp_path, blob, name="bad.bin"):
     path = tmp_path / name
     path.write_bytes(blob)
@@ -302,8 +317,8 @@ def _assert_clean_exit(rc, expected, capsys):
 
 
 class TestMalformedInputContract:
-    """Bad configs, CSVs and checkpoints end in an exit code and a one-line
-    message, never in an exception."""
+    """Bad configs, CSVs, checkpoints and flags end in an exit code and a
+    one-line message, never in an exception."""
 
     @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
     def test_config(self, dataset, tmp_path, capsys, case):
@@ -364,6 +379,20 @@ class TestMalformedInputContract:
         assert rc == 2, err
         assert "Traceback" not in err and missing in err
         assert "epoch" not in out  # train stops before its first epoch
+
+
+    @pytest.mark.parametrize("case", sorted(BAD_FLAGS))
+    def test_flag_outside_config(self, dataset, tmp_path, capsys, case):
+        argv = BAD_FLAGS[case]
+        if argv[0] != "check-pe":
+            argv = [*argv, "--out", str(tmp_path / "out.csv")]
+        if argv[0] == "inspect-embeddings":
+            argv += ["--checkpoint", str(_ckpt_with(tmp_path)), "--dataset", dataset]
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
 
 
 RUN_CONFIG_FLAG_VALUES = {

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import periodic_table
 from prformer import data, synthetic
 from prformer.data import DataError, load_csv, save_csv, split_ranges, window_iter
 
@@ -243,7 +244,7 @@ class TestSyntheticGenerators:
         assert 0.85 < rho < 0.95
 
     def test_periodic_table_is_bitwise_periodic(self):
-        table = synthetic.periodic_table(n=240, period=24)
+        table = periodic_table(n=240, period=24)
         v = table.values
         np.testing.assert_array_equal(v[24:], v[:-24])
 

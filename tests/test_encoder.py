@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import cast_tree
+from oracles import grad_check
 from prformer import encoder, nn, tensor as T
-from prformer.tensor import grad_check, tensor
+from prformer.tensor import tensor
 
 
 def build(rng, d_model=8, d_ff=16, heads=2, e_layers=1, horizon=4, **kw):

@@ -1,14 +1,17 @@
 """Model-level checks: the four variants' shared contract, their structural
 differences, seeded init determinism, and RunConfig parsing."""
 
+import json
+
 import numpy as np
 import pytest
 
+from oracles import Tape
 from prformer import tensor as T
-from prformer.config import ConfigError, RunConfig
+from prformer.config import ConfigError, RunConfig, read_config_file
 from prformer.model import PRformer
 from prformer.pre import PyramidConfigWarning
-from prformer.tensor import Tape, Tensor
+from prformer.tensor import Tensor
 
 
 def small_config(**overrides):
@@ -26,9 +29,9 @@ class TestRunConfig:
 
     def test_json_round_trip(self, tmp_path):
         config = small_config(dataset="x.csv", grad_clip=1.5)
-        path = str(tmp_path / "c.json")
-        config.to_file(path)
-        again = RunConfig.from_file(path)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config.to_dict()))
+        again = RunConfig.from_dict(read_config_file(str(path)))
         assert again == config
 
     def test_unknown_keys_rejected(self):
@@ -41,13 +44,13 @@ class TestRunConfig:
 
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError, match="not found"):
-            RunConfig.from_file("/no/such/config.json")
+            read_config_file("/no/such/config.json")
 
     def test_invalid_json_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         with pytest.raises(ConfigError, match="valid JSON"):
-            RunConfig.from_file(str(p))
+            read_config_file(str(p))
 
     def test_validation_failures(self):
         cases = [
@@ -118,6 +121,19 @@ class TestVariants:
         full = PRformer(small_config(variant="full"), 2)
         v3 = PRformer(small_config(variant="V3"), 2)
         assert v3.param_count() < full.param_count()
+
+    @pytest.mark.parametrize("variant, nodes, flops", [
+        ("full", 143, 13_112_194), ("V1", 99, 11_584_738),
+        ("V2", 117, 6_935_040), ("V3", 129, 9_202_206)])
+    def test_train_graph_size_and_cost(self, variant, nodes, flops):
+        # the totals the engine once counted per tensor; the oracle's rule keeps them
+        config = RunConfig(lookback=720, pred_len=96, pyramidal_windows=(24, 48, 96),
+                           d_model=64, heads=4, e_layers=2, dropout=0.1, variant=variant)
+        x = Tensor(np.random.default_rng(0).normal(size=(4, 720, 7)).astype(np.float32))
+        out = PRformer(config, 7).forward(x, training=True,
+                                          dropout_rng=np.random.default_rng(1))
+        tape = Tape.trace(T.sum_(out))
+        assert (len(tape), tape.flops()) == (nodes, flops)
 
 
 class TestModelMechanics:

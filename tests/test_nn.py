@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import Tape, grad_check
 from prformer import nn, tensor as T
 from prformer.nn import GRUParams, LinearParams, MHAParams
-from prformer.tensor import Tape, backward, grad_check, tensor
+from prformer.tensor import backward, tensor
 
 GRAD_TOL = 1e-6
 

@@ -6,13 +6,14 @@ import pytest
 
 import oracles
 from conftest import cast_tree, grad_check_all_params
+from oracles import Tape
 from prformer import nn, pre, tensor as T
 from prformer.pre import (
     PyramidConfigWarning,
     build_pyramid_config,
     level_hidden_sizes,
 )
-from prformer.tensor import Tape, Tensor, tensor
+from prformer.tensor import Tensor, tensor
 
 
 def tiny_setup(windows=(2, 4), lookback=8, d_model=4, channels=2, seed=40):
@@ -220,7 +221,7 @@ class TestGradients:
     def test_gradient_wrt_input(self):
         cfg, params = tiny_setup()
         p64 = cast_tree(params)
-        err = T.grad_check(
+        err = oracles.grad_check(
             lambda t: T.sum_(oracles.tanh(pre.pre_embed_batch(t, p64, cfg))),
             tensor(np.random.default_rng(50).normal(size=(2, 8)), dtype=np.float64))
         assert err < 1e-5

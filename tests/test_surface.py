@@ -1,29 +1,40 @@
-"""The engine and model layers export only what the program calls.
+"""The package exports only what the program calls, and the benchmark's
+call-time lookups still find their targets.
 
-Every public top-level function and class of the modules below must be
-reached from program code in `src/` or `perfbench/` (tests excluded), other
-than from inside its own definition. A name counts as reached when it is
-read bare inside its module, imported by name from it, or read as an
-attribute of the module under an imported alias (`T.permute`); `np.zeros`
-does not reach `tensor.zeros`.
+Every public top-level function and class of every module of `src/prformer`
+must be reached from program code in `src/` or `perfbench/` (tests
+excluded), other than from inside its own definition. A name counts as
+reached when it is read bare inside its module, imported by name from it,
+or read as an attribute of the module under an imported alias
+(`T.permute`); `np.zeros` does not reach `tensor.zeros`. Public methods and
+properties are matched by name only: each must be read as `.name`
+somewhere in program code.
+
+`perfbench/` finds its targets by name when it runs and skips a missing
+one silently, so moving a name out of `src/` would only drop metrics;
+the last test turns that into a failure here.
 """
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
+
+from prformer import data, training
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "prformer"
-CHECKED = ("tensor", "nn", "pre", "encoder", "revin", "model")
-# Tape is the op tape tests build their op-count and flops checks on;
-# grad_check is the finite-difference oracle
-ALLOWED = {("tensor", "Tape"), ("tensor", "grad_check")}
+CHECKED = tuple(sorted(p.stem for p in PACKAGE.glob("*.py")))
+
+
+def _perfbench_files():
+    return sorted(p for p in (ROOT / "perfbench").glob("*.py")
+                  if not p.name.startswith("test_"))
 
 
 def _program_files():
-    files = sorted(PACKAGE.glob("*.py"))
-    files += sorted(p for p in (ROOT / "perfbench").glob("*.py")
-                    if not p.name.startswith("test_"))
-    return files
+    return sorted(PACKAGE.glob("*.py")) + _perfbench_files()
 
 
 def _module_imports(tree):
@@ -49,7 +60,7 @@ def _references(path):
     """Every (module, name) of CHECKED read in `path`, outside the name's own body."""
     tree = ast.parse(path.read_text(), filename=str(path))
     aliases, names = _module_imports(tree)
-    own = path.stem if path.parent == PACKAGE and path.stem in CHECKED else None
+    own = path.stem if path.parent == PACKAGE else None
     found = set()
 
     def visit(node, inside):
@@ -76,15 +87,53 @@ def _public_definitions():
         for top in tree.body:
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)) \
                     and not top.name.startswith("_"):
-                yield module, top.name
+                yield module, top
 
 
 def test_every_public_name_is_reached_from_program_code():
     reached = set().union(*(_references(p) for p in _program_files()))
-    unreached = [f"{module}.{name}" for module, name in _public_definitions()
-                 if (module, name) not in reached | ALLOWED]
+    unreached = [f"{module}.{top.name}" for module, top in _public_definitions()
+                 if (module, top.name) not in reached]
     assert not unreached, f"called only by tests, delete or move into tests/: {unreached}"
 
 
-def test_allowlist_names_existing_definitions():
-    assert ALLOWED <= set(_public_definitions())
+def test_every_public_method_is_read_from_program_code():
+    read = {node.attr for path in _program_files()
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{module}.{cls.name}.{fn.name}"
+              for module, cls in _public_definitions() if isinstance(cls, ast.ClassDef)
+              for fn in cls.body
+              if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+              and fn.name not in read]
+    assert not unread, f"called only by tests, delete or move into tests/: {unread}"
+
+
+def test_perfbench_lookups_find_their_targets(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()
+
+    # hostprobe.between_batches swaps this name to probe between batches
+    assert getattr(training, "window_iter", None) is data.window_iter
+
+    missing = []
+    for path in _perfbench_files():
+        tree = ast.parse(path.read_text())
+        aliases, names = _module_imports(tree)
+        wanted = set(names.values()) | {
+            (aliases[node.value.id], node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in aliases}
+        for module, name in sorted(wanted):
+            if not hasattr(importlib.import_module(f"prformer.{module}"), name):
+                missing.append(f"{path.name}: {module}.{name}")
+    assert not missing, f"perfbench reads names prformer no longer has: {missing}"

@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import NonDeterministicFunctionError, Tape, grad_check
 from prformer import tensor as T
 from prformer.tensor import (
     DetachedLossError,
-    NonDeterministicFunctionError,
     NonScalarLossError,
     ShapeMismatchError,
-    Tape,
     Tensor,
     backward,
-    grad_check,
     no_grad,
     tensor,
 )

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import periodic_table, sine_pair_table, single_batch_overfit
+from oracles import WindowRegression
 from prformer import baselines, synthetic, training, tensor as T
 from prformer.config import RunConfig
 from prformer.data import split_ranges
@@ -24,7 +26,6 @@ from prformer.training import (
     lr_for_epoch,
     mae_loss,
     save_checkpoint,
-    single_batch_overfit,
     train,
     train_step,
 )
@@ -201,11 +202,11 @@ class TestTrainStep:
 
 class TestOverfit:
     def test_loss_drops_fast_on_one_batch(self):
-        table = synthetic.sine_pair_table(n=60, seed=3)
+        table = sine_pair_table(n=60, seed=3)
         inputs = table.values[None, :24, :]
         targets = table.values[None, 24:28, :]
         config = tiny_config(lr=5e-3)
-        losses = training.single_batch_overfit(config, inputs, targets, steps=150)
+        losses = single_batch_overfit(config, inputs, targets, steps=150)
         assert losses[-1] < 0.5 * losses[0]
         assert min(losses) == min(losses)  # trace is finite throughout
         assert all(np.isfinite(v) for v in losses)
@@ -302,14 +303,14 @@ class TestBaselines:
         np.testing.assert_array_equal(out, np.tile(inputs[:, -1:, :], (1, 3, 1)))
 
     def test_seasonal_persistence_exact_on_tiled_sine(self):
-        table = synthetic.periodic_table(n=480, period=24)
+        table = periodic_table(n=480, period=24)
         mse, mae = baselines.baseline_metrics(
             lambda x: baselines.persistence_forecast(x, 24, period=24),
             table.values, (0, 480), 96, 24)
         assert mse == 0.0 and mae == 0.0
 
     def test_seasonal_persistence_handles_horizon_past_one_period(self):
-        table = synthetic.periodic_table(n=480, period=24)
+        table = periodic_table(n=480, period=24)
         mse, _ = baselines.baseline_metrics(
             lambda x: baselines.persistence_forecast(x, 30, period=24),
             table.values, (0, 480), 96, 30)
@@ -328,14 +329,14 @@ class TestBaselines:
         for t in range(2, n):
             y[t] = 1.5 * y[t - 1] - 0.9 * y[t - 2]
         values = np.stack([y, np.roll(y, 1)], axis=1).astype(np.float32)
-        reg = baselines.WindowRegression.fit(values, (0, 400), 16, 4)
+        reg = WindowRegression.fit(values, (0, 400), 16, 4)
         mse, _ = baselines.baseline_metrics(reg.predict, values, (400, 600), 16, 4)
         assert mse < 1e-6
 
     def test_window_regression_beats_naive_persistence_on_trend(self):
         t = np.arange(500, dtype=np.float32)
         values = np.stack([0.01 * t, -0.02 * t], axis=1)
-        reg = baselines.WindowRegression.fit(values, (0, 400), 8, 4)
+        reg = WindowRegression.fit(values, (0, 400), 8, 4)
         mse_reg, _ = baselines.baseline_metrics(reg.predict, values, (400, 500), 8, 4)
         mse_per, _ = baselines.baseline_metrics(
             lambda x: baselines.persistence_forecast(x, 4), values, (400, 500), 8, 4)
