@@ -10,7 +10,6 @@ pass, or a full training step, as the lookback doubles.
 
 from __future__ import annotations
 
-import csv
 import statistics
 import time
 from dataclasses import dataclass
@@ -120,11 +119,13 @@ def scaling_bench(lookbacks, windows, d_model=64, channels=3, conv_channels=16,
     come from medians.
 
     Every lookback must cover the top window so each pyramid is valid; at
-    least three points are needed to see a trend.
+    least three distinct points are needed to see a trend.
     """
     lookbacks = sorted(int(v) for v in lookbacks)
     if len(lookbacks) < 3:
         raise ConfigError("need at least 3 lookback values")
+    if len(set(lookbacks)) < len(lookbacks):
+        raise ConfigError(f"lookbacks must be distinct, got {lookbacks}")
     top = max(windows)
     bad = [v for v in lookbacks if v < top]
     if bad:
@@ -149,10 +150,3 @@ def scaling_bench(lookbacks, windows, d_model=64, channels=3, conv_channels=16,
 
 
 BENCH_COLUMNS = ["lookback", "median_s", "mean_s", "ratio"]
-
-
-def write_bench_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=BENCH_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)

@@ -48,6 +48,13 @@ def _add_config_flags(sp):
                             dest=f.name, **f.metadata)
 
 
+def _add_split_flags(sp):
+    """The flags that pick a checkpoint and the split it runs on (`_load_split`)."""
+    sp.add_argument("--checkpoint", required=True)
+    sp.add_argument("--dataset")
+    sp.add_argument("--split", choices=tuple(_SPLIT_INDEX), default="test")
+
+
 def resolve_config(args):
     """Merge config file, CLI overrides, and the seed fallback chain."""
     from .config import ConfigError, RunConfig, read_config_file
@@ -118,7 +125,8 @@ def _writing(path):
 
 
 def cmd_train(args):
-    from .training import save_checkpoint, train, write_history
+    from .data import write_rows
+    from .training import HISTORY_COLUMNS, save_checkpoint, train
 
     config = resolve_config(args)
     _check_output(args.checkpoint)
@@ -134,7 +142,7 @@ def cmd_train(args):
     with _writing(args.checkpoint):
         save_checkpoint(args.checkpoint, result.model)
     with _writing(args.history):
-        write_history(args.history, result.history)
+        write_rows(args.history, HISTORY_COLUMNS, result.history)
     stop = "early stop" if result.stopped_early else "epoch cap"
     print(f"done ({stop}) after {result.epochs_run} epochs; "
           f"best val_mae {result.best_val_mae:.5f}")
@@ -147,8 +155,7 @@ def cmd_evaluate(args):
     from .training import evaluate
 
     model, table, row_range = _load_split(args)
-    metrics = evaluate(model, table.values, row_range, model.config,
-                       per_horizon=args.per_horizon)
+    metrics = evaluate(model, table.values, row_range, model.config)
     print(f"{args.split} mse {metrics.mse:.6f} mae {metrics.mae:.6f}")
     if args.per_horizon:
         for step, (mse, mae) in enumerate(metrics.per_horizon, start=1):
@@ -170,8 +177,8 @@ def cmd_predict(args):
 
 
 def cmd_bench(args):
-    from .analysis import scaling_bench, write_bench_csv
-    from .data import DataError
+    from .analysis import BENCH_COLUMNS, scaling_bench
+    from .data import DataError, write_rows
 
     _check_output(args.out)
     try:
@@ -191,7 +198,7 @@ def cmd_bench(args):
         print(f"{row['lookback']:9d} {row['median_s']:10.5f} "
               f"{row['mean_s']:10.5f} {ratio:>7}")
     with _writing(args.out):
-        write_bench_csv(args.out, rows)
+        write_rows(args.out, BENCH_COLUMNS, rows)
     print(f"bench csv: {args.out}")
     return EXIT_OK
 
@@ -199,10 +206,8 @@ def cmd_bench(args):
 def cmd_inspect_embeddings(args):
     import csv as csv_mod
 
-    import numpy as np
-
     from . import revin
-    from .data import window_iter
+    from .data import _reprs, window_iter
     from .tensor import Tensor, no_grad
 
     _check_output(args.out)
@@ -214,12 +219,13 @@ def cmd_inspect_embeddings(args):
         tokens = model.embed(x_norm).data  # (windows, C, D)
     with _writing(args.out), open(args.out, "w", newline="") as fh:
         writer = csv_mod.writer(fh)
-        writer.writerow(["window_start", "variable"]
-                        + [f"e{i}" for i in range(tokens.shape[2])])
-        for i, start in enumerate(batch.starts):
-            for c, name in enumerate(table.channels):
-                writer.writerow([int(start), name]
-                                + [repr(float(v)) for v in tokens[i, c]])
+        d = tokens.shape[2]
+        writer.writerow(["window_start", "variable"] + [f"e{i}" for i in range(d)])
+        cells = _reprs(tokens)
+        keys = [(int(start), name) for start in batch.starts
+                for name in table.channels]
+        writer.writerows([start, name] + cells[r * d:(r + 1) * d]
+                         for r, (start, name) in enumerate(keys))
     print(f"embeddings: {args.out} ({tokens.shape[0]} windows x "
           f"{tokens.shape[1]} variables, D={tokens.shape[2]})")
     return EXIT_OK
@@ -252,16 +258,12 @@ def build_parser():
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("evaluate", help="metrics for a checkpoint on one split")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset")
-    p.add_argument("--split", choices=tuple(_SPLIT_INDEX), default="test")
+    _add_split_flags(p)
     p.add_argument("--per-horizon", action="store_true", dest="per_horizon")
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("predict", help="write per-window forecasts as CSV")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset")
-    p.add_argument("--split", choices=tuple(_SPLIT_INDEX), default="test")
+    _add_split_flags(p)
     p.add_argument("--out", default="predictions.csv")
     p.set_defaults(handler=cmd_predict)
 
@@ -288,9 +290,7 @@ def build_parser():
 
     p = sub.add_parser("inspect-embeddings",
                        help="export variate-token embeddings as CSV")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset")
-    p.add_argument("--split", choices=tuple(_SPLIT_INDEX), default="test")
+    _add_split_flags(p)
     p.add_argument("--count", type=_positive_int, default=1,
                    help="number of windows to export")
     p.add_argument("--out", default="embeddings.csv")

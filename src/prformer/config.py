@@ -115,16 +115,26 @@ class RunConfig:
         if self.d_model % self.heads != 0:
             raise ConfigError(
                 f"heads ({self.heads}) must divide d_model ({self.d_model})")
-        if self.variant != "V2":
-            windows = self.pyramidal_windows
-            if self.variant == "V3":
-                windows = windows[:1]
-            try:
-                cfg = build_pyramid_config(windows, self.lookback)
-                level_hidden_sizes(self.d_model, cfg.levels)
-            except ValueError as e:
-                raise ConfigError(str(e)) from None
+        try:
+            self.pyramid()
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         return self
+
+    def pyramid(self):
+        """(PyramidConfig, per-level GRU widths) of the variant's embedding,
+        or None for V2, which has no pyramid.
+
+        V3 keeps only the bottom level, at the full model's per-level width,
+        so the ablation stays a strict submodel. Raises ValueError when the
+        windows do not fit the lookback or D cannot be split across them.
+        """
+        if self.variant == "V2":
+            return None
+        levels = len(self.pyramidal_windows)
+        keep = 1 if self.variant == "V3" else levels
+        cfg = build_pyramid_config(self.pyramidal_windows[:keep], self.lookback)
+        return cfg, level_hidden_sizes(self.d_model, levels)[:keep]
 
     def to_dict(self):
         d = dataclasses.asdict(self)

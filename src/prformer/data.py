@@ -99,11 +99,13 @@ def load_csv(path):
 
 def save_csv(table, path):
     """Write a SeriesTable back out; full float precision so reload is exact."""
+    cells = _reprs(table.values)
+    width = table.n_channels
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date"] + list(table.channels))
-        for ts, row in zip(table.timestamps, table.values):
-            writer.writerow([ts] + [repr(float(v)) for v in row])
+        writer.writerows([ts] + cells[i * width:(i + 1) * width]
+                         for i, ts in enumerate(table.timestamps))
 
 
 # split scheme -> (train, val) share in tenths; test takes the rest
@@ -189,6 +191,14 @@ def write_predictions(path, batches, channels):
                 np.repeat(np.asarray(starts, dtype=np.int64), per_window).tolist(),
                 np.tile(np.repeat(np.arange(horizon), len(channels)), b).tolist(),
                 channels * (b * horizon), _reprs(y_true), _reprs(y_pred)))
+
+
+def write_rows(path, columns, rows):
+    """Write dicts as CSV rows under a header of `columns`, in that order."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _reprs(values):

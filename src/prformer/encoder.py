@@ -32,13 +32,6 @@ class EncoderParams:
     head: nn.LinearParams  # D -> H, shared by all channels
 
 
-def _ln_pair(d_model):
-    import numpy as np
-    gamma = T.tensor(np.ones(d_model, dtype=np.float32), requires_grad=True)
-    beta = T.tensor(np.zeros(d_model, dtype=np.float32), requires_grad=True)
-    return gamma, beta
-
-
 def init_encoder(rng, d_model, d_ff, heads, e_layers, horizon, token_linear=False):
     """Build `e_layers` post-norm layers plus the projection head.
 
@@ -51,8 +44,8 @@ def init_encoder(rng, d_model, d_ff, heads, e_layers, horizon, token_linear=Fals
     for _ in range(e_layers):
         attn = None if token_linear else nn.init_mha(rng, d_model)
         mix = nn.init_linear(rng, d_model, d_model) if token_linear else None
-        ln1_gamma, ln1_beta = _ln_pair(d_model)
-        ln2_gamma, ln2_beta = _ln_pair(d_model)
+        ln1_gamma, ln1_beta = nn.init_scale_shift(d_model)
+        ln2_gamma, ln2_beta = nn.init_scale_shift(d_model)
         layers.append(EncoderLayerParams(
             attn=attn, token_mix=mix,
             ln1_gamma=ln1_gamma, ln1_beta=ln1_beta,

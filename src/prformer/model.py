@@ -34,24 +34,15 @@ class PRformer:
         self.variant = config.variant
         rng = np.random.default_rng((config.seed, 0))
 
-        if self.variant == "V2":
+        pyramid = config.pyramid()
+        if pyramid is None:
             self.pyramid = None
             pre_params = None
             window_proj = nn.init_linear(rng, config.lookback, config.d_model)
         else:
-            windows = config.pyramidal_windows
-            hidden_sizes = None
-            if self.variant == "V3":
-                # bottom level only, at the full model's per-level width, so
-                # the ablation stays a strict submodel
-                full_levels = len(windows)
-                windows = windows[:1]
-                hidden_sizes = pre.level_hidden_sizes(config.d_model,
-                                                      full_levels)[:1]
-            self.pyramid = pre.build_pyramid_config(windows, config.lookback)
-            pre_params = pre.init_pre(rng, self.pyramid, config.d_model,
-                                      config.conv_channels,
-                                      hidden_sizes=hidden_sizes)
+            self.pyramid, hidden_sizes = pyramid
+            pre_params = pre.init_pre(rng, self.pyramid, hidden_sizes,
+                                      config.d_model, config.conv_channels)
             window_proj = None
 
         enc = encoder.init_encoder(

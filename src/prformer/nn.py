@@ -19,6 +19,8 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor, _logistic, _node
 
+EPS = 1e-5  # variance floor of every standardization
+
 
 @dataclass
 class LinearParams:
@@ -83,6 +85,12 @@ def init_mha(rng, d_model):
         fields["w" + name] = _uniform(rng, bound, (d_model, d_model))
         fields["b" + name] = _uniform(rng, bound, (d_model,))
     return MHAParams(**fields)
+
+
+def init_scale_shift(dim):
+    """A learnable (gamma, beta) pair that starts as the identity: ones, zeros."""
+    return (T.tensor(np.ones(dim, dtype=np.float32), requires_grad=True),
+            T.tensor(np.zeros(dim, dtype=np.float32), requires_grad=True))
 
 
 def init_conv1d(rng, in_channels, out_channels, kernel):
@@ -256,13 +264,25 @@ def gru_forward(x, params):
 # normalization / attention
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Normalize the last axis to zero mean, unit variance, then affine."""
-    mu = T.mean(x, axis=x.ndim - 1, keepdims=True)
+def standardize(x, axis):
+    """(x - mean, mean, sqrt(var + EPS)) over `axis`, which the statistics
+    keep with length 1."""
+    mu = T.mean(x, axis=axis, keepdims=True)
     centered = T.sub(x, mu)
-    var = T.mean(T.mul(centered, centered), axis=x.ndim - 1, keepdims=True)
-    normed = T.div(centered, T.sqrt(T.add(var, T.tensor(np.asarray(eps, dtype=x.data.dtype)))))
-    return T.add(T.mul(normed, gamma), beta)
+    var = T.mean(T.mul(centered, centered), axis=axis, keepdims=True)
+    sigma = T.sqrt(T.add(var, T.tensor(np.asarray(EPS, dtype=x.data.dtype))))
+    return centered, mu, sigma
+
+
+def scale_shift(centered, sigma, gamma, beta):
+    """centered / sigma * gamma + beta: the affine end of a standardization."""
+    return T.add(T.mul(T.div(centered, sigma), gamma), beta)
+
+
+def layer_norm(x, gamma, beta):
+    """Normalize the last axis to zero mean, unit variance, then affine."""
+    centered, _, sigma = standardize(x, x.ndim - 1)
+    return scale_shift(centered, sigma, gamma, beta)
 
 
 def softmax(x, axis=-1):

@@ -96,9 +96,9 @@ class PREParams:
     fuse: nn.LinearParams  # (sum of hiddens -> D)
 
 
-def init_pre(rng, cfg, d_model, conv_channels=16, hidden_sizes=None):
-    """Build pyramid parameters; `hidden_sizes` overrides the D-split per level
-    (the bottom-only ablation keeps the full model's per-level width)."""
+def init_pre(rng, cfg, hidden_sizes, d_model, conv_channels=16):
+    """Build pyramid parameters: per level a patch conv and a GRU of width
+    `hidden_sizes[i]`, then the level logits and the fusion linear to D."""
     conv_weights, conv_biases, grus = [], [], []
     in_ch = 1
     for k in cfg.kernels:
@@ -106,15 +106,11 @@ def init_pre(rng, cfg, d_model, conv_channels=16, hidden_sizes=None):
         conv_weights.append(w)
         conv_biases.append(b)
         in_ch = conv_channels
-    hiddens = (list(hidden_sizes) if hidden_sizes is not None
-               else level_hidden_sizes(d_model, cfg.levels))
-    if len(hiddens) != cfg.levels:
-        raise ValueError(f"need {cfg.levels} hidden sizes, got {len(hiddens)}")
-    for h in hiddens:
+    for h in hidden_sizes:
         grus.append(nn.init_gru(rng, conv_channels, h))
     alpha = T.tensor(np.full(cfg.levels, 1.0 / cfg.levels, dtype=np.float32),
                      requires_grad=True)
-    fuse = nn.init_linear(rng, sum(hiddens), d_model)
+    fuse = nn.init_linear(rng, sum(hidden_sizes), d_model)
     return PREParams(conv_weights=conv_weights, conv_biases=conv_biases,
                      grus=grus, alpha=alpha, fuse=fuse)
 
@@ -148,14 +144,19 @@ def top_down_fuse(features):
 
 
 def multi_scale_rnn(fused, params, temperature=1.0):
-    """Summarize each fused level with its GRU and mix by softmax weights."""
+    """Summarize each fused level with its GRU and mix by softmax weights.
+
+    Level i's summary is scaled by beta[i]: the summaries are concatenated
+    and multiplied by beta spread over their columns by a matmul with a 0/1
+    block matrix, which copies each beta[i] exactly.
+    """
     beta = nn.softmax_temp(params.alpha, temperature)
-    pieces = []
-    for i, (level, gru) in enumerate(zip(fused, params.grus)):
-        seq = T.permute(level, (2, 0, 1))  # (L_i, B, ch) time-major
-        h_i = nn.gru_forward(seq, gru)
-        pieces.append(T.mul(h_i, T.narrow(beta, 0, i, 1)))
-    return nn.linear(T.concat(pieces, axis=1), params.fuse)
+    widths = [gru.hidden_size for gru in params.grus]
+    spread = T.tensor(np.repeat(np.eye(len(widths), dtype=beta.data.dtype), widths, axis=1))
+    column_weights = T.matmul(T.reshape(beta, (1, len(widths))), spread)
+    summaries = [nn.gru_forward(T.permute(level, (2, 0, 1)), gru)  # time-major
+                 for level, gru in zip(fused, params.grus)]
+    return nn.linear(T.mul(T.concat(summaries, axis=1), column_weights), params.fuse)
 
 
 def pre_embed_batch(x, params, cfg, temperature=1.0):

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
+from . import nn, tensor as T
 from .tensor import Tensor
 
-EPS = 1e-5
 GAMMA_FLOOR = 1e-4  # keeps the affine invertible
 
 
@@ -32,9 +31,7 @@ class RevinState:
 
 
 def init_revin(channels):
-    return RevinParams(
-        gamma=T.tensor(np.ones(channels, dtype=np.float32), requires_grad=True),
-        beta=T.tensor(np.zeros(channels, dtype=np.float32), requires_grad=True))
+    return RevinParams(*nn.init_scale_shift(channels))
 
 
 def normalize(x, params):
@@ -42,18 +39,9 @@ def normalize(x, params):
     time_axis = x.ndim - 2
     if x.shape[time_axis] < 2:
         raise ValueError(f"window length must be >= 2, got {x.shape[time_axis]}")
-    mu = T.mean(x, axis=time_axis, keepdims=True)
-    centered = T.sub(x, mu)
-    var = T.mean(T.mul(centered, centered), axis=time_axis, keepdims=True)
-    sigma = T.sqrt(T.add(var, T.tensor(np.asarray(EPS, dtype=x.data.dtype))))
-    return affine(centered, sigma, params), RevinState(mu=mu, sigma=sigma)
-
-
-def affine(centered, sigma, params):
-    """The forward map of `normalize` on values already centred by the window
-    mean: centered / sigma * gamma + beta. Also maps targets onto the
-    normalized scale for the normalized-loss objective."""
-    return T.add(T.mul(T.div(centered, sigma), params.gamma), params.beta)
+    centered, mu, sigma = nn.standardize(x, time_axis)
+    x_norm = nn.scale_shift(centered, sigma, params.gamma, params.beta)
+    return x_norm, RevinState(mu=mu, sigma=sigma)
 
 
 def denormalize(y_norm, state, params):

@@ -226,23 +226,6 @@ def concat(tensors, axis=0):
                  tensors, bwd)
 
 
-def narrow(x, axis, start, length):
-    """Contiguous slice of `length` elements along `axis`."""
-    if start < 0 or start + length > x.shape[axis]:
-        raise ShapeMismatchError("slice", x.shape, (start, start + length),
-                                 f"out of range on axis {axis}")
-    index = [slice(None)] * x.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
-
-    def bwd(g):
-        full = np.zeros_like(x.data)
-        full[index] = g
-        return (full,)
-
-    return _node("slice", x.data[index], (x,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 

@@ -8,7 +8,6 @@ rng((seed, 1 + e)). Same seed and config therefore reproduce every draw.
 
 from __future__ import annotations
 
-import csv
 import json
 import struct
 import time
@@ -16,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import revin, tensor as T
+from . import nn, revin, tensor as T
 from .config import ConfigError, RunConfig
 from .data import DataError, split_ranges, window_iter
 from .model import PRformer
@@ -42,7 +41,7 @@ def mae_loss(y_hat, y):
 class Metrics:
     mse: float
     mae: float
-    per_horizon: list | None = None  # optional (mse, mae) per step ahead
+    per_horizon: list  # (mse, mae) per step ahead
 
 
 class Adam:
@@ -128,8 +127,9 @@ def train_step(model, optimizer, inputs, targets, dropout_rng, epoch=1,
     y_raw, y_norm, state = model.forward_parts(Tensor(inputs), training=True,
                                                dropout_rng=dropout_rng)
     if config.normalized_loss:
-        loss = mae_loss(y_norm, revin.affine(T.sub(y, state.mu), state.sigma,
-                                             model.params.revin))
+        target = nn.scale_shift(T.sub(y, state.mu), state.sigma,
+                                model.params.revin.gamma, model.params.revin.beta)
+        loss = mae_loss(y_norm, target)
     else:
         loss = mae_loss(y_raw, y)
     value = float(loss.data)
@@ -200,23 +200,28 @@ def train(config: RunConfig, table, progress=None) -> TrainResult:
     return result
 
 
-def evaluate(model, values, row_range, config, per_horizon=False) -> Metrics:
-    """Raw-scale MSE/MAE over every window of `row_range`, in order."""
-    horizon = config.pred_len
+def evaluate(model, values, row_range, config) -> Metrics:
+    """Raw-scale MSE/MAE of the model over every window of `row_range`."""
+    batches = predict_over_range(model, values, row_range, config)
+    return score(((targets, pred) for _, targets, pred in batches),
+                 config.pred_len)
+
+
+def score(batches, horizon) -> Metrics:
+    """MSE/MAE, overall and per step ahead, of (y_true, y_pred) batches
+    shaped (b, H, C); the scoring of the model and of the baselines alike."""
     sq_sum = np.zeros(horizon)
     abs_sum = np.zeros(horizon)
     count = 0
-    for starts, targets, pred in predict_over_range(model, values, row_range, config):
+    for targets, pred in batches:
         err = (pred - targets).astype(np.float64)
         sq_sum += (err ** 2).mean(axis=2).sum(axis=0)
         abs_sum += np.abs(err).mean(axis=2).sum(axis=0)
-        count += len(starts)
-    metrics = Metrics(mse=float(sq_sum.sum() / (horizon * count)),
-                      mae=float(abs_sum.sum() / (horizon * count)))
-    if per_horizon:
-        metrics.per_horizon = [(float(s / count), float(a / count))
-                               for s, a in zip(sq_sum, abs_sum)]
-    return metrics
+        count += len(targets)
+    return Metrics(mse=float(sq_sum.sum() / (horizon * count)),
+                   mae=float(abs_sum.sum() / (horizon * count)),
+                   per_horizon=[(float(s / count), float(a / count))
+                                for s, a in zip(sq_sum, abs_sum)])
 
 
 def predict_over_range(model, values, row_range, config):
@@ -335,10 +340,3 @@ def load_checkpoint(path):
 
 
 HISTORY_COLUMNS = ["epoch", "lr", "train_mae", "val_mae", "val_mse", "seconds"]
-
-
-def write_history(path, history):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=HISTORY_COLUMNS)
-        writer.writeheader()
-        writer.writerows(history)

@@ -5,13 +5,16 @@ built from the tensor primitives (or plain loops) so that their gradients
 come from the generic autodiff engine. They are slow on purpose: a general
 strided conv, a GRU that records every gate of every step on the tape, and
 the row-by-row predictions writer. The GRU's two gate nonlinearities,
-`tanh` and `sigmoid`, are tape ops of their own here; the tests also use
-them as smooth nonlinear test functions.
+`tanh` and `sigmoid`, and the time slice it steps with, `narrow`, are tape
+ops of their own here; the tests also use them as smooth nonlinear test
+functions and as a generic slice.
 
 The other oracles: `Tape`, the recorded ops below one output with a cost
 per op derived from its shapes; `grad_check`, the central finite-difference
-check every gradient is held to; and `WindowRegression`, the per-channel
-least-squares forecaster the model must beat.
+check every gradient is held to; and the forecasters the model must beat
+besides the program's last-value persistence: `seasonal_persistence`,
+which repeats the last full season, and `WindowRegression`, per-channel
+least squares.
 """
 
 import csv
@@ -23,6 +26,7 @@ from prformer.data import PREDICTION_COLUMNS, window_iter
 from prformer.nn import LinearParams
 from prformer.tensor import (
     NonScalarLossError,
+    ShapeMismatchError,
     Tensor,
     _logistic,
     _node,
@@ -54,6 +58,23 @@ def sigmoid(x):
         return (g * out * (1.0 - out),)
 
     return _node("sigmoid", out, (x,), bwd)
+
+
+def narrow(x, axis, start, length):
+    """Contiguous slice of `length` elements along `axis`."""
+    if start < 0 or start + length > x.shape[axis]:
+        raise ShapeMismatchError("slice", x.shape, (start, start + length),
+                                 f"out of range on axis {axis}")
+    index = [slice(None)] * x.ndim
+    index[axis] = slice(start, start + length)
+    index = tuple(index)
+
+    def bwd(g):
+        full = np.zeros_like(x.data)
+        full[index] = g
+        return (full,)
+
+    return _node("slice", x.data[index], (x,), bwd)
 
 
 def conv1d(x, weight, bias=None, stride=1):
@@ -100,7 +121,7 @@ def gru_forward(x, params):
     t_len, batch, _ = x.shape
     h = Tensor(np.zeros((batch, params.hidden_size), dtype=x.data.dtype))
     for t in range(t_len):
-        x_t = T.reshape(T.narrow(x, 0, t, 1), (batch, x.shape[2]))
+        x_t = T.reshape(narrow(x, 0, t, 1), (batch, x.shape[2]))
         h = gru_step(x_t, h, params)
     return h
 
@@ -207,6 +228,23 @@ def grad_check(fn, point, eps=1e-5):
 
     denom = np.maximum(1.0, np.abs(analytic))
     return float(np.max(np.abs(analytic - fd) / denom)) if flat.size else 0.0
+
+
+def seasonal_persistence(inputs, horizon, period):
+    """Repeat the last full season of each window: (b, L, C) -> (b, H, C).
+
+    Step h copies the value `period` steps before the corresponding future
+    position.
+    """
+    b, length, c = inputs.shape
+    if period > length:
+        raise ValueError(f"period {period} exceeds window length {length}")
+    out = np.empty((b, horizon, c), dtype=inputs.dtype)
+    for h in range(horizon):
+        # position L+h sits (h % period) steps into a season that started
+        # at L - period; copy from one season earlier
+        out[:, h, :] = inputs[:, length - period + h % period, :]
+    return out
 
 
 class WindowRegression:

@@ -5,14 +5,15 @@ import pytest
 
 from prformer import analysis
 from prformer.analysis import (
+    BENCH_COLUMNS,
     check_pe,
     pe_dot_invariance,
     pe_frequencies,
     scaling_bench,
     sinusoidal_pe,
-    write_bench_csv,
 )
 from prformer.config import RunConfig
+from prformer.data import write_rows
 from prformer.model import PRformer
 
 
@@ -140,7 +141,7 @@ class TestScalingBench:
         rows = [{"lookback": 16, "median_s": 0.5, "mean_s": 0.5, "ratio": None},
                 {"lookback": 32, "median_s": 1.0, "mean_s": 1.1, "ratio": 2.0}]
         path = tmp_path / "b.csv"
-        write_bench_csv(str(path), rows)
+        write_rows(str(path), BENCH_COLUMNS, rows)
         lines = path.read_text().splitlines()
         assert lines[0] == "lookback,median_s,mean_s,ratio"
         assert lines[1] == "16,0.5,0.5,"

@@ -251,6 +251,9 @@ BAD_CONFIGS = {
     "heads-zero": {"heads": 0},
     "variant-list": {"variant": ["full"]},
     "unknown-key": {"windows": [4]},
+    # V3 keeps the full model's per-level width, which D=2 cannot give 3 levels
+    "v3-width-below-levels": {"lookback": 96, "pyramidal_windows": [4, 8, 16],
+                              "variant": "V3", "d_model": 2, "heads": 1},
 }
 
 
@@ -296,6 +299,9 @@ BAD_FLAGS = {
     "count-negative": ["inspect-embeddings", "--count", "-1"],
     "lookbacks-two": ["bench", "--lookbacks", "720", "1440", "--no-pin"],
     "lookbacks-below-window": ["bench", "--lookbacks", "10", "20", "30", "--no-pin"],
+    "lookbacks-repeated": ["bench", "--lookbacks", "16", "16", "16", "--windows", "4",
+                           "--d-model", "16", "--heads", "2", "--repetitions", "1",
+                           "--no-pin"],
     "repetitions-zero": ["bench", "--repetitions", "0", "--no-pin"],
     "channels-zero": ["bench", "--channels", "0", "--no-pin"],
     "pe-width-odd": ["check-pe", "--d-model", "3"],
@@ -314,6 +320,7 @@ def _assert_clean_exit(rc, expected, capsys):
     err = capsys.readouterr().err
     assert rc == expected, err
     assert "Traceback" not in err and err.strip()
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
 
 
 class TestMalformedInputContract:

@@ -16,10 +16,16 @@ from prformer.pre import (
 from prformer.tensor import Tensor, tensor
 
 
+def init_split(rng, cfg, d_model, conv_channels):
+    """Pyramid parameters with D split across the levels, as the full model does."""
+    return pre.init_pre(rng, cfg, level_hidden_sizes(d_model, cfg.levels), d_model,
+                        conv_channels)
+
+
 def tiny_setup(windows=(2, 4), lookback=8, d_model=4, channels=2, seed=40):
     cfg = build_pyramid_config(windows, lookback)
     rng = np.random.default_rng(seed)
-    params = pre.init_pre(rng, cfg, d_model, conv_channels=channels)
+    params = init_split(rng, cfg, d_model, conv_channels=channels)
     return cfg, params
 
 
@@ -95,7 +101,7 @@ class TestBottomUp:
         with pytest.warns(PyramidConfigWarning):
             cfg = build_pyramid_config([1], 6)
         rng = np.random.default_rng(42)
-        params = pre.init_pre(rng, cfg, d_model=3, conv_channels=4)
+        params = init_split(rng, cfg, 3, conv_channels=4)
         x = rng.normal(size=(1, 6)).astype(np.float32)
         feats = pre.bottom_up(tensor(x), params, cfg)
         w = params.conv_weights[0].data[:, 0, 0]
@@ -155,7 +161,7 @@ class TestMultiScaleRnn:
         for windows, lookback, d_model in [((2, 4), 8, 4), ((3, 9), 27, 7),
                                            ((4, 8, 16), 64, 10), ((5,), 20, 3)]:
             cfg = build_pyramid_config(windows, lookback)
-            params = pre.init_pre(rng, cfg, d_model, conv_channels=3)
+            params = init_split(rng, cfg, d_model, conv_channels=3)
             x = tensor(rng.normal(size=(1, lookback)).astype(np.float32))
             assert pre.pre_embed_batch(x, params, cfg).shape == (1, d_model)
 
@@ -185,7 +191,7 @@ class TestStructure:
     def test_single_level_path_is_conv_gru_linear(self):
         cfg = build_pyramid_config([4], 16)
         rng = np.random.default_rng(48)
-        params = pre.init_pre(rng, cfg, d_model=4, conv_channels=2)
+        params = init_split(rng, cfg, 4, conv_channels=2)
         out = pre.pre_embed_batch(tensor(rng.normal(size=(1, 16)).astype(np.float32)),
                                   params, cfg)
         counts = Tape.trace(T.sum_(out)).op_counts()
@@ -198,7 +204,7 @@ class TestStructure:
         flops = {}
         for lookback in (64, 128):
             cfg = build_pyramid_config([4, 8], lookback)
-            params = pre.init_pre(rng, cfg, d_model=8, conv_channels=4)
+            params = init_split(rng, cfg, 8, conv_channels=4)
             x = tensor(rng.normal(size=(1, lookback)).astype(np.float32))
             out = pre.pre_embed_batch(x, params, cfg)
             flops[lookback] = Tape.trace(T.sum_(out)).flops()
@@ -211,7 +217,7 @@ class TestStructure:
         nodes = {}
         for lookback in (64, 128):
             cfg = build_pyramid_config([4, 8], lookback)
-            params = pre.init_pre(rng, cfg, d_model=8, conv_channels=4)
+            params = init_split(rng, cfg, 8, conv_channels=4)
             x = tensor(rng.normal(size=(3, lookback)).astype(np.float32))
             nodes[lookback] = len(Tape.trace(T.sum_(pre.pre_embed_batch(x, params, cfg))))
         assert nodes[64] == nodes[128]

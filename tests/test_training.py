@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import periodic_table, sine_pair_table, single_batch_overfit
-from oracles import WindowRegression
-from prformer import baselines, synthetic, training, tensor as T
+from oracles import WindowRegression, seasonal_persistence
+from prformer import baselines, data, synthetic, training, tensor as T
 from prformer.config import RunConfig
 from prformer.data import split_ranges
 from prformer.model import PRformer
@@ -226,7 +226,7 @@ class TestEvaluate:
         table = synthetic.mixed_table(n=200, seed=15)
         config = tiny_config()
         model = PRformer(config, table.n_channels)
-        metrics = evaluate(model, table.values, (0, 120), config, per_horizon=True)
+        metrics = evaluate(model, table.values, (0, 120), config)
         assert len(metrics.per_horizon) == config.pred_len
         assert all(m >= 0 and a >= 0 for m, a in metrics.per_horizon)
         mean_of_steps = np.mean([m for m, _ in metrics.per_horizon])
@@ -290,7 +290,7 @@ class TestCheckpoint:
         rows = [{"epoch": 1, "lr": 1e-3, "train_mae": 0.5, "val_mae": 0.4,
                  "val_mse": 0.3, "seconds": 1.25}]
         path = str(tmp_path / "h.csv")
-        training.write_history(path, rows)
+        data.write_rows(path, training.HISTORY_COLUMNS, rows)
         lines = open(path).read().splitlines()
         assert lines[0] == "epoch,lr,train_mae,val_mae,val_mse,seconds"
         assert lines[1].startswith("1,0.001,0.5,0.4,0.3,")
@@ -305,20 +305,20 @@ class TestBaselines:
     def test_seasonal_persistence_exact_on_tiled_sine(self):
         table = periodic_table(n=480, period=24)
         mse, mae = baselines.baseline_metrics(
-            lambda x: baselines.persistence_forecast(x, 24, period=24),
+            lambda x: seasonal_persistence(x, 24, period=24),
             table.values, (0, 480), 96, 24)
         assert mse == 0.0 and mae == 0.0
 
     def test_seasonal_persistence_handles_horizon_past_one_period(self):
         table = periodic_table(n=480, period=24)
         mse, _ = baselines.baseline_metrics(
-            lambda x: baselines.persistence_forecast(x, 30, period=24),
+            lambda x: seasonal_persistence(x, 30, period=24),
             table.values, (0, 480), 96, 30)
         assert mse == 0.0
 
     def test_period_longer_than_window_rejected(self):
         with pytest.raises(ValueError, match="period"):
-            baselines.persistence_forecast(np.zeros((1, 8, 1)), 4, period=16)
+            seasonal_persistence(np.zeros((1, 8, 1)), 4, period=16)
 
     def test_window_regression_recovers_linear_recurrence(self):
         # y_t = 1.5 y_{t-1} - 0.9 y_{t-2}: every future value is linear in
