@@ -9,6 +9,7 @@ boundaries are exact and reproducible.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,9 @@ def load_csv(path):
             if len(header) < 2:
                 raise DataError(f"{path}: need a date column plus at least one channel")
             channels = header[1:]
+            for i, name in enumerate(channels):
+                if name in channels[:i]:
+                    raise DataError(f"{path}:1: repeated column {name!r}")
             timestamps = []
             rows = []
             linenos = []
@@ -179,18 +183,27 @@ def write_predictions(path, batches, channels):
     `batches` yields (starts, y_true, y_pred) triples with arrays shaped
     (b,), (b, H, C), (b, H, C). Rows run window-major, then horizon step,
     then channel; values are written with `repr`, so they reload exactly.
+    Each batch's rows are built as strings and written at once. Targets come
+    from overlapping windows and repeat, so each distinct one is formatted
+    once; channel names are quoted by `csv.writer` itself.
     """
-    channels = list(channels)
+    cells = [_csv_cell(name) for name in channels]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PREDICTION_COLUMNS)
+        csv.writer(fh).writerow(PREDICTION_COLUMNS)
         for starts, y_true, y_pred in batches:
             b, horizon = y_true.shape[:2]
-            per_window = horizon * len(channels)
-            writer.writerows(zip(
-                np.repeat(np.asarray(starts, dtype=np.int64), per_window).tolist(),
-                np.tile(np.repeat(np.arange(horizon), len(channels)), b).tolist(),
-                channels * (b * horizon), _reprs(y_true), _reprs(y_pred)))
+            mids = [f",{h},{cell}," for h in range(horizon) for cell in cells]
+            rows = zip(np.repeat(np.asarray(starts, dtype=np.int64), len(mids)).tolist(),
+                       mids * b, _distinct_reprs(y_true), _reprs(y_pred))
+            fh.write("".join([f"{start}{mid}{true},{pred}\r\n"
+                              for start, mid, true, pred in rows]))
+
+
+def _csv_cell(text):
+    """`text` as `csv.writer` writes it in the middle of a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", "", text, "", ""])
+    return buf.getvalue()[2:-4]  # drop ",," before and ",,\r\n" after
 
 
 def write_rows(path, columns, rows):
@@ -208,3 +221,14 @@ def _reprs(values):
     float's repr contains the ", " that separates the items.
     """
     return repr(values.reshape(-1).tolist())[1:-1].split(", ")
+
+
+def _distinct_reprs(values):
+    """`_reprs(values)`, taking each repr once per distinct bit pattern.
+
+    Keyed on bits, not values, so -0.0 and 0.0 keep their own reprs.
+    """
+    flat = values.reshape(-1)
+    _, first, inverse = np.unique(flat.view(f"u{flat.itemsize}"),
+                                  return_index=True, return_inverse=True)
+    return np.array(_reprs(flat[first]), dtype=object)[inverse].tolist()

@@ -23,7 +23,8 @@ from .tensor import ShapeMismatchError, Tensor
 
 
 class DivergenceError(RuntimeError):
-    """Loss left the reals; carries enough context to locate the step."""
+    """Loss or gradient left the reals; carries enough context to locate the
+    step."""
 
 
 class CheckpointError(DataError):
@@ -73,19 +74,23 @@ class Adam:
             p.grad = None
 
 
-def clip_gradients(named_params, max_norm):
-    """Scale all gradients so their global L2 norm is at most `max_norm`."""
+def grad_norm(named_params):
+    """Global L2 norm of every gradient, summed in float64."""
     total = 0.0
     for _, p in named_params:
         if p.grad is not None:
             total += float(np.sum(p.grad.astype(np.float64) ** 2))
-    norm = np.sqrt(total)
+    return np.sqrt(total)
+
+
+def clip_gradients(named_params, max_norm, norm):
+    """Scale all gradients, whose global L2 norm is `norm`, so that it is at
+    most `max_norm`."""
     if norm > max_norm:
         factor = max_norm / norm
         for _, p in named_params:
             if p.grad is not None:
                 p.grad = p.grad * factor
-    return norm
 
 
 def lr_for_epoch(base_lr, decay, epoch):
@@ -118,9 +123,10 @@ def train_step(model, optimizer, inputs, targets, dropout_rng, epoch=1,
     Training-mode forward, L1 loss (against targets mapped onto RevIN's
     normalized scale when `normalized_loss` is set), backward, the optional
     global-norm clip, Adam, then RevIN's gamma clamp; settings come from the
-    model's RunConfig. Every gradient is cleared on return. A non-finite loss
-    raises DivergenceError naming `epoch` and `batch` before anything
-    changes. Returns the loss value.
+    model's RunConfig. Every gradient is cleared on return. A non-finite loss,
+    or a non-finite global gradient norm, raises DivergenceError naming
+    `epoch` and `batch` (and the first parameter whose gradient is not
+    finite) before any parameter changes. Returns the loss value.
     """
     config = model.config
     y = Tensor(targets)
@@ -137,8 +143,16 @@ def train_step(model, optimizer, inputs, targets, dropout_rng, epoch=1,
         raise DivergenceError(f"non-finite loss {value} at epoch {epoch}, "
                               f"batch {batch}, lr {optimizer.lr:.3e}")
     T.backward(loss)
+    norm = grad_norm(optimizer.named_params)
+    if not np.isfinite(norm):
+        name = next((n for n, p in optimizer.named_params
+                     if p.grad is not None and not np.isfinite(p.grad).all()),
+                    "the global norm")  # float32 gradients cannot overflow it
+        optimizer.zero_grad()
+        raise DivergenceError(f"non-finite gradient in {name} at epoch {epoch}, "
+                              f"batch {batch}, lr {optimizer.lr:.3e}")
     if config.grad_clip is not None:
-        clip_gradients(optimizer.named_params, config.grad_clip)
+        clip_gradients(optimizer.named_params, config.grad_clip, norm)
     optimizer.step()
     optimizer.zero_grad()
     revin.clamp_gamma(model.params.revin)

@@ -271,6 +271,7 @@ BAD_CSVS = {
     "header-only": "date,a\n",
     "date-only": "date\n2016-07-01 00:00:00\n",
     "ragged": "date,a,b\n2016-07-01 00:00:00,1.0\n",
+    "repeated-column": _series(["1.0,2.0"] * 300).replace("date,a\n", "date,a,a\n"),
     "text-cell": _series(["1.0", "spam"]),
     "nul-byte": _series(["1.0", "1\x00.0"]),
     "repeated-date": "date,a\n2016-07-01 00:00:00,1.0\n2016-07-01 00:00:00,2.0\n",

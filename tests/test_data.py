@@ -87,6 +87,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="expected 3 cells"):
             load_csv(path)
 
+    def test_repeated_column_names_file_line_and_column(self, tmp_path):
+        # a repeated name would make the predictions' channel column ambiguous
+        path = write(tmp_path, "date,a,b,a\n2016-07-01 00:00:00,1.0,2.0,3.0\n")
+        with pytest.raises(DataError, match=r"t\.csv:1: repeated column 'a'"):
+            load_csv(path)
+
 
 class TestSplitRanges:
     def test_benchmark_sizes_622(self):
@@ -207,6 +213,27 @@ class TestPredictionsCsv:
         data.write_predictions(str(fast), iter(batches), channels)
         oracles.write_predictions(str(slow), iter(batches), channels)
         assert fast.read_bytes() == slow.read_bytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_byte_identical_on_overlapping_windows(self, tmp_path, dtype):
+        rng = np.random.default_rng(94)
+        values = rng.normal(size=(40, 4)).astype(dtype)
+        values[::3, 1] = 0.0
+        values[1::3, 1] = -0.0  # equal to 0.0, but its own repr
+        channels = ["", "a,b", 'q"r', "x\ny"]
+        batches = []
+        # 33 windows in batches of 4: targets repeat, the last batch is one window
+        for batch in window_iter(values, (0, 40), 5, 3, 4):
+            y_pred = rng.normal(size=batch.targets.shape).astype(dtype)
+            y_pred.reshape(-1)[:3] = [np.nan, np.inf, -np.inf]
+            batches.append((batch.starts, batch.targets, y_pred))
+        assert len(batches[-1][0]) == 1
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        data.write_predictions(str(fast), iter(batches), channels)
+        oracles.write_predictions(str(slow), iter(batches), channels)
+        text = fast.read_bytes()
+        assert text == slow.read_bytes()
+        assert b",-0.0," in text and b",0.0," in text and b",nan\r\n" in text
 
 
 class TestSyntheticGenerators:

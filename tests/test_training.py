@@ -22,6 +22,7 @@ from prformer.training import (
     DivergenceError,
     clip_gradients,
     evaluate,
+    grad_norm,
     load_checkpoint,
     lr_for_epoch,
     mae_loss,
@@ -102,15 +103,17 @@ class TestScheduleAndClipping:
         a = Tensor(np.array([3.0]), requires_grad=True)
         b = Tensor(np.array([4.0]), requires_grad=True)
         a.grad, b.grad = np.array([3.0]), np.array([4.0])
-        norm = clip_gradients([("a", a), ("b", b)], max_norm=1.0)
+        params = [("a", a), ("b", b)]
+        norm = grad_norm(params)
         assert abs(norm - 5.0) < 1e-12
+        clip_gradients(params, 1.0, norm)
         total = np.sqrt(a.grad[0] ** 2 + b.grad[0] ** 2)
         np.testing.assert_allclose(total, 1.0)
 
     def test_clip_noop_below_threshold(self):
         a = Tensor(np.array([0.3]), requires_grad=True)
         a.grad = np.array([0.3])
-        clip_gradients([("a", a)], max_norm=10.0)
+        clip_gradients([("a", a)], 10.0, grad_norm([("a", a)]))
         np.testing.assert_allclose(a.grad, [0.3])
 
 
@@ -192,6 +195,31 @@ class TestTrainStep:
         assert optimizer.t == 0
         assert all(np.array_equal(b, p.data)
                    for b, (_, p) in zip(before, model.named_parameters()))
+
+    @pytest.mark.parametrize("grad_clip", [None, 0.5])
+    def test_non_finite_gradient_names_parameter_and_changes_nothing(
+            self, monkeypatch, grad_clip):
+        table = synthetic.mixed_table(n=60, seed=18)
+        model = PRformer(tiny_config(grad_clip=grad_clip), 3)
+        optimizer = Adam(model.named_parameters(), 1e-3)
+        before = [p.data.copy() for _, p in model.named_parameters()]
+        params = dict(model.named_parameters())
+        backward = T.backward
+
+        def poisoned_backward(loss):
+            backward(loss)
+            params["pre.grus.0.uz"].grad[0, 0] = np.inf
+            params[list(params)[-1]].grad.flat[0] = np.nan  # later: not named
+
+        monkeypatch.setattr(T, "backward", poisoned_backward)
+        with pytest.raises(DivergenceError,
+                           match=r"pre\.grus\.0\.uz at epoch 2, batch 3"):
+            train_step(model, optimizer, table.values[None, :24],
+                       table.values[None, 24:28], None, epoch=2, batch=3)
+        assert optimizer.t == 0
+        assert all(p.grad is None for p in params.values())
+        assert all(b.tobytes() == p.data.tobytes()
+                   for b, p in zip(before, params.values()))
 
     def test_overfit_divergence_names_the_step(self):
         inputs = np.ones((1, 24, 2), dtype=np.float32)
