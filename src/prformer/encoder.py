@@ -66,10 +66,6 @@ def encode(h, params, dropout=0.0, rng=None, collect_attn=None):
     """
     if dropout > 0.0 and rng is None:
         raise ValueError("dropout requires an rng")
-
-    def drop(x):
-        return T.dropout_mask(x, dropout, rng) if dropout > 0.0 else x
-
     for layer in params.layers:
         if layer.attn is not None:
             mixed, probs = nn.multi_head_attention(h, layer.attn, params.heads)
@@ -77,9 +73,11 @@ def encode(h, params, dropout=0.0, rng=None, collect_attn=None):
                 collect_attn.append(probs)
         else:
             mixed = nn.linear(h, layer.token_mix)
-        a = nn.layer_norm(T.add(h, drop(mixed)), layer.ln1_gamma, layer.ln1_beta)
+        a = nn.layer_norm(T.add(h, T.dropout_mask(mixed, dropout, rng)),
+                          layer.ln1_gamma, layer.ln1_beta)
         ff = nn.linear(T.relu(nn.linear(a, layer.ff1)), layer.ff2)
-        h = nn.layer_norm(T.add(a, drop(ff)), layer.ln2_gamma, layer.ln2_beta)
+        h = nn.layer_norm(T.add(a, T.dropout_mask(ff, dropout, rng)),
+                          layer.ln2_gamma, layer.ln2_beta)
     return h
 
 

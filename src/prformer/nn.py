@@ -30,31 +30,23 @@ class LinearParams:
 
 @dataclass
 class GRUParams:
-    wz: Tensor
-    uz: Tensor
-    bz: Tensor
-    wr: Tensor
-    ur: Tensor
-    br: Tensor
-    wh: Tensor
-    uh: Tensor
-    bh: Tensor
+    """The GRU in the layout `gru_forward` multiplies by, gates in z, r, h order."""
+    w: Tensor  # (in, 3H): input weights [z|r|h]
+    u_zr: Tensor  # (H, 2H): recurrent weights [z|r]
+    u_h: Tensor  # (H, H): recurrent weight of the candidate
+    b: Tensor  # (3H,): biases [z|r|h]
 
     @property
     def hidden_size(self):
-        return self.uz.shape[0]
+        return self.u_h.shape[0]
 
 
 @dataclass
 class MHAParams:
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
+    q: LinearParams
+    k: LinearParams
+    v: LinearParams
+    o: LinearParams
 
 
 def _uniform(rng, bound, shape):
@@ -69,22 +61,21 @@ def init_linear(rng, in_dim, out_dim):
 
 
 def init_gru(rng, in_dim, hidden):
+    """Draw w, u and b for gate z, then r, then h, and fuse the draws into
+    `GRUParams` layout; the per-gate draw order fixes every seeded run."""
     bound = 1.0 / np.sqrt(hidden)
-    fields = {}
-    for gate in ("z", "r", "h"):
-        fields["w" + gate] = _uniform(rng, bound, (in_dim, hidden))
-        fields["u" + gate] = _uniform(rng, bound, (hidden, hidden))
-        fields["b" + gate] = _uniform(rng, bound, (hidden,))
-    return GRUParams(**fields)
+    shapes = ((in_dim, hidden), (hidden, hidden), (hidden,))
+    (wz, uz, bz), (wr, ur, br), (wh, uh, bh) = (
+        [_uniform(rng, bound, shape).data for shape in shapes] for _ in "zrh")
+
+    def leaf(*parts):
+        return T.tensor(np.concatenate(parts, axis=-1), requires_grad=True)
+
+    return GRUParams(w=leaf(wz, wr, wh), u_zr=leaf(uz, ur), u_h=leaf(uh), b=leaf(bz, br, bh))
 
 
 def init_mha(rng, d_model):
-    bound = 1.0 / np.sqrt(d_model)
-    fields = {}
-    for name in ("q", "k", "v", "o"):
-        fields["w" + name] = _uniform(rng, bound, (d_model, d_model))
-        fields["b" + name] = _uniform(rng, bound, (d_model,))
-    return MHAParams(**fields)
+    return MHAParams(*(init_linear(rng, d_model, d_model) for _ in range(4)))
 
 
 def init_scale_shift(dim):
@@ -202,20 +193,15 @@ def gru_forward(x, params):
     with one (H, 2H) product for the update/reset gates and one (H, H)
     product for the candidate. It keeps h_0..h_T, the gates and the
     candidates; backward is hand-written BPTT that writes into fresh buffers
-    and returns the nine parameter gradients in `GRUParams` layout.
-    The gate matrices are concatenated per call: parameters change between
-    optimizer steps, so a cached copy would go stale.
+    and returns one gradient per `GRUParams` field.
     """
+    w_in, u_zr, u_h, b_in = params.w.data, params.u_zr.data, params.u_h.data, params.b.data
     if x.ndim != 3:
-        raise T.ShapeMismatchError("gru", x.shape, params.wz.shape, "expects (T, B, in) input")
-    if x.shape[2] != params.wz.shape[0]:
-        raise T.ShapeMismatchError("gru", x.shape, params.wz.shape, "input dims differ")
+        raise T.ShapeMismatchError("gru", x.shape, w_in.shape, "expects (T, B, in) input")
+    if x.shape[2] != w_in.shape[0]:
+        raise T.ShapeMismatchError("gru", x.shape, w_in.shape, "input dims differ")
     t_len, batch, in_dim = x.shape
     hidden = params.hidden_size
-    w_in = np.concatenate([params.wz.data, params.wr.data, params.wh.data], axis=1)
-    b_in = np.concatenate([params.bz.data, params.br.data, params.bh.data])
-    u_zr = np.concatenate([params.uz.data, params.ur.data], axis=1)
-    u_h = params.uh.data
     x_flat = x.data.reshape(t_len * batch, in_dim)
     proj = (x_flat @ w_in + b_in).reshape(t_len, batch, 3 * hidden)
     dtype = proj.dtype
@@ -246,17 +232,11 @@ def gru_forward(x, params):
         rows = g_proj.reshape(t_len * batch, 3 * hidden)
         h_prev = hs[:-1].reshape(t_len * batch, hidden)
         rh_prev = (zr[:, :, hidden:] * hs[:-1]).reshape(t_len * batch, hidden)
-        gx = (rows @ w_in.T).reshape(x.shape)
-        gw = x_flat.T @ rows
-        gu_zr = h_prev.T @ rows[:, :2 * hidden]
-        gu_h = rh_prev.T @ rows[:, 2 * hidden:]
-        gb = rows.sum(axis=0)
-        z_, r_, h_ = slice(None, hidden), slice(hidden, 2 * hidden), slice(2 * hidden, None)
-        return (gx, gw[:, z_], gu_zr[:, z_], gb[z_], gw[:, r_], gu_zr[:, r_], gb[r_],
-                gw[:, h_], gu_h, gb[h_])
+        return ((rows @ w_in.T).reshape(x.shape), x_flat.T @ rows,
+                h_prev.T @ rows[:, :2 * hidden], rh_prev.T @ rows[:, 2 * hidden:],
+                rows.sum(axis=0))
 
-    parents = (x, params.wz, params.uz, params.bz, params.wr, params.ur, params.br,
-               params.wh, params.uh, params.bh)
+    parents = (x, params.w, params.u_zr, params.u_h, params.b)
     return _node("gru_sequence", hs[t_len].copy(), parents, bwd)
 
 
@@ -314,11 +294,11 @@ def multi_head_attention(x, params, heads):
     def split_heads(t):
         return T.permute(T.reshape(t, (b, n, heads, dh)), (0, 2, 1, 3))
 
-    q = split_heads(linear(x, LinearParams(params.wq, params.bq)))
-    k = split_heads(linear(x, LinearParams(params.wk, params.bk)))
-    v = split_heads(linear(x, LinearParams(params.wv, params.bv)))
+    q = split_heads(linear(x, params.q))
+    k = split_heads(linear(x, params.k))
+    v = split_heads(linear(x, params.v))
     scores = T.scale(T.matmul(q, T.permute(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     probs = softmax(scores, axis=-1)
     ctx = T.matmul(probs, v)  # (b, heads, n, dh)
     merged = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (b, n, d))
-    return linear(merged, LinearParams(params.wo, params.bo)), probs
+    return linear(merged, params.o), probs

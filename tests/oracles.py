@@ -105,13 +105,21 @@ def conv1d(x, weight, bias=None, stride=1):
 
 
 def gru_step(x_t, h_prev, params):
-    """One GRU update; x_t (B, in), h_prev (B, H) -> h_t (B, H)."""
-    z = sigmoid(T.add(nn.linear(x_t, LinearParams(params.wz, params.bz)),
-                      T.matmul(h_prev, params.uz)))
-    r = sigmoid(T.add(nn.linear(x_t, LinearParams(params.wr, params.br)),
-                      T.matmul(h_prev, params.ur)))
-    cand = tanh(T.add(nn.linear(x_t, LinearParams(params.wh, params.bh)),
-                      T.matmul(T.mul(r, h_prev), params.uh)))
+    """One GRU update; x_t (B, in), h_prev (B, H) -> h_t (B, H).
+
+    Each gate's weights are cut out of the fused `GRUParams` fields with
+    `narrow`, so their gradients reach the fields through narrow's scatter.
+    """
+    hidden = params.hidden_size
+
+    def gate_input(i):
+        block = LinearParams(narrow(params.w, 1, i * hidden, hidden),
+                             narrow(params.b, 0, i * hidden, hidden))
+        return nn.linear(x_t, block)
+
+    z = sigmoid(T.add(gate_input(0), T.matmul(h_prev, narrow(params.u_zr, 1, 0, hidden))))
+    r = sigmoid(T.add(gate_input(1), T.matmul(h_prev, narrow(params.u_zr, 1, hidden, hidden))))
+    cand = tanh(T.add(gate_input(2), T.matmul(T.mul(r, h_prev), params.u_h)))
     # h_t = (1 - z) * h_prev + z * cand, rewritten to three ops
     return T.add(h_prev, T.mul(z, T.sub(cand, h_prev)))
 
@@ -152,7 +160,7 @@ def _op_flops(node):
     if node.op in ("sum", "mean"):
         return node.parents[0].size
     if node.op == "gru_sequence":
-        x, hidden = node.parents[0], node.parents[2].shape[0]
+        x, hidden = node.parents[0], node.parents[3].shape[0]  # u_h (H, H)
         t_len, batch, in_dim = x.shape
         # input projection, the two recurrent products, ~10 elementwise ops per unit
         return t_len * batch * (6 * in_dim * hidden + 6 * hidden * hidden + 10 * hidden)

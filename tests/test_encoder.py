@@ -51,8 +51,8 @@ class TestEncode:
                                                params.layers[0].attn, heads=2)
         np.testing.assert_allclose(probs.data, 1.0)
         attn = params.layers[0].attn
-        v = x @ attn.wv.data + attn.bv.data
-        np.testing.assert_allclose(mixed.data, v @ attn.wo.data + attn.bo.data,
+        v = x @ attn.v.w.data + attn.v.b.data
+        np.testing.assert_allclose(mixed.data, v @ attn.o.w.data + attn.o.b.data,
                                    rtol=1e-10)
 
     def test_layer_matches_manual_post_norm_composition(self):

@@ -21,10 +21,9 @@ def f64(x, requires_grad=False):
 
 def scalar_gru(wz=0.0, uz=0.0, bz=0.0, wr=0.0, ur=0.0, br=0.0,
                wh=0.0, uh=0.0, bh=0.0):
-    mk = lambda v: f64([[v]])
-    return GRUParams(wz=mk(wz), uz=mk(uz), bz=f64([bz]),
-                     wr=mk(wr), ur=mk(ur), br=f64([br]),
-                     wh=mk(wh), uh=mk(uh), bh=f64([bh]))
+    """A one-unit GRU from per-gate scalars, fused into `GRUParams` layout."""
+    return GRUParams(w=f64([[wz, wr, wh]]), u_zr=f64([[uz, ur]]), u_h=f64([[uh]]),
+                     b=f64([bz, br, bh]))
 
 
 class TestLinear:
@@ -185,6 +184,11 @@ class TestUpsampleRepeat:
 
 
 GRU_FIELDS = tuple(f.name for f in dataclasses.fields(GRUParams))
+# each per-gate weight as (fused field, block index); together the nine
+# blocks cover every entry of the four fields
+GATE_BLOCKS = {"wz": ("w", 0), "uz": ("u_zr", 0), "bz": ("b", 0),
+               "wr": ("w", 1), "ur": ("u_zr", 1), "br": ("b", 1),
+               "wh": ("w", 2), "uh": ("u_h", 0), "bh": ("b", 2)}
 
 
 def f64_gru(params, requires_grad=False):
@@ -245,12 +249,13 @@ class TestGRU:
         out = nn.gru_forward(tensor(x.astype(np.float32)), params)
 
         sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-        g = lambda name: getattr(params, name).data.astype(np.float64)
+        w, u_zr, u_h, b = (getattr(params, n).data.astype(np.float64) for n in GRU_FIELDS)
+        z_, r_, h_ = slice(0, 3), slice(3, 6), slice(6, 9)
         h = np.zeros((1, 3))
         for t in range(5):
-            z = sig(x[t] @ g("wz") + h @ g("uz") + g("bz"))
-            r = sig(x[t] @ g("wr") + h @ g("ur") + g("br"))
-            cand = np.tanh(x[t] @ g("wh") + (r * h) @ g("uh") + g("bh"))
+            z = sig(x[t] @ w[:, z_] + h @ u_zr[:, z_] + b[z_])
+            r = sig(x[t] @ w[:, r_] + h @ u_zr[:, r_] + b[r_])
+            cand = np.tanh(x[t] @ w[:, h_] + (r * h) @ u_h + b[h_])
             h = (1.0 - z) * h + z * cand
         np.testing.assert_allclose(out.data, h, atol=1e-5)
 
@@ -284,25 +289,28 @@ class TestGRU:
 
         def f(t):
             params = f64_gru(base)
-            params.uh = t
+            params.u_h = t
             return T.sum_(nn.gru_forward(x, params))
 
-        err = grad_check(f, f64(base.uh.data))
+        err = grad_check(f, f64(base.u_h.data))
         assert err < GRAD_TOL
 
-    @pytest.mark.parametrize("name", GRU_FIELDS)
+    @pytest.mark.parametrize("name", GATE_BLOCKS)
     def test_gradient_wrt_each_weight(self, name):
         rng = np.random.default_rng(23)
         base = nn.init_gru(rng, 2, 3)
         x = f64(rng.normal(size=(5, 2, 2)))
         proj = f64(rng.normal(size=(2, 3)))
+        field, i = GATE_BLOCKS[name]
+        full, h = getattr(base, field).data, base.hidden_size
+        before, block, after = full[..., :i * h], full[..., i * h:(i + 1) * h], full[..., (i + 1) * h:]
 
         def f(t):
             params = f64_gru(base)
-            setattr(params, name, t)
+            setattr(params, field, T.concat([f64(before), t, f64(after)], axis=full.ndim - 1))
             return T.sum_(T.mul(nn.gru_forward(x, params), proj))
 
-        err = grad_check(f, f64(getattr(base, name).data))
+        err = grad_check(f, f64(block))
         assert err < GRAD_TOL, name
 
 
@@ -391,9 +399,8 @@ class TestMultiHeadAttention:
     @staticmethod
     def params(rng, d):
         raw = nn.init_mha(rng, d)
-        fields = {f.name: f64(getattr(raw, f.name).data)
-                  for f in dataclasses.fields(raw)}
-        return MHAParams(**fields)
+        return MHAParams(*(LinearParams(f64(lin.w.data), f64(lin.b.data))
+                           for lin in (raw.q, raw.k, raw.v, raw.o)))
 
     def test_output_shape_and_row_stochastic_probs(self):
         rng = np.random.default_rng(27)
@@ -407,8 +414,8 @@ class TestMultiHeadAttention:
     def test_zero_queries_give_uniform_attention(self):
         rng = np.random.default_rng(28)
         params = self.params(rng, 4)
-        params.wq.data[:] = 0.0
-        params.bq.data[:] = 0.0
+        params.q.w.data[:] = 0.0
+        params.q.b.data[:] = 0.0
         _, probs = nn.multi_head_attention(f64(rng.normal(size=(1, 6, 4))), params, heads=2)
         np.testing.assert_allclose(probs.data, 1.0 / 6.0, atol=1e-12)
 
@@ -419,14 +426,12 @@ class TestMultiHeadAttention:
         x = rng.normal(size=(1, 3, d))
         out, _ = nn.multi_head_attention(f64(x), params, heads=1)
 
-        g = lambda n: getattr(params, n).data
-        q = x @ g("wq") + g("bq")
-        k = x @ g("wk") + g("bk")
-        v = x @ g("wv") + g("bv")
+        g = lambda lin: x @ lin.w.data + lin.b.data
+        q, k, v = g(params.q), g(params.k), g(params.v)
         s = q @ k.transpose(0, 2, 1) / np.sqrt(d)
         e = np.exp(s - s.max(axis=-1, keepdims=True))
         p = e / e.sum(axis=-1, keepdims=True)
-        expected = (p @ v) @ g("wo") + g("bo")
+        expected = (p @ v) @ params.o.w.data + params.o.b.data
         np.testing.assert_allclose(out.data, expected, rtol=1e-10)
 
     def test_heads_must_divide_width(self):
@@ -449,12 +454,10 @@ class TestMultiHeadAttention:
         x = f64(rng.normal(size=(1, 3, 4)))
 
         def f(t):
-            fields = {f.name: f64(getattr(base, f.name).data)
-                      for f in dataclasses.fields(base)}
-            fields["wv"] = t
-            return T.mean(nn.multi_head_attention(x, MHAParams(**fields), heads=2)[0])
+            params = dataclasses.replace(base, v=LinearParams(t, base.v.b))
+            return T.mean(nn.multi_head_attention(x, params, heads=2)[0])
 
-        assert grad_check(f, f64(base.wv.data)) < GRAD_TOL
+        assert grad_check(f, f64(base.v.w.data)) < GRAD_TOL
 
 
 class TestParamPlumbing:
@@ -462,8 +465,22 @@ class TestParamPlumbing:
         rng = np.random.default_rng(33)
         gru = nn.init_gru(rng, 2, 3)
         names = [n for n, _ in nn.iter_params(gru, "gru")]
-        assert names == ["gru.wz", "gru.uz", "gru.bz", "gru.wr", "gru.ur",
-                         "gru.br", "gru.wh", "gru.uh", "gru.bh"]
+        assert names == ["gru.w", "gru.u_zr", "gru.u_h", "gru.b"]
+
+    def test_init_gru_fuses_per_gate_draws_in_order(self):
+        in_dim, hidden = 2, 3
+        gru = nn.init_gru(np.random.default_rng(36), in_dim, hidden)
+        rng = np.random.default_rng(36)
+        bound = 1.0 / np.sqrt(hidden)
+        draw = lambda *shape: rng.uniform(-bound, bound, size=shape).astype(np.float32)
+        (wz, uz, bz), (wr, ur, br), (wh, uh, bh) = [
+            (draw(in_dim, hidden), draw(hidden, hidden), draw(hidden)) for _ in "zrh"]
+        expected = {"w": np.concatenate([wz, wr, wh], axis=1),
+                    "u_zr": np.concatenate([uz, ur], axis=1), "u_h": uh,
+                    "b": np.concatenate([bz, br, bh])}
+        for name, want in expected.items():
+            got = getattr(gru, name).data
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes(), name
 
     def test_iter_params_walks_lists(self):
         rng = np.random.default_rng(34)
@@ -476,5 +493,5 @@ class TestParamPlumbing:
         lin = nn.init_linear(rng, 16, 8)
         assert np.all(np.abs(lin.w.data) <= 0.25)
         gru = nn.init_gru(rng, 4, 16)
-        assert np.all(np.abs(gru.uh.data) <= 0.25)
+        assert np.all(np.abs(gru.u_h.data) <= 0.25)
         assert all(p.requires_grad for _, p in nn.iter_params(gru))

@@ -208,12 +208,12 @@ class TestTrainStep:
 
         def poisoned_backward(loss):
             backward(loss)
-            params["pre.grus.0.uz"].grad[0, 0] = np.inf
+            params["pre.grus.0.u_zr"].grad[0, 0] = np.inf
             params[list(params)[-1]].grad.flat[0] = np.nan  # later: not named
 
         monkeypatch.setattr(T, "backward", poisoned_backward)
         with pytest.raises(DivergenceError,
-                           match=r"pre\.grus\.0\.uz at epoch 2, batch 3"):
+                           match=r"pre\.grus\.0\.u_zr at epoch 2, batch 3"):
             train_step(model, optimizer, table.values[None, :24],
                        table.values[None, 24:28], None, epoch=2, batch=3)
         assert optimizer.t == 0
@@ -427,6 +427,8 @@ class TestCheckpointManifest:
         pytest.param(_set_config("bogus", 1), "invalid embedded config.*unknown",
                      id="config-unknown-key"),
         pytest.param(lambda m: m.clear(), "format version", id="empty-object"),
+        pytest.param(_set("format_version", 1), "unsupported format version 1",
+                     id="format-version-1"),
     ])
     def test_bad_manifest_rejected(self, tmp_path, edit, message):
         path = tmp_path / "m.ckpt"
