@@ -67,6 +67,8 @@ def pe_dot_invariance(d_model, t, s, offset):
 
 def check_pe(trials=1000, d_model=None, seed=0):
     """Worst deviation over random (d_model, t, s, offset) draws."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):

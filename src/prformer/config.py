@@ -55,7 +55,6 @@ class RunConfig:
     dropout: float = 0.1
     batch_size: int = 32
     lr: float = 1e-3
-    temperature: float = 1.0
     seed: int = 0
     variant: str = field(default="full",
                          metadata={"choices": ("full", "V1", "V2", "V3")})
@@ -102,10 +101,10 @@ class RunConfig:
         for name, value in positive.items():
             if value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        if self.lookback < 2:  # RevIN needs two steps to measure a spread
+            raise ConfigError(f"lookback must be at least 2, got {self.lookback}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if not 0.0 < self.lr_decay <= 1.0:

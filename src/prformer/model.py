@@ -59,8 +59,7 @@ class PRformer:
         if self.variant == "V2":
             emb = nn.linear(per_channel, self.params.window_proj)
         else:
-            emb = pre.pre_embed_batch(per_channel, self.params.pre, self.pyramid,
-                                      self.config.temperature)
+            emb = pre.pre_embed_batch(per_channel, self.params.pre, self.pyramid)
         return T.reshape(emb, (b, c, self.config.d_model))
 
     def forward_parts(self, x, training=False, dropout_rng=None):

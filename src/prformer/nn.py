@@ -44,7 +44,7 @@ class GRUParams:
 @dataclass
 class MHAParams:
     q: LinearParams
-    k: LinearParams
+    k: Tensor  # (D, D): a key bias would shift all of a query's scores alike
     v: LinearParams
     o: LinearParams
 
@@ -75,7 +75,10 @@ def init_gru(rng, in_dim, hidden):
 
 
 def init_mha(rng, d_model):
-    return MHAParams(*(init_linear(rng, d_model, d_model) for _ in range(4)))
+    """Draw q, then k's weight alone, then v and o."""
+    q = init_linear(rng, d_model, d_model)
+    k = _uniform(rng, 1.0 / np.sqrt(d_model), (d_model, d_model))
+    return MHAParams(q, k, *(init_linear(rng, d_model, d_model) for _ in range(2)))
 
 
 def init_scale_shift(dim):
@@ -273,13 +276,6 @@ def softmax(x, axis=-1):
     return T.div(e, T.sum_(e, axis=axis, keepdims=True))
 
 
-def softmax_temp(logits, temperature):
-    """Softmax of logits / temperature; low temperature sharpens toward argmax."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    return softmax(T.scale(logits, 1.0 / temperature), axis=logits.ndim - 1)
-
-
 def multi_head_attention(x, params, heads):
     """Bidirectional self-attention over tokens; x (B, N, D) -> (out, probs).
 
@@ -295,7 +291,7 @@ def multi_head_attention(x, params, heads):
         return T.permute(T.reshape(t, (b, n, heads, dh)), (0, 2, 1, 3))
 
     q = split_heads(linear(x, params.q))
-    k = split_heads(linear(x, params.k))
+    k = split_heads(T.matmul(x, params.k))
     v = split_heads(linear(x, params.v))
     scores = T.scale(T.matmul(q, T.permute(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     probs = softmax(scores, axis=-1)

@@ -3,9 +3,8 @@
 A univariate lookback series is coarsened bottom-up by patch convolutions
 (stride == kernel, one level per configured period), the top level is
 repeatedly upsampled and added laterally on the way down, a GRU summarizes
-each fused level, and a temperature softmax over learned logits weights the
-per-level summaries before a fusion linear mixes them into the final
-embedding.
+each fused level, and a fusion linear mixes the concatenated summaries into
+the final embedding.
 """
 
 from __future__ import annotations
@@ -13,10 +12,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import nn, tensor as T
-from .tensor import Tensor
 
 
 class PyramidConfigWarning(UserWarning):
@@ -29,10 +25,6 @@ class PyramidConfig:
     kernels: tuple  # per-level conv kernel == stride
     level_lengths: tuple  # sequence length after each level for this lookback
     lookback: int
-
-    @property
-    def levels(self):
-        return len(self.windows)
 
 
 def build_pyramid_config(windows, lookback):
@@ -92,13 +84,12 @@ class PREParams:
     conv_weights: list  # per level (C_out, C_in, K)
     conv_biases: list
     grus: list  # per level GRUParams
-    alpha: Tensor  # (levels,) fusion logits
     fuse: nn.LinearParams  # (sum of hiddens -> D)
 
 
 def init_pre(rng, cfg, hidden_sizes, d_model, conv_channels=16):
     """Build pyramid parameters: per level a patch conv and a GRU of width
-    `hidden_sizes[i]`, then the level logits and the fusion linear to D."""
+    `hidden_sizes[i]`, then the fusion linear to D."""
     conv_weights, conv_biases, grus = [], [], []
     in_ch = 1
     for k in cfg.kernels:
@@ -108,11 +99,9 @@ def init_pre(rng, cfg, hidden_sizes, d_model, conv_channels=16):
         in_ch = conv_channels
     for h in hidden_sizes:
         grus.append(nn.init_gru(rng, conv_channels, h))
-    alpha = T.tensor(np.full(cfg.levels, 1.0 / cfg.levels, dtype=np.float32),
-                     requires_grad=True)
     fuse = nn.init_linear(rng, sum(hidden_sizes), d_model)
     return PREParams(conv_weights=conv_weights, conv_biases=conv_biases,
-                     grus=grus, alpha=alpha, fuse=fuse)
+                     grus=grus, fuse=fuse)
 
 
 def bottom_up(x, params, cfg):
@@ -143,23 +132,18 @@ def top_down_fuse(features):
     return fused
 
 
-def multi_scale_rnn(fused, params, temperature=1.0):
-    """Summarize each fused level with its GRU and mix by softmax weights.
+def multi_scale_rnn(fused, params):
+    """Summarize each fused level with its GRU and mix the concatenated
+    summaries with the fusion linear.
 
-    Level i's summary is scaled by beta[i]: the summaries are concatenated
-    and multiplied by beta spread over their columns by a matmul with a 0/1
-    block matrix, which copies each beta[i] exactly.
+    No weight scales a level's summary: any per-level scale folds into the
+    rows of `fuse`, so it could not change the set of embeddings.
     """
-    beta = nn.softmax_temp(params.alpha, temperature)
-    widths = [gru.hidden_size for gru in params.grus]
-    spread = T.tensor(np.repeat(np.eye(len(widths), dtype=beta.data.dtype), widths, axis=1))
-    column_weights = T.matmul(T.reshape(beta, (1, len(widths))), spread)
     summaries = [nn.gru_forward(T.permute(level, (2, 0, 1)), gru)  # time-major
                  for level, gru in zip(fused, params.grus)]
-    return nn.linear(T.mul(T.concat(summaries, axis=1), column_weights), params.fuse)
+    return nn.linear(T.concat(summaries, axis=1), params.fuse)
 
 
-def pre_embed_batch(x, params, cfg, temperature=1.0):
+def pre_embed_batch(x, params, cfg):
     """Embed a batch of univariate series (B, L) -> (B, D)."""
-    return multi_scale_rnn(top_down_fuse(bottom_up(x, params, cfg)),
-                           params, temperature)
+    return multi_scale_rnn(top_down_fuse(bottom_up(x, params, cfg)), params)

@@ -253,7 +253,7 @@ def predict_over_range(model, values, row_range, config):
 # checkpoint archive: 4-byte little-endian manifest length, JSON manifest,
 # then each parameter's raw little-endian buffer in manifest order
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(path, model):

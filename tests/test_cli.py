@@ -251,6 +251,9 @@ BAD_CONFIGS = {
     "heads-zero": {"heads": 0},
     "variant-list": {"variant": ["full"]},
     "unknown-key": {"windows": [4]},
+    "temperature-retired": {"temperature": 1.0},
+    # a one-step window leaves RevIN no spread to measure
+    "lookback-one": {"lookback": 1, "pred_len": 1, "pyramidal_windows": [1]},
     # V3 keeps the full model's per-level width, which D=2 cannot give 3 levels
     "v3-width-below-levels": {"lookback": 96, "pyramidal_windows": [4, 8, 16],
                               "variant": "V3", "d_model": 2, "heads": 1},
@@ -308,6 +311,7 @@ BAD_FLAGS = {
     "pe-width-odd": ["check-pe", "--d-model", "3"],
     "pe-width-zero": ["check-pe", "--d-model", "0"],
     "pe-trials-zero": ["check-pe", "--trials", "0"],
+    "pe-seed-negative": ["check-pe", "--seed", "-1"],
 }
 
 
@@ -415,7 +419,6 @@ RUN_CONFIG_FLAG_VALUES = {
     "dropout": (["0.25"], 0.25),
     "batch_size": (["16"], 16),
     "lr": (["0.01"], 0.01),
-    "temperature": (["0.5"], 0.5),
     "seed": (["7"], 7),
     "variant": (["V3"], "V3"),
     "dataset": (["elsewhere.csv"], "elsewhere.csv"),

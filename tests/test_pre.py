@@ -13,12 +13,12 @@ from prformer.pre import (
     build_pyramid_config,
     level_hidden_sizes,
 )
-from prformer.tensor import Tensor, tensor
+from prformer.tensor import tensor
 
 
 def init_split(rng, cfg, d_model, conv_channels):
     """Pyramid parameters with D split across the levels, as the full model does."""
-    return pre.init_pre(rng, cfg, level_hidden_sizes(d_model, cfg.levels), d_model,
+    return pre.init_pre(rng, cfg, level_hidden_sizes(d_model, len(cfg.windows)), d_model,
                         conv_channels)
 
 
@@ -164,20 +164,6 @@ class TestMultiScaleRnn:
             params = init_split(rng, cfg, d_model, conv_channels=3)
             x = tensor(rng.normal(size=(1, lookback)).astype(np.float32))
             assert pre.pre_embed_batch(x, params, cfg).shape == (1, d_model)
-
-    def test_sharpened_weights_select_one_level(self):
-        cfg, params = tiny_setup(d_model=6)
-        params.alpha.data[:] = [0.5, 0.2]
-        rng = np.random.default_rng(46)
-        x = tensor(rng.normal(size=(2, 8)).astype(np.float32))
-        sharp = pre.pre_embed_batch(x, params, cfg, temperature=1e-3)
-
-        # manual route: keep only level 0's GRU summary
-        feats = pre.top_down_fuse(pre.bottom_up(x, params, cfg))
-        h0 = nn.gru_forward(T.permute(feats[0], (2, 0, 1)), params.grus[0])
-        zeros = Tensor(np.zeros((2, params.grus[1].hidden_size), dtype=np.float32))
-        manual = nn.linear(T.concat([h0, zeros], axis=1), params.fuse)
-        np.testing.assert_allclose(sharp.data, manual.data, atol=1e-5)
 
     def test_shared_weights_give_identical_embeddings(self):
         cfg, params = tiny_setup()

@@ -429,6 +429,8 @@ class TestCheckpointManifest:
         pytest.param(lambda m: m.clear(), "format version", id="empty-object"),
         pytest.param(_set("format_version", 1), "unsupported format version 1",
                      id="format-version-1"),
+        pytest.param(_set("format_version", 2), "unsupported format version 2",
+                     id="format-version-2"),
     ])
     def test_bad_manifest_rejected(self, tmp_path, edit, message):
         path = tmp_path / "m.ckpt"
