@@ -206,7 +206,6 @@ def cmd_bench(args):
 def cmd_inspect_embeddings(args):
     import csv as csv_mod
 
-    from . import revin
     from .data import _reprs, window_iter
     from .tensor import Tensor, no_grad
 
@@ -215,8 +214,7 @@ def cmd_inspect_embeddings(args):
     batch = next(window_iter(table.values, row_range, model.config.lookback,
                              model.config.pred_len, batch_size=args.count))
     with no_grad():
-        x_norm, _ = revin.normalize(Tensor(batch.inputs), model.params.revin)
-        tokens = model.embed(x_norm).data  # (windows, C, D)
+        tokens = model.embed(Tensor(batch.inputs))[0].data  # (windows, C, D)
     with _writing(args.out), open(args.out, "w", newline="") as fh:
         writer = csv_mod.writer(fh)
         d = tokens.shape[2]

@@ -82,6 +82,5 @@ def encode(h, params, dropout=0.0, rng=None, collect_attn=None):
 
 
 def forecast(tokens, params):
-    """Assemble the full forecast: tokens (B, C, D) -> (B, H, C)."""
-    per_channel = nn.linear(tokens, params.head)  # (B, C, H)
-    return T.permute(per_channel, (0, 2, 1))
+    """Project every token onto the horizon: tokens (B, C, D) -> (B, C, H)."""
+    return nn.linear(tokens, params.head)

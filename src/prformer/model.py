@@ -52,18 +52,24 @@ class PRformer:
                                   pre=pre_params, window_proj=window_proj,
                                   encoder=enc)
 
-    def embed(self, x_norm):
-        """Normalized windows (B, L, C) -> variate tokens (B, C, D)."""
-        b, l, c = x_norm.shape
-        per_channel = T.reshape(T.permute(x_norm, (0, 2, 1)), (b * c, l))
+    def embed(self, x):
+        """Windows (B, L, C) -> variate tokens (B, C, D) and RevIN's window stats.
+
+        The windows are permuted once to channel-major (B, C, L), so RevIN and
+        the (B·C, L) rows of the embedding run on contiguous memory.
+        """
+        x_norm, state = revin.normalize(T.permute(x, (0, 2, 1)), self.params.revin)
+        b, c, l = x_norm.shape
+        per_channel = T.reshape(x_norm, (b * c, l))
         if self.variant == "V2":
             emb = nn.linear(per_channel, self.params.window_proj)
         else:
             emb = pre.pre_embed_batch(per_channel, self.params.pre, self.pyramid)
-        return T.reshape(emb, (b, c, self.config.d_model))
+        return T.reshape(emb, (b, c, self.config.d_model)), state
 
     def forward_parts(self, x, training=False, dropout_rng=None):
-        """Returns (raw-scale forecast, normalized forecast, window stats)."""
+        """Returns the raw-scale forecast (B, H, C), and channel-major the
+        normalized forecast (B, C, H) and the window stats."""
         b, l, c = x.shape
         if l != self.config.lookback:
             raise T.ShapeMismatchError("forward", x.shape, (self.config.lookback,),
@@ -71,13 +77,13 @@ class PRformer:
         if c != self.channels:
             raise T.ShapeMismatchError("forward", x.shape, (self.channels,),
                                        "channel count != model channels")
-        x_norm, state = revin.normalize(x, self.params.revin)
-        tokens = self.embed(x_norm)
+        tokens, state = self.embed(x)
         rate = self.config.dropout if training else 0.0
         h = encoder.encode(tokens, self.params.encoder, dropout=rate,
                            rng=dropout_rng)
         y_norm = encoder.forecast(h, self.params.encoder)
-        return revin.denormalize(y_norm, state, self.params.revin), y_norm, state
+        y = revin.denormalize(y_norm, state, self.params.revin)
+        return T.permute(y, (0, 2, 1)), y_norm, state
 
     def forward(self, x, training=False, dropout_rng=None):
         """Forecast raw-scale values: (B, L, C) -> (B, H, C)."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, _logistic, _node
+from .tensor import Tensor, _logistic, _node, _records
 
 EPS = 1e-5  # variance floor of every standardization
 
@@ -189,58 +189,68 @@ def upsample_repeat(x, target_len):
 
 
 def gru_forward(x, params):
-    """Run a GRU from a zero state over x (T, B, in); return h_T (B, H).
+    """Run a GRU from a zero state over x (T, in, B); return h_T (B, H).
 
-    The whole sequence is one `gru_sequence` tape node. Forward projects all
-    steps' inputs onto the three gates with one matmul, then loops over time
-    with one (H, 2H) product for the update/reset gates and one (H, H)
-    product for the candidate. It keeps h_0..h_T, the gates and the
-    candidates; backward is hand-written BPTT that writes into fresh buffers
-    and returns one gradient per `GRUParams` field.
+    The whole sequence is one `gru_sequence` tape node, computed gate-major:
+    the input is (T, in, B), the state (H, B) and the input projections
+    (T, 3H, B), so the z, r and candidate gates are contiguous row blocks.
+    Forward projects all steps' inputs with one batched product, then loops
+    over time with one (2H, H) product for the update/reset gates and one
+    (H, H) product for the candidate. When the node is recorded the loop
+    also keeps h_0..h_T, the gates and the candidates for the hand-written
+    BPTT; otherwise it keeps only h. Backward returns one gradient per
+    `GRUParams` field.
     """
     w_in, u_zr, u_h, b_in = params.w.data, params.u_zr.data, params.u_h.data, params.b.data
     if x.ndim != 3:
-        raise T.ShapeMismatchError("gru", x.shape, w_in.shape, "expects (T, B, in) input")
-    if x.shape[2] != w_in.shape[0]:
+        raise T.ShapeMismatchError("gru", x.shape, w_in.shape, "expects (T, in, B) input")
+    if x.shape[1] != w_in.shape[0]:
         raise T.ShapeMismatchError("gru", x.shape, w_in.shape, "input dims differ")
-    t_len, batch, in_dim = x.shape
+    t_len, _, batch = x.shape
     hidden = params.hidden_size
-    x_flat = x.data.reshape(t_len * batch, in_dim)
-    proj = (x_flat @ w_in + b_in).reshape(t_len, batch, 3 * hidden)
+    x_cols = np.ascontiguousarray(x.data)  # per step (in, B), row-major for BLAS
+    proj = np.matmul(w_in.T, x_cols)  # (T, 3H, B)
+    proj += b_in[:, None]
     dtype = proj.dtype
+    parents = (x, params.w, params.u_zr, params.u_h, params.b)
+    record = _records(parents)
 
-    hs = np.zeros((t_len + 1, batch, hidden), dtype=dtype)
-    zr = np.empty((t_len, batch, 2 * hidden), dtype=dtype)
-    cand = np.empty((t_len, batch, hidden), dtype=dtype)
+    h = np.zeros((hidden, batch), dtype=dtype)
+    if record:
+        hs = np.empty((t_len + 1, hidden, batch), dtype=dtype)
+        hs[0] = h
+        zr = np.empty((t_len, 2 * hidden, batch), dtype=dtype)
+        cand = np.empty((t_len, hidden, batch), dtype=dtype)
     for t in range(t_len):
-        h = hs[t]
-        zr[t] = _logistic(proj[t, :, :2 * hidden] + h @ u_zr)
-        z, r = zr[t, :, :hidden], zr[t, :, hidden:]
-        cand[t] = np.tanh(proj[t, :, 2 * hidden:] + (r * h) @ u_h)
-        hs[t + 1] = h + z * (cand[t] - h)
+        zr_t = _logistic(proj[t, :2 * hidden] + u_zr.T @ h)
+        z, r = zr_t[:hidden], zr_t[hidden:]
+        c_t = np.tanh(proj[t, 2 * hidden:] + u_h.T @ (r * h))
+        h = h + z * (c_t - h)
+        if record:
+            zr[t], cand[t], hs[t + 1] = zr_t, c_t, h
     del proj
 
     def bwd(g):
-        g_proj = np.empty((t_len, batch, 3 * hidden), dtype=np.result_type(g, dtype))
-        dh = g
+        g_proj = np.empty((t_len, 3 * hidden, batch), dtype=np.result_type(g, dtype))
+        dh = np.ascontiguousarray(g.T)
         for t in range(t_len - 1, -1, -1):
-            h, z, r, c = hs[t], zr[t, :, :hidden], zr[t, :, hidden:], cand[t]
+            h, z, r, c = hs[t], zr[t, :hidden], zr[t, hidden:], cand[t]
             da_c = dh * z * (1.0 - c * c)
-            d_rh = da_c @ u_h.T
+            d_rh = u_h @ da_c
             dz = dh * (c - h)
-            g_proj[t, :, :hidden] = dz * z * (1.0 - z)
-            g_proj[t, :, hidden:2 * hidden] = d_rh * h * r * (1.0 - r)
-            g_proj[t, :, 2 * hidden:] = da_c
-            dh = dh * (1.0 - z) + d_rh * r + g_proj[t, :, :2 * hidden] @ u_zr.T
-        rows = g_proj.reshape(t_len * batch, 3 * hidden)
-        h_prev = hs[:-1].reshape(t_len * batch, hidden)
-        rh_prev = (zr[:, :, hidden:] * hs[:-1]).reshape(t_len * batch, hidden)
-        return ((rows @ w_in.T).reshape(x.shape), x_flat.T @ rows,
-                h_prev.T @ rows[:, :2 * hidden], rh_prev.T @ rows[:, 2 * hidden:],
-                rows.sum(axis=0))
+            g_proj[t, :hidden] = dz * z * (1.0 - z)
+            g_proj[t, hidden:2 * hidden] = d_rh * h * r * (1.0 - r)
+            g_proj[t, 2 * hidden:] = da_c
+            dh = dh * (1.0 - z) + d_rh * r + u_zr @ g_proj[t, :2 * hidden]
+        g_cols = g_proj.transpose(0, 2, 1)  # per step (B, 3H), BLAS-able
+        rh_prev = zr[:, hidden:] * hs[:-1]
+        return (np.matmul(w_in, g_proj),
+                np.matmul(g_proj, x_cols.transpose(0, 2, 1)).sum(axis=0).T,
+                np.matmul(hs[:-1], g_cols[:, :, :2 * hidden]).sum(axis=0),
+                np.matmul(rh_prev, g_cols[:, :, 2 * hidden:]).sum(axis=0),
+                g_proj.sum(axis=(0, 2)))
 
-    parents = (x, params.w, params.u_zr, params.u_h, params.b)
-    return _node("gru_sequence", hs[t_len].copy(), parents, bwd)
+    return _node("gru_sequence", h.T, parents, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def multi_scale_rnn(fused, params):
     No weight scales a level's summary: any per-level scale folds into the
     rows of `fuse`, so it could not change the set of embeddings.
     """
-    summaries = [nn.gru_forward(T.permute(level, (2, 0, 1)), gru)  # time-major
+    summaries = [nn.gru_forward(T.permute(level, (2, 1, 0)), gru)  # (T, ch, B)
                  for level, gru in zip(fused, params.grus)]
     return nn.linear(T.concat(summaries, axis=1), params.fuse)
 

@@ -91,9 +91,15 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
+def _records(parents):
+    """Whether an op on `parents` goes on the tape: grad mode is on and some
+    parent needs a gradient."""
+    return _grad_enabled.get() and any(p.requires_grad for p in parents)
+
+
 def _node(op, data, parents, backward_fn):
     """Build the output tensor, recording the op only when a parent needs grad."""
-    if _grad_enabled.get() and any(p.requires_grad for p in parents):
+    if _records(parents):
         return Tensor(data, requires_grad=True, op=op, parents=tuple(parents),
                       backward_fn=backward_fn)
     return Tensor(data)
@@ -175,12 +181,28 @@ def matmul(a, b):
         np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     except ValueError:
         raise ShapeMismatchError("matmul", a.shape, b.shape, "batch dims differ") from None
+    if b.ndim == 2:
+        return _matmul_shared(a, b)
     out = np.matmul(a.data, b.data)
 
     def bwd(g):
         ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
         gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
         return (ga, gb)
+
+    return _node("matmul", out, (a, b), bwd)
+
+
+def _matmul_shared(a, b):
+    """a (..., K) @ b (K, N) with every leading axis of `a` folded into the
+    rows, so that forward and both gradients are one GEMM each."""
+    k, n = b.shape
+    rows = a.data.reshape(-1, k)
+    out = (rows @ b.data).reshape(a.shape[:-1] + (n,))
+
+    def bwd(g):
+        g_rows = g.reshape(-1, n)
+        return ((g_rows @ b.data.T).reshape(a.shape), rows.T @ g_rows)
 
     return _node("matmul", out, (a, b), bwd)
 
@@ -192,7 +214,8 @@ def permute(x, axes):
     def bwd(g):
         return (np.transpose(g, inverse),)
 
-    return _node("permute", np.transpose(x.data, axes), (x,), bwd)
+    # a copy, so that the ops downstream stream contiguous memory
+    return _node("permute", np.ascontiguousarray(np.transpose(x.data, axes)), (x,), bwd)
 
 
 def reshape(x, shape):

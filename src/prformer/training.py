@@ -87,7 +87,7 @@ def clip_gradients(named_params, max_norm, norm):
     """Scale all gradients, whose global L2 norm is `norm`, so that it is at
     most `max_norm`."""
     if norm > max_norm:
-        factor = max_norm / norm
+        factor = float(max_norm / norm)  # a numpy scalar would promote float32 grads
         for _, p in named_params:
             if p.grad is not None:
                 p.grad = p.grad * factor
@@ -133,8 +133,8 @@ def train_step(model, optimizer, inputs, targets, dropout_rng, epoch=1,
     y_raw, y_norm, state = model.forward_parts(Tensor(inputs), training=True,
                                                dropout_rng=dropout_rng)
     if config.normalized_loss:
-        target = nn.scale_shift(T.sub(y, state.mu), state.sigma,
-                                model.params.revin.gamma, model.params.revin.beta)
+        target = nn.scale_shift(T.sub(T.permute(y, (0, 2, 1)), state.mu), state.sigma,
+                                *revin.channel_affine(model.params.revin))
         loss = mae_loss(y_norm, target)
     else:
         loss = mae_loss(y_raw, y)
@@ -280,8 +280,8 @@ def load_checkpoint(path):
     """Rebuild a model from an archive.
 
     The whole manifest is checked before the model is built; then every
-    parameter's name, shape and dtype must match the model, and the payloads
-    must fill the rest of the file exactly.
+    parameter's name, shape and dtype must match the model, every value must
+    be finite, and the payloads must fill the rest of the file exactly.
     """
     try:
         with open(path, "rb") as fh:
@@ -341,6 +341,8 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: truncated payload for {name!r}")
         p.data[:] = np.frombuffer(chunk, dtype=p.data.dtype.newbyteorder("<")
                                   ).reshape(p.data.shape)
+        if not np.isfinite(p.data).all():
+            raise CheckpointError(f"{path}: non-finite value in parameter {name!r}")
         offset += p.data.nbytes
         seen.add(name)
     missing = set(named) - seen

@@ -9,6 +9,9 @@ the row-by-row predictions writer. The GRU's two gate nonlinearities,
 ops of their own here; the tests also use them as smooth nonlinear test
 functions and as a generic slice.
 
+`revin_normalize` and `revin_denormalize` are RevIN written time-major,
+(..., L, C); the program's channel-major RevIN must match them.
+
 The other oracles: `Tape`, the recorded ops below one output with a cost
 per op derived from its shapes; `grad_check`, the central finite-difference
 check every gradient is held to; and the forecasters the model must beat
@@ -125,13 +128,27 @@ def gru_step(x_t, h_prev, params):
 
 
 def gru_forward(x, params):
-    """GRU over x (T, B, in) from a zero state, one tape op per gate per step."""
-    t_len, batch, _ = x.shape
+    """GRU over x (T, in, B) from a zero state, one tape op per gate per step;
+    returns h_T (B, H), as the program's kernel does."""
+    t_len, in_dim, batch = x.shape
     h = Tensor(np.zeros((batch, params.hidden_size), dtype=x.data.dtype))
     for t in range(t_len):
-        x_t = T.reshape(narrow(x, 0, t, 1), (batch, x.shape[2]))
+        x_t = T.permute(T.reshape(narrow(x, 0, t, 1), (in_dim, batch)), (1, 0))
         h = gru_step(x_t, h, params)
     return h
+
+
+def revin_normalize(x, gamma, beta):
+    """Time-major RevIN: standardize windows (..., L, C) over L per channel,
+    then gamma (C,) and beta (C,) per channel; returns (x_norm, mu, sigma)
+    with the statistics shaped (..., 1, C)."""
+    centered, mu, sigma = nn.standardize(x, x.ndim - 2)
+    return nn.scale_shift(centered, sigma, gamma, beta), mu, sigma
+
+
+def revin_denormalize(y, mu, sigma, gamma, beta):
+    """Inverse of `revin_normalize` for forecasts (..., H, C)."""
+    return T.add(T.mul(T.div(T.sub(y, beta), gamma), sigma), mu)
 
 
 def write_predictions(path, batches, channels):
@@ -161,7 +178,7 @@ def _op_flops(node):
         return node.parents[0].size
     if node.op == "gru_sequence":
         x, hidden = node.parents[0], node.parents[3].shape[0]  # u_h (H, H)
-        t_len, batch, in_dim = x.shape
+        t_len, in_dim, batch = x.shape
         # input projection, the two recurrent products, ~10 elementwise ops per unit
         return t_len * batch * (6 * in_dim * hidden + 6 * hidden * hidden + 10 * hidden)
     return out.size

@@ -139,15 +139,15 @@ class TestAcceptance:
             params.beta.data[:] = rng.uniform(-1.0, 1.0, size=c)
             shift = rng.uniform(-3.0, 3.0, size=(1, 1, c))
             scale = rng.uniform(0.5, 2.0, size=(1, 1, c))
-            x = Tensor((rng.normal(size=(b, length, c)) * scale + shift)
-                       .astype(np.float32))
+            raw = (rng.normal(size=(b, length, c)) * scale + shift).astype(np.float32)
+            x = Tensor(np.ascontiguousarray(raw.transpose(0, 2, 1)))  # (b, c, L)
             with T.no_grad():
                 x_norm, state = revin.normalize(x, params)
                 back = revin.denormalize(x_norm, state, params)
             worst_round = max(worst_round,
                               float(np.abs(back.data - x.data).max()))
-            mean = x_norm.data.mean(axis=1)
-            std = x_norm.data.std(axis=1)
+            mean = x_norm.data.mean(axis=2)
+            std = x_norm.data.std(axis=2)
             worst_mean = max(worst_mean,
                              float(np.abs(mean - params.beta.data).max()))
             worst_std = max(worst_std,

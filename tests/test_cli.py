@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import sine_pair_table
-from prformer import cli, data, synthetic
+from prformer import cli, data, encoder, synthetic
 from prformer.config import RunConfig
 from prformer.model import PRformer
+from prformer.tensor import Tensor, no_grad
 from prformer.training import load_checkpoint, save_checkpoint
 
 FAST = ["--lookback", "32", "--pred-len", "8",
@@ -94,7 +95,7 @@ class TestTrain:
 
 
 class TestRoundTrip:
-    def test_evaluate_predict_inspect(self, dataset, tmp_path, capsys):
+    def test_evaluate_predict_inspect(self, dataset, tmp_path, capsys, monkeypatch):
         rc, ckpt, _ = train_fast(dataset, tmp_path)
         assert rc == 0
         capsys.readouterr()
@@ -123,6 +124,22 @@ class TestRoundTrip:
         assert header[2:] == [f"e{i}" for i in range(16)]
         assert len(rows) == 2 * 3  # two windows, three variables
         assert {r[1] for r in rows} == {"driver", "seasonal", "lagged"}
+
+        # the written tokens are the ones the forward feeds the encoder
+        model = load_checkpoint(ckpt)
+        table = data.load_csv(dataset)
+        test_range = data.split_ranges(table.length, model.config.split_scheme,
+                                       32, 8)[2]
+        batch = next(data.window_iter(table.values, test_range, 32, 8, batch_size=2))
+        seen = []
+        encode = encoder.encode
+        monkeypatch.setattr(encoder, "encode",
+                            lambda h, *a, **k: seen.append(h.data) or encode(h, *a, **k))
+        with no_grad():
+            model.forward(Tensor(batch.inputs))
+        written = np.array([[float(v) for v in r[2:]] for r in rows])
+        np.testing.assert_array_equal(written, seen[0].reshape(2 * 3, 16))
+        assert [int(r[0]) for r in rows] == [int(s) for s in batch.starts for _ in range(3)]
 
     def test_evaluate_channel_mismatch_is_data_error(self, dataset, tmp_path):
         rc, ckpt, _ = train_fast(dataset, tmp_path)

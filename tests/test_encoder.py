@@ -107,9 +107,9 @@ class TestProjectionHead:
         params.head.w.data[:] = 0.0
         tokens = tensor(rng.normal(size=(2, 3, 8)).astype(np.float32))
         out = encoder.forecast(tokens, params)
-        assert out.shape == (2, 4, 3)
+        assert out.shape == (2, 3, 4)  # channel-major: (B, C, H)
         for c in range(3):
-            np.testing.assert_allclose(out.data[:, :, c],
+            np.testing.assert_allclose(out.data[:, c, :],
                                        np.tile(params.head.b.data, (2, 1)))
 
     def test_identity_projection_returns_embedding(self):
@@ -119,7 +119,7 @@ class TestProjectionHead:
         params.head.b.data[:] = 0.0
         tokens = rng.normal(size=(1, 2, 8)).astype(np.float32)
         out = encoder.forecast(tensor(tokens), params)
-        np.testing.assert_allclose(out.data, tokens.transpose(0, 2, 1), atol=1e-6)
+        np.testing.assert_allclose(out.data, tokens, atol=1e-6)
 
     def test_equal_embeddings_share_forecasts(self):
         rng = np.random.default_rng(72)
@@ -127,8 +127,8 @@ class TestProjectionHead:
         token = rng.normal(size=(1, 1, 8)).astype(np.float32)
         tokens = tensor(np.repeat(token, 3, axis=1))
         out = encoder.forecast(tokens, params).data
-        np.testing.assert_allclose(out[:, :, 0], out[:, :, 1])
-        np.testing.assert_allclose(out[:, :, 0], out[:, :, 2])
+        np.testing.assert_allclose(out[:, 0], out[:, 1])
+        np.testing.assert_allclose(out[:, 0], out[:, 2])
 
 
 class TestGradients:

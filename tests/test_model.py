@@ -125,8 +125,8 @@ class TestVariants:
     @pytest.mark.parametrize("variant", ["full", "V1", "V2", "V3"])
     def test_train_graph_size_and_cost(self, variant):
         # the totals the engine once counted per tensor; the oracle's rule keeps them
-        nodes, flops = {"full": (130, 13_106_800), "V1": (88, 11_582_928),
-                        "V2": (115, 6_931_456), "V3": (120, 9_198_028)}[variant]
+        nodes, flops = {"full": (133, 13_086_668), "V1": (91, 11_562_796),
+                        "V2": (118, 6_911_324), "V3": (123, 9_177_896)}[variant]
         config = RunConfig(lookback=720, pred_len=96, pyramidal_windows=(24, 48, 96),
                            d_model=64, heads=4, e_layers=2, dropout=0.1, variant=variant)
         x = Tensor(np.random.default_rng(0).normal(size=(4, 720, 7)).astype(np.float32))
@@ -176,6 +176,17 @@ class TestModelMechanics:
             model.forward(Tensor(rng.normal(size=(1, 15, 2)).astype(np.float32)))
         with pytest.raises(T.ShapeMismatchError, match="channel"):
             model.forward(Tensor(rng.normal(size=(1, 16, 3)).astype(np.float32)))
+
+    @pytest.mark.parametrize("variant", ["full", "V1", "V2", "V3"])
+    def test_unrecorded_forward_is_bitwise_the_recorded_one(self, variant):
+        # under no_grad the GRUs keep no history; the arithmetic must not change
+        model = PRformer(small_config(variant=variant, lookback=32), 3)
+        x = Tensor(np.random.default_rng(117).normal(size=(4, 32, 3)).astype(np.float32))
+        recorded = model.forward(x)
+        with T.no_grad():
+            unrecorded = model.forward(x)
+        assert recorded.requires_grad and not unrecorded.requires_grad
+        assert recorded.data.tobytes() == unrecorded.data.tobytes()
 
     def test_forward_deterministic_in_eval_mode(self):
         model = PRformer(small_config(dropout=0.3), 2)

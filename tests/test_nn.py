@@ -1,7 +1,9 @@
 """Kernel checks: hand-worked values, independent numpy references, and
 finite-difference gradients for every kernel."""
 
+import contextlib
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import oracles
 from oracles import Tape, grad_check
 from prformer import nn, tensor as T
 from prformer.nn import GRUParams, LinearParams, MHAParams
-from prformer.tensor import backward, tensor
+from prformer.tensor import backward, no_grad, tensor
 
 GRAD_TOL = 1e-6
 
@@ -203,7 +205,7 @@ class TestGRU:
         h = oracles.gru_step(f64([[1.0]]), f64([[0.0]]), params)
         np.testing.assert_allclose(h.data, [[0.5 * np.tanh(1.0)]], atol=1e-12)
         np.testing.assert_allclose(h.data, [[0.380797]], atol=1e-6)
-        fused = nn.gru_forward(f64([[[1.0]]]), params)
+        fused = nn.gru_forward(f64([[[1.0]]]), params)  # (T, in, B) = (1, 1, 1)
         np.testing.assert_allclose(fused.data, h.data, atol=1e-12)
 
     def test_reset_gate_blocks_history_in_candidate(self):
@@ -220,18 +222,18 @@ class TestGRU:
     def test_sequence_matches_stepwise_reference(self):
         rng = np.random.default_rng(16)
         params = f64_gru(nn.init_gru(rng, 3, 4), requires_grad=True)
-        x = rng.normal(size=(6, 2, 3))
+        x = rng.normal(size=(6, 3, 2))  # (T, in, B)
         fast = nn.gru_forward(f64(x), params)
         h = f64(np.zeros((2, 4)))
         for t in range(6):
-            h = oracles.gru_step(f64(x[t]), h, params)
+            h = oracles.gru_step(f64(x[t].T), h, params)
         np.testing.assert_allclose(fast.data, h.data, rtol=1e-10)
 
     @pytest.mark.parametrize("t_len", [1, 2, 7])
     def test_matches_composed_oracle_with_gradients(self, t_len):
         rng = np.random.default_rng(60 + t_len)
         base = nn.init_gru(rng, 3, 5)
-        x0 = rng.normal(size=(t_len, 4, 3))
+        x0 = rng.normal(size=(t_len, 3, 4))
         proj = f64(rng.normal(size=(4, 5)))
         results = []
         for gru in (nn.gru_forward, oracles.gru_forward):
@@ -241,21 +243,28 @@ class TestGRU:
             results.append([out.data, x.grad] + [getattr(params, n).grad for n in GRU_FIELDS])
         for name, fused, ref in zip(("out", "x") + GRU_FIELDS, *results):
             np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-6, err_msg=name)
+        with no_grad():
+            unrecorded = nn.gru_forward(f64(x0), f64_gru(base))
+        assert unrecorded.data.tobytes() == results[0][0].tobytes()
 
     def test_matches_pure_numpy_recurrence(self):
         rng = np.random.default_rng(17)
         params = nn.init_gru(rng, 2, 3)
-        x = rng.normal(size=(5, 1, 2))
+        x = rng.normal(size=(5, 2, 1))
         out = nn.gru_forward(tensor(x.astype(np.float32)), params)
+        with no_grad():
+            unrecorded = nn.gru_forward(tensor(x.astype(np.float32)), params)
+        assert out.requires_grad and not unrecorded.requires_grad
+        assert unrecorded.data.tobytes() == out.data.tobytes()
 
         sig = lambda v: 1.0 / (1.0 + np.exp(-v))
         w, u_zr, u_h, b = (getattr(params, n).data.astype(np.float64) for n in GRU_FIELDS)
         z_, r_, h_ = slice(0, 3), slice(3, 6), slice(6, 9)
         h = np.zeros((1, 3))
         for t in range(5):
-            z = sig(x[t] @ w[:, z_] + h @ u_zr[:, z_] + b[z_])
-            r = sig(x[t] @ w[:, r_] + h @ u_zr[:, r_] + b[r_])
-            cand = np.tanh(x[t] @ w[:, h_] + (r * h) @ u_h + b[h_])
+            z = sig(x[t].T @ w[:, z_] + h @ u_zr[:, z_] + b[z_])
+            r = sig(x[t].T @ w[:, r_] + h @ u_zr[:, r_] + b[r_])
+            cand = np.tanh(x[t].T @ w[:, h_] + (r * h) @ u_h + b[h_])
             h = (1.0 - z) * h + z * cand
         np.testing.assert_allclose(out.data, h, atol=1e-5)
 
@@ -264,14 +273,36 @@ class TestGRU:
         with pytest.raises(T.ShapeMismatchError, match="gru"):
             nn.gru_forward(tensor(np.zeros((4, 2), dtype=np.float32)), params)
         with pytest.raises(T.ShapeMismatchError, match="gru"):
-            nn.gru_forward(tensor(np.zeros((4, 1, 3), dtype=np.float32)), params)
+            nn.gru_forward(tensor(np.zeros((4, 3, 1), dtype=np.float32)), params)
         with pytest.raises(TypeError):
-            nn.gru_forward(tensor(np.zeros((4, 1, 2), dtype=np.float32)), params,
+            nn.gru_forward(tensor(np.zeros((4, 2, 1), dtype=np.float32)), params,
                            tensor(np.ones((1, 3), dtype=np.float32)))
+
+    def test_unrecorded_run_keeps_no_history(self):
+        # T=200 steps: the recorded run keeps h_0..h_T, the gates and the
+        # candidates, (4T + 1) * H * B values; the unrecorded run keeps the
+        # projections (T, 3H, B), its input and a few (3H, B) step buffers
+        rng = np.random.default_rng(24)
+        t_len, batch, hidden = 200, 64, 32
+        params = f64_gru(nn.init_gru(rng, 4, hidden), requires_grad=True)
+        x = f64(rng.normal(size=(t_len, 4, batch)))
+        peaks = {}
+        for mode in ("recorded", "no_grad"):
+            tracemalloc.start()
+            with no_grad() if mode == "no_grad" else contextlib.nullcontext():
+                out = nn.gru_forward(x, params)
+            peaks[mode] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            del out
+        step = 3 * hidden * batch * 8
+        inputs = t_len * step + x.data.nbytes
+        history = (4 * t_len + 1) * hidden * batch * 8
+        assert peaks["no_grad"] < inputs + 16 * step
+        assert peaks["recorded"] > peaks["no_grad"] + 0.9 * history
 
     def test_appears_as_one_tape_op(self):
         params = nn.init_gru(np.random.default_rng(22), 2, 3)
-        x = tensor(np.ones((6, 1, 2)), requires_grad=True)
+        x = tensor(np.ones((6, 2, 1)), requires_grad=True)
         tape = Tape.trace(T.sum_(nn.gru_forward(x, params)))
         assert tape.op_ids() == ["gru_sequence", "sum"]
 
@@ -279,14 +310,14 @@ class TestGRU:
         rng = np.random.default_rng(19)
         params = f64_gru(nn.init_gru(rng, 2, 3))
         err = grad_check(lambda t: T.sum_(nn.gru_forward(t, params)),
-                         f64(rng.normal(size=(4, 2, 2))))
+                         f64(rng.normal(size=(4, 2, 3))))
         assert err < GRAD_TOL
 
     @pytest.mark.parametrize("name", GATE_BLOCKS)
     def test_gradient_wrt_each_weight(self, name):
         rng = np.random.default_rng(23)
         base = nn.init_gru(rng, 2, 3)
-        x = f64(rng.normal(size=(5, 2, 2)))
+        x = f64(rng.normal(size=(5, 2, 2)))  # (T, in, B)
         proj = f64(rng.normal(size=(2, 3)))
         field, i = GATE_BLOCKS[name]
         full, h = getattr(base, field).data, base.hidden_size

@@ -247,6 +247,25 @@ class TestGradCheck:
             err = grad_check(f, tensor(point))
             assert err < GRAD_TOL, f"{name}: rel err {err}"
 
+    def test_shared_weight_matmul(self):
+        # an N-d input times a 2-d weight folds the leading axes into GEMM rows;
+        # the reference is the broadcast path, one product per batch summed
+        rng = np.random.default_rng(7)
+        a0, w0 = rng.normal(size=(3, 2, 4, 5)), rng.normal(size=(5, 6))
+        proj = tensor(rng.normal(size=(3, 2, 4, 6)), dtype=np.float64)
+        grads = []
+        for stacked in (False, True):
+            a, w = tensor(a0, requires_grad=True), tensor(w0, requires_grad=True)
+            out = T.matmul(a, T.reshape(w, (1, 5, 6)) if stacked else w)
+            backward(T.sum_(T.mul(out, proj)))
+            grads.append((out.data, a.grad, w.grad))
+        for got, want in zip(*grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        w = tensor(w0)
+        assert grad_check(lambda t: T.sum_(T.mul(T.matmul(t, w), proj)), tensor(a0)) < GRAD_TOL
+        a = tensor(a0)
+        assert grad_check(lambda t: T.sum_(T.mul(T.matmul(a, t), proj)), tensor(w0)) < GRAD_TOL
+
     def test_random_broadcast_shapes(self):
         rng = np.random.default_rng(6)
         for _ in range(20):

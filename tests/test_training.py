@@ -110,6 +110,20 @@ class TestScheduleAndClipping:
         total = np.sqrt(a.grad[0] ** 2 + b.grad[0] ** 2)
         np.testing.assert_allclose(total, 1.0)
 
+    def test_clipped_step_keeps_float32_gradients(self, monkeypatch):
+        table = synthetic.mixed_table(n=60, seed=18)
+        model = PRformer(tiny_config(grad_clip=1e-6), 3)  # always clips
+        optimizer = Adam(model.named_parameters(), 1e-3)
+        dtypes = set()
+
+        def step():
+            dtypes.update(p.grad.dtype for _, p in optimizer.named_params)
+
+        monkeypatch.setattr(optimizer, "step", step)
+        train_step(model, optimizer, table.values[None, :24],
+                   table.values[None, 24:28], None)
+        assert dtypes == {np.dtype(np.float32)}
+
     def test_clip_noop_below_threshold(self):
         a = Tensor(np.array([0.3]), requires_grad=True)
         a.grad = np.array([0.3])
@@ -446,6 +460,16 @@ class TestCheckpointManifest:
         _write_archive(path, [1], payload)
         with pytest.raises(CheckpointError, match="not a JSON object"):
             load_checkpoint(str(path))
+
+    def test_non_finite_weight_rejected(self, tmp_path):
+        model = PRformer(tiny_config(), 2)
+        model.params.encoder.head.w.data[1, 2] = np.nan
+        path = str(tmp_path / "nan.ckpt")
+        save_checkpoint(path, model)
+        with pytest.raises(CheckpointError,
+                           match=r"nan\.ckpt: non-finite value in parameter "
+                                 r"'encoder\.head\.w'"):
+            load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
