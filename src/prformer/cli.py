@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -22,12 +23,15 @@ EXIT_NUMERIC = 3
 _SPLIT_INDEX = {"train": 0, "val": 1, "test": 2}
 
 
-def _positive_int(text):
-    """argparse type for counts: an integer of at least one."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _positive(kind):
+    """argparse type for counts (int) and tolerances (float): finite, above 0."""
+    def parse(text):
+        value = kind(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" message
+    return parse
 
 
 def _add_config_flags(sp):
@@ -125,10 +129,13 @@ def _writing(path):
 
 
 def cmd_train(args):
+    from .config import ConfigError
     from .data import write_rows
     from .training import HISTORY_COLUMNS, save_checkpoint, train
 
     config = resolve_config(args)
+    if os.path.realpath(args.checkpoint) == os.path.realpath(args.history):
+        raise ConfigError(f"--checkpoint and --history are one file: {args.checkpoint}")
     _check_output(args.checkpoint)
     _check_output(args.history)
     table = _load_table(args.dataset or config.dataset)
@@ -271,11 +278,11 @@ def build_parser():
                    default=[720, 1440, 2880])
     p.add_argument("--windows", type=int, nargs="+", default=[24, 48, 96])
     p.add_argument("--d-model", type=int, default=64, dest="d_model")
-    p.add_argument("--channels", type=_positive_int, default=3)
+    p.add_argument("--channels", type=_positive(int), default=3)
     p.add_argument("--conv-channels", type=int, default=16, dest="conv_channels")
     p.add_argument("--e-layers", type=int, default=1, dest="e_layers")
     p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--repetitions", type=_positive_int, default=5)
+    p.add_argument("--repetitions", type=_positive(int), default=5)
     p.add_argument("--batch-size", type=int, default=1, dest="batch_size")
     p.add_argument("--backward", action="store_true",
                    help="time a full training step (forward, L1 loss, "
@@ -289,7 +296,7 @@ def build_parser():
     p = sub.add_parser("inspect-embeddings",
                        help="export variate-token embeddings as CSV")
     _add_split_flags(p)
-    p.add_argument("--count", type=_positive_int, default=1,
+    p.add_argument("--count", type=_positive(int), default=1,
                    help="number of windows to export")
     p.add_argument("--out", default="embeddings.csv")
     p.set_defaults(handler=cmd_inspect_embeddings)
@@ -298,9 +305,9 @@ def build_parser():
                        help="verify positional-encoding translation invariance")
     p.add_argument("--d-model", type=int, default=None, dest="d_model",
                    help="fixed width; default draws random even widths")
-    p.add_argument("--trials", type=_positive_int, default=1000)
+    p.add_argument("--trials", type=_positive(int), default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=_positive(float), default=1e-9)
     p.set_defaults(handler=cmd_check_pe)
 
     return parser

@@ -55,21 +55,21 @@ class PRformer:
     def embed(self, x):
         """Windows (B, L, C) -> variate tokens (B, C, D) and RevIN's window stats.
 
-        The windows are permuted once to channel-major (B, C, L), so RevIN and
-        the (B·C, L) rows of the embedding run on contiguous memory.
+        The windows are permuted once to time-first (L, B, C); RevIN's output
+        reshapes without a copy to the pyramid's (L, B·C) univariate series.
         """
-        x_norm, state = revin.normalize(T.permute(x, (0, 2, 1)), self.params.revin)
-        b, c, l = x_norm.shape
-        per_channel = T.reshape(x_norm, (b * c, l))
+        x_norm, state = revin.normalize(T.permute(x, (1, 0, 2)), self.params.revin)
+        l, b, c = x_norm.shape
+        series = T.reshape(x_norm, (l, b * c))
         if self.variant == "V2":
-            emb = nn.linear(per_channel, self.params.window_proj)
+            emb = nn.linear(T.permute(series, (1, 0)), self.params.window_proj)
         else:
-            emb = pre.pre_embed_batch(per_channel, self.params.pre, self.pyramid)
+            emb = pre.pre_embed_batch(series, self.params.pre, self.pyramid)
         return T.reshape(emb, (b, c, self.config.d_model)), state
 
     def forward_parts(self, x, training=False, dropout_rng=None):
-        """Returns the raw-scale forecast (B, H, C), and channel-major the
-        normalized forecast (B, C, H) and the window stats."""
+        """Returns the raw-scale forecast (B, H, C), and time-first the
+        normalized forecast (H, B, C) and the window stats."""
         b, l, c = x.shape
         if l != self.config.lookback:
             raise T.ShapeMismatchError("forward", x.shape, (self.config.lookback,),
@@ -81,9 +81,9 @@ class PRformer:
         rate = self.config.dropout if training else 0.0
         h = encoder.encode(tokens, self.params.encoder, dropout=rate,
                            rng=dropout_rng)
-        y_norm = encoder.forecast(h, self.params.encoder)
+        y_norm = T.permute(encoder.forecast(h, self.params.encoder), (2, 0, 1))
         y = revin.denormalize(y_norm, state, self.params.revin)
-        return T.permute(y, (0, 2, 1)), y_norm, state
+        return T.permute(y, (1, 0, 2)), y_norm, state
 
     def forward(self, x, training=False, dropout_rng=None):
         """Forecast raw-scale values: (B, L, C) -> (B, H, C)."""

@@ -2,9 +2,10 @@
 pyramid embedding's three hand-written tape nodes.
 
 Parameters live in small dataclasses of Tensors; the ops are pure functions.
-The pyramid kernels are one tape node each, with a hand-written backward:
-`conv1d` is a patch convolution (stride == kernel) run as reshape plus one
-matmul, `upsample_repeat` is a zero-order hold, and `gru_forward` runs a
+The pyramid kernels are one tape node each, with a hand-written backward,
+on time-first, batch-last (T, ch, N) levels: `conv1d` is a patch
+convolution (stride == kernel) run as a free reshape plus one batched
+product, `upsample_repeat` is a zero-order hold, and `gru_forward` runs a
 whole GRU sequence as one `gru_sequence` node whose cost is linear in the
 sequence length, forward and backward.
 """
@@ -88,10 +89,13 @@ def init_scale_shift(dim):
 
 
 def init_conv1d(rng, in_channels, out_channels, kernel):
+    """Draw the weight as (C_out, C_in, K), then the bias, and store the
+    weight as `conv1d` multiplies by it: (C_out, K·C_in), kernel-major."""
     bound = 1.0 / np.sqrt(in_channels * kernel)
-    weight = _uniform(rng, bound, (out_channels, in_channels, kernel))
+    weight = _uniform(rng, bound, (out_channels, in_channels, kernel)).data
     bias = _uniform(rng, bound, (out_channels,))
-    return weight, bias
+    return T.tensor(weight.transpose(0, 2, 1).reshape(out_channels, -1),
+                    requires_grad=True), bias
 
 
 def iter_params(obj, prefix=""):
@@ -125,63 +129,56 @@ def linear(x, params):
 def conv1d(x, weight, bias):
     """Patch convolution: valid 1-d convolution with stride == kernel.
 
-    x (B, C_in, L), weight (C_out, C_in, K) -> (B, C_out, L // K). The
-    windows do not overlap, so the input is cut into L // K patches (a tail
-    shorter than K is dropped) and projected with one matmul. Registered on
-    the tape as one op.
+    x (T, C_in, N), weight (C_out, K·C_in), bias (C_out,) -> (T // K, C_out, N).
+    Weight column j·C_in + c multiplies channel c at step j of a patch. The
+    windows do not overlap, so the first T // K · K steps (a tail shorter
+    than K is dropped) reshape without a copy to (T // K, K·C_in, N) patches,
+    which one batched product projects. Registered on the tape as one op.
     """
-    if x.ndim != 3 or weight.ndim != 3:
-        raise T.ShapeMismatchError("conv1d", x.shape, weight.shape, "expects 3-d input and weight")
-    if x.shape[1] != weight.shape[1]:
+    if x.ndim != 3 or weight.ndim != 2:
+        raise T.ShapeMismatchError("conv1d", x.shape, weight.shape,
+                                   "expects 3-d input and 2-d weight")
+    length, c_in, batch = x.shape
+    if weight.shape[1] % c_in:
         raise T.ShapeMismatchError("conv1d", x.shape, weight.shape, "channel dims differ")
-    b_sz, c_in, length = x.shape
-    c_out, _, k = weight.shape
+    k = weight.shape[1] // c_in
     if k > length:
         raise T.ShapeMismatchError("conv1d", x.shape, weight.shape,
                                    f"kernel {k} longer than length {length}")
     l_out = length // k
-    # (B, C_in, l_out, K) -> rows of (C_in * K), one per (batch, patch)
-    patches = (x.data[:, :, :l_out * k].reshape(b_sz, c_in, l_out, k)
-               .transpose(0, 2, 1, 3).reshape(b_sz * l_out, c_in * k))
-    w_flat = weight.data.reshape(c_out, c_in * k)
-    out = patches @ w_flat.T
-    out += bias.data
-    out = out.reshape(b_sz, l_out, c_out).transpose(0, 2, 1)
+    patches = x.data[:l_out * k].reshape(l_out, k * c_in, batch)
+    out = np.matmul(weight.data, patches)
+    out += bias.data[:, None]
 
     def bwd(g):
-        g_rows = g.transpose(0, 2, 1).reshape(b_sz * l_out, c_out)
-        gw = (g_rows.T @ patches).reshape(weight.shape)
-        g_patches = (g_rows @ w_flat).reshape(b_sz, l_out, c_in, k).transpose(0, 2, 1, 3)
-        if l_out * k == length:
-            gx = g_patches.reshape(x.shape)
-        else:
-            gx = np.zeros_like(x.data)
-            gx[:, :, :l_out * k] = g_patches.reshape(b_sz, c_in, l_out * k)
+        gx = np.empty_like(x.data)
+        gx[l_out * k:] = 0.0
+        np.matmul(weight.data.T, g, out=gx[:l_out * k].reshape(patches.shape))
+        gw = np.matmul(g, patches.transpose(0, 2, 1)).sum(axis=0)
         return (gx, gw, g.sum(axis=(0, 2)))
 
-    return _node("conv1d", out.astype(x.data.dtype, copy=False), (x, weight, bias), bwd)
+    return _node("conv1d", out, (x, weight, bias), bwd)
 
 
 def upsample_repeat(x, target_len):
-    """Zero-order-hold upsampling of (B, C, L) along time to `target_len`."""
+    """Zero-order-hold upsampling of (L, ch, N) along time to `target_len`.
+
+    Output step j holds input step j · L // target_len, so the backward is
+    one product with that 0/1 (L, target_len) hold matrix, whatever the ratio.
+    """
     if x.ndim != 3:
         raise T.ShapeMismatchError("upsample", x.shape, (target_len,), "expects 3-d input")
-    b_sz, ch, l_in = x.shape
+    l_in = x.shape[0]
     if target_len < l_in:
         raise T.ShapeMismatchError("upsample", x.shape, (target_len,),
                                    "target shorter than input")
     idx = (np.arange(target_len) * l_in) // target_len
 
     def bwd(g):
-        if target_len % l_in == 0:
-            # every input step is held for the same number of output steps
-            return (g.reshape(b_sz, ch, l_in, target_len // l_in).sum(axis=3),)
-        row_starts = np.arange(b_sz * ch)[:, None] * l_in
-        gx = np.bincount((row_starts + idx).ravel(), weights=g.reshape(-1),
-                         minlength=b_sz * ch * l_in)
-        return (gx.reshape(x.shape).astype(x.data.dtype, copy=False),)
+        hold = (np.arange(l_in)[:, None] == idx).astype(g.dtype)
+        return ((hold @ g.reshape(target_len, -1)).reshape(x.shape),)
 
-    return _node("upsample", x.data[:, :, idx], (x,), bwd)
+    return _node("upsample", x.data[idx], (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +189,8 @@ def gru_forward(x, params):
     """Run a GRU from a zero state over x (T, in, B); return h_T (B, H).
 
     The whole sequence is one `gru_sequence` tape node, computed gate-major:
-    the input is (T, in, B), the state (H, B) and the input projections
-    (T, 3H, B), so the z, r and candidate gates are contiguous row blocks.
+    the input is a pyramid level as it is, (T, in, B), the state (H, B) and
+    the projections (T, 3H, B), so the z, r and candidate gates are row blocks.
     Forward projects all steps' inputs with one batched product, then loops
     over time with one (2H, H) product for the update/reset gates and one
     (H, H) product for the candidate. When the node is recorded the loop
@@ -208,8 +205,7 @@ def gru_forward(x, params):
         raise T.ShapeMismatchError("gru", x.shape, w_in.shape, "input dims differ")
     t_len, _, batch = x.shape
     hidden = params.hidden_size
-    x_cols = np.ascontiguousarray(x.data)  # per step (in, B), row-major for BLAS
-    proj = np.matmul(w_in.T, x_cols)  # (T, 3H, B)
+    proj = np.matmul(w_in.T, x.data)  # (T, 3H, B)
     proj += b_in[:, None]
     dtype = proj.dtype
     parents = (x, params.w, params.u_zr, params.u_h, params.b)
@@ -245,7 +241,7 @@ def gru_forward(x, params):
         g_cols = g_proj.transpose(0, 2, 1)  # per step (B, 3H), BLAS-able
         rh_prev = zr[:, hidden:] * hs[:-1]
         return (np.matmul(w_in, g_proj),
-                np.matmul(g_proj, x_cols.transpose(0, 2, 1)).sum(axis=0).T,
+                np.matmul(g_proj, x.data.transpose(0, 2, 1)).sum(axis=0).T,
                 np.matmul(hs[:-1], g_cols[:, :, :2 * hidden]).sum(axis=0),
                 np.matmul(rh_prev, g_cols[:, :, 2 * hidden:]).sum(axis=0),
                 g_proj.sum(axis=(0, 2)))

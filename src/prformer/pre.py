@@ -4,7 +4,8 @@ A univariate lookback series is coarsened bottom-up by patch convolutions
 (stride == kernel, one level per configured period), the top level is
 repeatedly upsampled and added laterally on the way down, a GRU summarizes
 each fused level, and a fusion linear mixes the concatenated summaries into
-the final embedding.
+the final embedding. A batch of N series is time first and batch last: (L, N)
+in, and every level (L_i, ch, N) from its conv to its GRU.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def level_hidden_sizes(d_model, levels):
 
 @dataclass
 class PREParams:
-    conv_weights: list  # per level (C_out, C_in, K)
+    conv_weights: list  # per level (C_out, K·C_in)
     conv_biases: list
     grus: list  # per level GRUParams
     fuse: nn.LinearParams  # (sum of hiddens -> D)
@@ -90,23 +91,17 @@ class PREParams:
 def init_pre(rng, cfg, hidden_sizes, d_model, conv_channels=16):
     """Build pyramid parameters: per level a patch conv and a GRU of width
     `hidden_sizes[i]`, then the fusion linear to D."""
-    conv_weights, conv_biases, grus = [], [], []
-    in_ch = 1
-    for k in cfg.kernels:
-        w, b = nn.init_conv1d(rng, in_ch, conv_channels, k)
-        conv_weights.append(w)
-        conv_biases.append(b)
-        in_ch = conv_channels
-    for h in hidden_sizes:
-        grus.append(nn.init_gru(rng, conv_channels, h))
+    convs = [nn.init_conv1d(rng, conv_channels if i else 1, conv_channels, k)
+             for i, k in enumerate(cfg.kernels)]
+    grus = [nn.init_gru(rng, conv_channels, h) for h in hidden_sizes]
     fuse = nn.init_linear(rng, sum(hidden_sizes), d_model)
-    return PREParams(conv_weights=conv_weights, conv_biases=conv_biases,
+    return PREParams(conv_weights=[w for w, _ in convs], conv_biases=[b for _, b in convs],
                      grus=grus, fuse=fuse)
 
 
 def bottom_up(x, params, cfg):
-    """Coarsen (B, L) through the pyramid; returns per-level (B, ch, L_i)."""
-    if x.shape[-1] != cfg.lookback:
+    """Coarsen (L, N) through the pyramid; returns per-level (L_i, ch, N)."""
+    if x.shape[0] != cfg.lookback:
         raise T.ShapeMismatchError("bottom_up", x.shape, (cfg.lookback,),
                                    "series length != configured lookback")
     cur = T.reshape(x, (x.shape[0], 1, x.shape[1]))
@@ -123,12 +118,11 @@ def top_down_fuse(features):
     The cascade upsamples the prime chain level by level; lateral sums do not
     feed back into it, so a zero top feature leaves every level unchanged.
     """
-    fused = [None] * len(features)
-    fused[-1] = features[-1]
     prime = features[-1]
-    for i in range(len(features) - 2, -1, -1):
-        prime = nn.upsample_repeat(prime, features[i].shape[2])
-        fused[i] = T.add(prime, features[i])
+    fused = [prime]
+    for level in reversed(features[:-1]):
+        prime = nn.upsample_repeat(prime, level.shape[0])
+        fused.insert(0, T.add(prime, level))
     return fused
 
 
@@ -139,11 +133,10 @@ def multi_scale_rnn(fused, params):
     No weight scales a level's summary: any per-level scale folds into the
     rows of `fuse`, so it could not change the set of embeddings.
     """
-    summaries = [nn.gru_forward(T.permute(level, (2, 1, 0)), gru)  # (T, ch, B)
-                 for level, gru in zip(fused, params.grus)]
+    summaries = [nn.gru_forward(level, gru) for level, gru in zip(fused, params.grus)]
     return nn.linear(T.concat(summaries, axis=1), params.fuse)
 
 
 def pre_embed_batch(x, params, cfg):
-    """Embed a batch of univariate series (B, L) -> (B, D)."""
+    """Embed a batch of univariate series (L, N) -> (N, D)."""
     return multi_scale_rnn(top_down_fuse(bottom_up(x, params, cfg)), params)

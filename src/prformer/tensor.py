@@ -109,9 +109,8 @@ def _unbroadcast(g, shape):
     """Sum `g` down to `shape` (inverse of numpy broadcasting)."""
     if g.shape == shape:
         return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
+    for _ in range(g.ndim - len(shape)):  # one axis at a time: whole rows per add
+        g = g.sum(axis=0)
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)

@@ -133,8 +133,8 @@ def train_step(model, optimizer, inputs, targets, dropout_rng, epoch=1,
     y_raw, y_norm, state = model.forward_parts(Tensor(inputs), training=True,
                                                dropout_rng=dropout_rng)
     if config.normalized_loss:
-        target = nn.scale_shift(T.sub(T.permute(y, (0, 2, 1)), state.mu), state.sigma,
-                                *revin.channel_affine(model.params.revin))
+        target = nn.scale_shift(T.sub(T.permute(y, (1, 0, 2)), state.mu), state.sigma,
+                                model.params.revin.gamma, model.params.revin.beta)
         loss = mae_loss(y_norm, target)
     else:
         loss = mae_loss(y_raw, y)
@@ -165,7 +165,8 @@ def train(config: RunConfig, table, progress=None) -> TrainResult:
     Per epoch: shuffled train pass with Adam at the decayed LR, then an
     ordered validation pass on raw-scale MAE. Stops when validation fails to
     improve for `patience` epochs; the best-validation parameters are
-    restored before returning.
+    restored before returning. A non-finite validation MAE or MSE raises
+    DivergenceError naming the epoch.
     """
     config.validate()
     ranges = split_ranges(table.length, config.split_scheme, config.lookback,
@@ -190,6 +191,9 @@ def train(config: RunConfig, table, progress=None) -> TrainResult:
             n_batches += 1
 
         val = evaluate(model, table.values, val_range, config)
+        if not np.isfinite([val.mae, val.mse]).all():
+            raise DivergenceError(f"non-finite validation metric (mae {val.mae}, "
+                                  f"mse {val.mse}) at epoch {epoch}")
         row = {"epoch": epoch, "lr": optimizer.lr,
                "train_mae": loss_sum / max(1, n_batches),
                "val_mae": val.mae, "val_mse": val.mse,
@@ -253,7 +257,7 @@ def predict_over_range(model, values, row_range, config):
 # checkpoint archive: 4-byte little-endian manifest length, JSON manifest,
 # then each parameter's raw little-endian buffer in manifest order
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def save_checkpoint(path, model):

@@ -3,14 +3,15 @@
 The composed kernels are the straightforward forms of the pyramid kernels,
 built from the tensor primitives (or plain loops) so that their gradients
 come from the generic autodiff engine. They are slow on purpose: a general
-strided conv, a GRU that records every gate of every step on the tape, and
-the row-by-row predictions writer. The GRU's two gate nonlinearities,
-`tanh` and `sigmoid`, and the time slice it steps with, `narrow`, are tape
-ops of their own here; the tests also use them as smooth nonlinear test
-functions and as a generic slice.
+strided conv and a zero-order hold, both channel-major (B, C, L), a GRU
+that records every gate of every step on the tape, and the row-by-row
+predictions writer. The GRU's two gate nonlinearities, `tanh` and
+`sigmoid`, and the time slice it steps with, `narrow`, are tape ops of
+their own here; the tests also use them as smooth nonlinear test functions
+and as a generic slice.
 
 `revin_normalize` and `revin_denormalize` are RevIN written time-major,
-(..., L, C); the program's channel-major RevIN must match them.
+(..., L, C); the program's time-first RevIN, (L, ..., C), must match them.
 
 The other oracles: `Tape`, the recorded ops below one output with a cost
 per op derived from its shapes; `grad_check`, the central finite-difference
@@ -105,6 +106,14 @@ def conv1d(x, weight, bias=None, stride=1):
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _node("conv1d", out.astype(x.data.dtype, copy=False), parents, bwd)
+
+
+def upsample_repeat(x, target_len):
+    """Zero-order hold of channel-major (B, C, L) along time to `target_len`,
+    one `narrow` per output step: step j holds input step j * L // target_len."""
+    l_in = x.shape[2]
+    return T.concat([narrow(x, 2, j * l_in // target_len, 1) for j in range(target_len)],
+                    axis=2)
 
 
 def gru_step(x_t, h_prev, params):

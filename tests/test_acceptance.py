@@ -140,14 +140,14 @@ class TestAcceptance:
             shift = rng.uniform(-3.0, 3.0, size=(1, 1, c))
             scale = rng.uniform(0.5, 2.0, size=(1, 1, c))
             raw = (rng.normal(size=(b, length, c)) * scale + shift).astype(np.float32)
-            x = Tensor(np.ascontiguousarray(raw.transpose(0, 2, 1)))  # (b, c, L)
+            x = Tensor(np.ascontiguousarray(raw.transpose(1, 0, 2)))  # (L, b, c)
             with T.no_grad():
                 x_norm, state = revin.normalize(x, params)
                 back = revin.denormalize(x_norm, state, params)
             worst_round = max(worst_round,
                               float(np.abs(back.data - x.data).max()))
-            mean = x_norm.data.mean(axis=2)
-            std = x_norm.data.std(axis=2)
+            mean = x_norm.data.mean(axis=0)
+            std = x_norm.data.std(axis=0)
             worst_mean = max(worst_mean,
                              float(np.abs(mean - params.beta.data).max()))
             worst_std = max(worst_std,
@@ -204,7 +204,7 @@ class TestAcceptance:
             cfg = build_pyramid_config([24, 48, 96], lookback)
             rng = np.random.default_rng(0)
             params = pre.init_pre(rng, cfg, pre.level_hidden_sizes(128, len(cfg.windows)), 128)
-            x = Tensor(rng.normal(size=(batch, lookback)).astype(np.float32))
+            x = Tensor(rng.normal(size=(lookback, batch)).astype(np.float32))
             times = []
             for _ in range(repetitions + 1):  # the first run is warm-up
                 started = time.perf_counter()

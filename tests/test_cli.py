@@ -169,7 +169,8 @@ class TestBenchAndPe:
         assert "invariance holds" in capsys.readouterr().out
 
     def test_check_pe_impossible_tolerance_is_numeric_failure(self, capsys):
-        assert cli.main(["check-pe", "--trials", "50", "--tolerance", "0"]) == 3
+        # the smallest tolerance worth asking for; 0 is a usage error
+        assert cli.main(["check-pe", "--trials", "50", "--tolerance", "1e-300"]) == 3
 
 
 class TestExitCodes:
@@ -220,6 +221,41 @@ class TestExitCodes:
                        "--history", str(tmp_path / "h.csv")])
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_validation_metric_is_numeric_failure(self, tmp_path, capsys):
+        # 1e25 only in rows that validation windows alone read: a 6:2:2 split
+        # of 400 rows at lookback 32 ends train at row 240 and starts the test
+        # inputs at row 288. The validation forecast overflows float32.
+        table = synthetic.mixed_table(n=400, seed=9)
+        values = table.values.copy()
+        values[250:260] = 1e25
+        p = tmp_path / "spiked.csv"
+        data.save_csv(data.SeriesTable(table.timestamps, table.channels, values), str(p))
+        ckpt = tmp_path / "m.ckpt"
+        rc = cli.main(["train", "--dataset", str(p), *FAST, "--checkpoint", str(ckpt),
+                       "--history", str(tmp_path / "h.csv")])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert "non-finite validation metric" in err and "epoch 1" in err
+        assert not ckpt.exists()
+
+    def test_checkpoint_and_history_on_one_file_is_usage_error(self, dataset, tmp_path,
+                                                               capsys):
+        ckpt = tmp_path / "out.bin"
+        rc = cli.main(["train", "--dataset", dataset, *FAST, "--checkpoint", str(ckpt),
+                       "--history", str(tmp_path / "." / "out.bin")])
+        out, err = capsys.readouterr()
+        assert rc == 1, err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and str(ckpt) in errors[0], err
+        assert "epoch" not in out and not ckpt.exists()
+
+    def test_format_3_checkpoint_is_data_error(self, dataset, tmp_path, capsys):
+        # format 3 stored each conv weight as (C_out, C_in, K)
+        path = _ckpt_with(tmp_path, lambda m: m.update(format_version=3))
+        assert cli.main(["evaluate", "--checkpoint", str(path), "--dataset", dataset]) == 2
+        assert "unsupported format version 3" in capsys.readouterr().err
 
     def test_unknown_subcommand(self):
         assert cli.main(["frobnicate"]) == 1
@@ -329,6 +365,9 @@ BAD_FLAGS = {
     "pe-width-zero": ["check-pe", "--d-model", "0"],
     "pe-trials-zero": ["check-pe", "--trials", "0"],
     "pe-seed-negative": ["check-pe", "--seed", "-1"],
+    "pe-tolerance-negative": ["check-pe", "--tolerance", "-1"],
+    "pe-tolerance-zero": ["check-pe", "--tolerance", "0"],
+    "pe-tolerance-nan": ["check-pe", "--tolerance", "nan"],
 }
 
 

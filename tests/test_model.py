@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from conftest import cast_tree
 from oracles import Tape
-from prformer import tensor as T
+from prformer import nn, tensor as T
 from prformer.config import ConfigError, RunConfig, read_config_file
 from prformer.model import PRformer
 from prformer.pre import PyramidConfigWarning
@@ -125,8 +126,8 @@ class TestVariants:
     @pytest.mark.parametrize("variant", ["full", "V1", "V2", "V3"])
     def test_train_graph_size_and_cost(self, variant):
         # the totals the engine once counted per tensor; the oracle's rule keeps them
-        nodes, flops = {"full": (133, 13_086_668), "V1": (91, 11_562_796),
-                        "V2": (118, 6_911_324), "V3": (123, 9_177_896)}[variant]
+        nodes, flops = {"full": (127, 13_066_032), "V1": (85, 11_542_160),
+                        "V2": (116, 6_934_144), "V3": (119, 9_167_116)}[variant]
         config = RunConfig(lookback=720, pred_len=96, pyramidal_windows=(24, 48, 96),
                            d_model=64, heads=4, e_layers=2, dropout=0.1, variant=variant)
         x = Tensor(np.random.default_rng(0).normal(size=(4, 720, 7)).astype(np.float32))
@@ -136,7 +137,47 @@ class TestVariants:
         assert (len(tape), tape.flops()) == (nodes, flops)
 
 
+def reference_tokens(model, x):
+    """The model's tokens (B, C, D) rebuilt channel-major from the oracles:
+    time-major RevIN, the strided conv with each weight folded back to
+    (C_out, C_in, K), the gather upsample and the stepwise GRU."""
+    params = model.params.pre
+    b, length, c = x.shape
+    x_norm, _, _ = oracles.revin_normalize(Tensor(x), model.params.revin.gamma,
+                                           model.params.revin.beta)
+    cur = T.reshape(T.permute(x_norm, (0, 2, 1)), (b * c, 1, length))
+    features = []
+    for w, bias, k in zip(params.conv_weights, params.conv_biases, model.pyramid.kernels):
+        folded = Tensor(w.data.reshape(w.shape[0], k, -1).transpose(0, 2, 1))
+        cur = oracles.conv1d(cur, folded, bias, stride=k)
+        features.append(cur)
+    # top-down: the upsampled prime chain is added onto each lower level
+    prime, fused = features[-1], [features[-1]]
+    for level in reversed(features[:-1]):
+        prime = oracles.upsample_repeat(prime, level.shape[2])
+        fused.insert(0, T.add(prime, level))
+    summaries = [oracles.gru_forward(T.permute(level, (2, 1, 0)), gru)
+                 for level, gru in zip(fused, params.grus)]
+    return nn.linear(T.concat(summaries, axis=1), params.fuse).data.reshape(b, c, -1)
+
+
 class TestModelMechanics:
+    @pytest.mark.parametrize("variant", ["full", "V1", "V3"])
+    def test_embedding_matches_channel_major_reference(self, variant):
+        # windows 24/48/96 at L=720 give levels 30/15/7: a 7 -> 15 upsample,
+        # and a tail on the 15 -> 7 conv
+        config = RunConfig(lookback=720, pred_len=4, pyramidal_windows=(24, 48, 96),
+                           d_model=12, heads=2, conv_channels=4, variant=variant, seed=3)
+        model = PRformer(config, 3)
+        model.params.revin.gamma.data[:] = [0.5, 1.0, 2.0]
+        model.params.revin.beta.data[:] = [0.3, -0.2, 0.1]
+        x = np.random.default_rng(118).normal(loc=2.0, scale=3.0, size=(2, 720, 3))
+        x = x.astype(np.float32)
+        with T.no_grad():
+            tokens = model.embed(Tensor(x))[0].data
+            want = reference_tokens(model, x)
+        np.testing.assert_allclose(tokens, want, rtol=1e-5, atol=1e-5)
+
     def test_same_seed_same_init_different_seed_different(self):
         a = PRformer(small_config(seed=5), 3)
         b = PRformer(small_config(seed=5), 3)

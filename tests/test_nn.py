@@ -45,12 +45,29 @@ class TestLinear:
         assert err < GRAD_TOL
 
 
+def batch_last(x):
+    """Channel-major (B, C, L) <-> the pyramid's (L, C, B), either way."""
+    return np.ascontiguousarray(np.transpose(x, (2, 1, 0)))
+
+
+def kernel_major(w):
+    """A (C_out, C_in, K) conv weight as `conv1d` stores it: (C_out, K·C_in)."""
+    return w.transpose(0, 2, 1).reshape(w.shape[0], -1)
+
+
 class TestConv1d:
     def test_known_non_overlapping_value(self):
-        x = f64([[[1.0, 2.0, 3.0, 4.0]]])
-        w = f64([[[1.0, 1.0]]])
+        x = f64(np.array([1.0, 2.0, 3.0, 4.0]).reshape(4, 1, 1))
+        w = f64([[1.0, 1.0]])
         out = nn.conv1d(x, w, f64([0.0]))
-        np.testing.assert_allclose(out.data, [[[3.0, 7.0]]])
+        np.testing.assert_allclose(out.data[:, 0, 0], [3.0, 7.0])
+
+    def test_weight_columns_are_kernel_major(self):
+        # column j * C_in + c multiplies channel c at patch step j
+        x = f64(np.array([[1.0, 10.0], [2.0, 20.0]]).reshape(2, 2, 1))  # (T, C_in, N)
+        w = f64([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        out = nn.conv1d(x, w, f64([0.0, 0.0]))
+        np.testing.assert_allclose(out.data[0, :, 0], [1.0, 20.0])
 
     def test_matches_numpy_correlate_stride_one(self):
         rng = np.random.default_rng(12)
@@ -66,15 +83,16 @@ class TestConv1d:
             length = int(rng.integers(4, 40))
             k = int(rng.integers(1, length + 1))
             stride = int(rng.integers(1, k + 1))
-            x = f64(rng.normal(size=(2, 3, length)))
-            w = f64(rng.normal(size=(4, 3, k)))
-            out = oracles.conv1d(x, w, stride=stride)
+            x = rng.normal(size=(2, 3, length))
+            w = rng.normal(size=(4, 3, k))
+            out = oracles.conv1d(f64(x), f64(w), stride=stride)
             assert out.shape == (2, 4, (length - k) // stride + 1)
-            assert nn.conv1d(x, w, f64(np.zeros(4))).shape == (2, 4, length // k)
+            out = nn.conv1d(f64(batch_last(x)), f64(kernel_major(w)), f64(np.zeros(4)))
+            assert out.shape == (length // k, 4, 2)
 
     def test_bias_is_per_output_channel(self):
-        x = f64(np.zeros((1, 1, 6)))
-        w = f64(np.zeros((2, 1, 3)))
+        x = f64(np.zeros((6, 1, 1)))
+        w = f64(np.zeros((2, 3)))
         b = f64([1.5, -2.0])
         out = nn.conv1d(x, w, b)
         np.testing.assert_allclose(out.data[0, :, 0], [1.5, -2.0])
@@ -101,8 +119,8 @@ class TestConv1d:
     @pytest.mark.parametrize("length,k", [(12, 3), (10, 3), (7, 7), (9, 1), (13, 4)])
     def test_patch_gradients_match_finite_differences(self, length, k):
         rng = np.random.default_rng(length * 10 + k)
-        x = rng.normal(size=(2, 3, length))
-        w = rng.normal(size=(4, 3, k))
+        x = rng.normal(size=(length, 3, 2))
+        w = rng.normal(size=(4, 3 * k))
         b = rng.normal(size=(4,))
         err = grad_check(lambda t: T.sum_(oracles.tanh(nn.conv1d(t, f64(w), f64(b)))), f64(x))
         assert err < GRAD_TOL, "x grad"
@@ -113,15 +131,22 @@ class TestConv1d:
 
     @pytest.mark.parametrize("length,k", [(24, 4), (26, 4), (15, 5), (17, 16), (6, 1)])
     def test_patch_conv_matches_strided_oracle(self, length, k):
+        # both run on the oracle's channel-major leaves; the kernel reaches
+        # them through permutes and the weight refold, recorded on the tape
         rng = np.random.default_rng(length * 100 + k)
         x0 = rng.normal(size=(3, 2, length))
         w0 = rng.normal(size=(5, 2, k))
         b0 = rng.normal(size=(5,))
         proj = f64(rng.normal(size=(3, 5, length // k)))
+
+        def patch_conv(x, w, b):
+            w_flat = T.reshape(T.permute(w, (0, 2, 1)), (5, 2 * k))
+            return T.permute(nn.conv1d(T.permute(x, (2, 1, 0)), w_flat, b), (2, 1, 0))
+
         results = []
-        for conv, kwargs in ((nn.conv1d, {}), (oracles.conv1d, {"stride": k})):
+        for conv in (patch_conv, lambda x, w, b: oracles.conv1d(x, w, b, stride=k)):
             x, w, b = f64(x0, True), f64(w0, True), f64(b0, True)
-            out = conv(x, w, b, **kwargs)
+            out = conv(x, w, b)
             backward(T.sum_(T.mul(out, proj)))
             results.append((out.data, x.grad, w.grad, b.grad))
         for name, fused, ref in zip(("out", "x", "w", "b"), *results):
@@ -130,59 +155,77 @@ class TestConv1d:
             assert np.all(results[0][1][:, :, length // k * k:] == 0.0)
 
     def test_shape_validation(self):
-        with pytest.raises(T.ShapeMismatchError, match="conv1d"):
-            nn.conv1d(f64(np.zeros((1, 2, 8))), f64(np.zeros((3, 4, 2))), f64(np.zeros(3)))
-        with pytest.raises(T.ShapeMismatchError, match="conv1d"):
-            nn.conv1d(f64(np.zeros((1, 1, 4))), f64(np.zeros((1, 1, 5))), f64(np.zeros(1)))
+        with pytest.raises(T.ShapeMismatchError, match="channel dims differ"):
+            nn.conv1d(f64(np.zeros((8, 3, 1))), f64(np.zeros((3, 8))), f64(np.zeros(3)))
+        with pytest.raises(T.ShapeMismatchError, match="longer than length"):
+            nn.conv1d(f64(np.zeros((4, 1, 1))), f64(np.zeros((1, 5))), f64(np.zeros(1)))
+        with pytest.raises(T.ShapeMismatchError, match="2-d weight"):
+            nn.conv1d(f64(np.zeros((8, 1, 1))), f64(np.zeros((1, 1, 4))), f64(np.zeros(1)))
 
     def test_appears_as_one_tape_op(self):
-        x = tensor(np.ones((1, 1, 8)), requires_grad=True)
-        out = nn.conv1d(x, tensor(np.ones((2, 1, 4))), tensor(np.zeros(2)))
+        x = tensor(np.ones((8, 1, 1)), requires_grad=True)
+        out = nn.conv1d(x, tensor(np.ones((2, 4))), tensor(np.zeros(2)))
         assert Tape.trace(T.sum_(out)).op_ids() == ["conv1d", "sum"]
 
 
 class TestUpsampleRepeat:
     def test_doubling_repeats_each_step(self):
-        x = f64([[[1.0, 2.0]]])
+        x = f64(np.array([1.0, 2.0]).reshape(2, 1, 1))
         out = nn.upsample_repeat(x, 4)
-        np.testing.assert_allclose(out.data, [[[1.0, 1.0, 2.0, 2.0]]])
+        np.testing.assert_allclose(out.data[:, 0, 0], [1.0, 1.0, 2.0, 2.0])
 
     def test_uneven_lengths_cover_whole_target(self):
-        x = f64(np.arange(7, dtype=np.float64)[None, None, :])
+        x = f64(np.arange(7, dtype=np.float64).reshape(7, 1, 1))
         out = nn.upsample_repeat(x, 15)
-        assert out.shape == (1, 1, 15)
+        assert out.shape == (15, 1, 1)
         # zero-order hold: non-decreasing, first/last preserved
-        vals = out.data[0, 0]
+        vals = out.data[:, 0, 0]
         assert vals[0] == 0.0 and vals[-1] == 6.0
         assert np.all(np.diff(vals) >= 0)
 
     def test_backward_sums_repeats(self):
-        x = tensor(np.ones((1, 1, 2)), requires_grad=True)
+        x = tensor(np.ones((2, 1, 1)), requires_grad=True)
         backward(T.sum_(nn.upsample_repeat(x, 5)))
         # index map 0,0,0,1,1 -> counts 3,2
-        np.testing.assert_allclose(x.grad, [[[3.0, 2.0]]])
+        np.testing.assert_allclose(x.grad[:, 0, 0], [3.0, 2.0])
 
     def test_gradient(self):
         rng = np.random.default_rng(15)
-        weight = f64(rng.normal(size=(1, 2, 9)))
+        weight = f64(rng.normal(size=(9, 2, 1)))
         err = grad_check(
             lambda t: T.sum_(T.mul(nn.upsample_repeat(t, 9), weight)),
-            f64(rng.normal(size=(1, 2, 4))))
+            f64(rng.normal(size=(4, 2, 1))))
         assert err < GRAD_TOL
 
     def test_gradient_exact_ratio(self):
-        # whole-number ratios take the reshape-sum path, the rest bincount
+        # one hold-matrix product for every ratio, whole or not
         rng = np.random.default_rng(16)
-        for target in (4, 12):
-            weight = f64(rng.normal(size=(2, 3, target)))
+        for target in (4, 6, 12):
+            weight = f64(rng.normal(size=(target, 3, 2)))
             err = grad_check(
                 lambda t: T.sum_(T.mul(nn.upsample_repeat(t, target), weight)),
-                f64(rng.normal(size=(2, 3, 4))))
+                f64(rng.normal(size=(4, 3, 2))))
             assert err < GRAD_TOL, target
+
+    @pytest.mark.parametrize("l_in,target", [(2, 4), (3, 7), (4, 12), (7, 15), (5, 5)])
+    def test_matches_channel_major_oracle(self, l_in, target):
+        rng = np.random.default_rng(l_in * 100 + target)
+        x0 = rng.normal(size=(2, 3, l_in))
+        proj = f64(rng.normal(size=(2, 3, target)))
+        results = []
+        for up in (lambda x: T.permute(nn.upsample_repeat(T.permute(x, (2, 1, 0)), target),
+                                       (2, 1, 0)),
+                   lambda x: oracles.upsample_repeat(x, target)):
+            x = f64(x0, True)
+            out = up(x)
+            backward(T.sum_(T.mul(out, proj)))
+            results.append((out.data, x.grad))
+        for name, fused, ref in zip(("out", "x"), *results):
+            np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12, err_msg=name)
 
     def test_target_shorter_than_input_rejected(self):
         with pytest.raises(T.ShapeMismatchError, match="upsample"):
-            nn.upsample_repeat(f64(np.zeros((1, 1, 8))), 4)
+            nn.upsample_repeat(f64(np.zeros((8, 1, 1))), 4)
 
 
 GRU_FIELDS = tuple(f.name for f in dataclasses.fields(GRUParams))
@@ -480,6 +523,18 @@ class TestParamPlumbing:
         for name, want in expected.items():
             got = getattr(gru, name).data
             assert got.dtype == np.float32 and got.tobytes() == want.tobytes(), name
+
+    def test_init_conv1d_rearranges_the_drawn_weight(self):
+        # the weight is drawn as (C_out, C_in, K), then the bias, as before the
+        # kernel-major layout, so seeded inits keep their values
+        weight, bias = nn.init_conv1d(np.random.default_rng(37), 3, 4, 2)
+        rng = np.random.default_rng(37)
+        bound = 1.0 / np.sqrt(3 * 2)
+        drawn = rng.uniform(-bound, bound, size=(4, 3, 2)).astype(np.float32)
+        drawn_bias = rng.uniform(-bound, bound, size=(4,)).astype(np.float32)
+        assert weight.shape == (4, 6) and weight.data.tobytes() == kernel_major(drawn).tobytes()
+        assert bias.data.tobytes() == drawn_bias.tobytes()
+        assert weight.requires_grad and bias.requires_grad
 
     def test_iter_params_walks_lists(self):
         rng = np.random.default_rng(34)

@@ -1,5 +1,7 @@
 """Pyramid embedding checks: kernel/length derivation, the two fusion
-pathways, scale weighting, and gradients through the whole stage."""
+pathways, the level summaries, and gradients through the whole stage.
+
+Series are time first, (L, N), and every level is (L_i, ch, N)."""
 
 import numpy as np
 import pytest
@@ -58,8 +60,8 @@ class TestBuildPyramidConfig:
 
     def test_lengths_match_actual_convolutions(self):
         cfg, params = tiny_setup(windows=(3, 6, 12), lookback=40, d_model=6)
-        feats = pre.bottom_up(tensor(np.zeros((1, 40), dtype=np.float32)), params, cfg)
-        assert [f.shape[2] for f in feats] == list(cfg.level_lengths)
+        feats = pre.bottom_up(tensor(np.zeros((40, 1), dtype=np.float32)), params, cfg)
+        assert [f.shape[0] for f in feats] == list(cfg.level_lengths)
 
     def test_rejections(self):
         with pytest.raises(ValueError, match="ascending"):
@@ -92,7 +94,7 @@ class TestBottomUp:
             w.data[:] = 0.0
             b.data[:] = 0.0
         rng = np.random.default_rng(41)
-        feats = pre.bottom_up(tensor(rng.normal(size=(3, 8)).astype(np.float32)),
+        feats = pre.bottom_up(tensor(rng.normal(size=(8, 3)).astype(np.float32)),
                               params, cfg)
         for f in feats:
             np.testing.assert_allclose(f.data, 0.0)
@@ -102,47 +104,47 @@ class TestBottomUp:
             cfg = build_pyramid_config([1], 6)
         rng = np.random.default_rng(42)
         params = init_split(rng, cfg, 3, conv_channels=4)
-        x = rng.normal(size=(1, 6)).astype(np.float32)
+        x = rng.normal(size=(6, 1)).astype(np.float32)
         feats = pre.bottom_up(tensor(x), params, cfg)
-        w = params.conv_weights[0].data[:, 0, 0]
+        w = params.conv_weights[0].data[:, 0]
         b = params.conv_biases[0].data
-        expected = x[0][None, :] * w[:, None] + b[:, None]
-        np.testing.assert_allclose(feats[0].data[0], expected, rtol=1e-5)
+        expected = x * w + b  # (T, C_out)
+        np.testing.assert_allclose(feats[0].data[:, :, 0], expected, rtol=1e-5)
 
     def test_wrong_length_rejected(self):
         cfg, params = tiny_setup()
         with pytest.raises(T.ShapeMismatchError, match="lookback"):
-            pre.bottom_up(tensor(np.zeros((1, 9), dtype=np.float32)), params, cfg)
+            pre.bottom_up(tensor(np.zeros((9, 1), dtype=np.float32)), params, cfg)
 
 
 class TestTopDownFuse:
     def test_single_level_identity(self):
-        f = tensor(np.arange(6, dtype=np.float32).reshape(1, 2, 3))
+        f = tensor(np.arange(6, dtype=np.float32).reshape(3, 2, 1))
         fused = pre.top_down_fuse([f])
         assert fused[0] is f
 
     def test_two_level_hand_example(self):
-        bottom = tensor(np.zeros((1, 1, 4), dtype=np.float32))
-        top = tensor(np.array([[[1.0, 2.0]]], dtype=np.float32))
+        bottom = tensor(np.zeros((4, 1, 1), dtype=np.float32))
+        top = tensor(np.array([1.0, 2.0], dtype=np.float32).reshape(2, 1, 1))
         fused = pre.top_down_fuse([bottom, top])
-        np.testing.assert_allclose(fused[0].data, [[[1.0, 1.0, 2.0, 2.0]]])
+        np.testing.assert_allclose(fused[0].data[:, 0, 0], [1.0, 1.0, 2.0, 2.0])
         np.testing.assert_allclose(fused[1].data, top.data)
 
     def test_zero_top_leaves_every_level_unchanged(self):
         rng = np.random.default_rng(43)
-        feats = [tensor(rng.normal(size=(2, 3, n)).astype(np.float32))
+        feats = [tensor(rng.normal(size=(n, 3, 2)).astype(np.float32))
                  for n in (12, 6, 3)]
-        feats[-1] = tensor(np.zeros((2, 3, 3), dtype=np.float32))
+        feats[-1] = tensor(np.zeros((3, 3, 2), dtype=np.float32))
         fused = pre.top_down_fuse(feats)
         for out, raw in zip(fused[:-1], feats[:-1]):
             np.testing.assert_allclose(out.data, raw.data)
 
     def test_top_feature_propagates_through_all_levels(self):
-        feats = [tensor(np.zeros((1, 1, n), dtype=np.float32)) for n in (8, 4, 2)]
-        feats[-1] = tensor(np.array([[[1.0, 3.0]]], dtype=np.float32))
+        feats = [tensor(np.zeros((n, 1, 1), dtype=np.float32)) for n in (8, 4, 2)]
+        feats[-1] = tensor(np.array([1.0, 3.0], dtype=np.float32).reshape(2, 1, 1))
         fused = pre.top_down_fuse(feats)
-        np.testing.assert_allclose(fused[1].data, [[[1, 1, 3, 3]]])
-        np.testing.assert_allclose(fused[0].data, [[[1, 1, 1, 1, 3, 3, 3, 3]]])
+        np.testing.assert_allclose(fused[1].data[:, 0, 0], [1, 1, 3, 3])
+        np.testing.assert_allclose(fused[0].data[:, 0, 0], [1, 1, 1, 1, 3, 3, 3, 3])
 
 
 class TestMultiScaleRnn:
@@ -151,7 +153,7 @@ class TestMultiScaleRnn:
         for gru in params.grus:
             for _, p in nn.iter_params(gru):
                 p.data[:] = 0.0
-        x = tensor(np.random.default_rng(44).normal(size=(3, 8)).astype(np.float32))
+        x = tensor(np.random.default_rng(44).normal(size=(8, 3)).astype(np.float32))
         out = pre.pre_embed_batch(x, params, cfg)
         np.testing.assert_allclose(out.data, np.tile(params.fuse.b.data, (3, 1)),
                                    atol=1e-6)
@@ -162,13 +164,13 @@ class TestMultiScaleRnn:
                                            ((4, 8, 16), 64, 10), ((5,), 20, 3)]:
             cfg = build_pyramid_config(windows, lookback)
             params = init_split(rng, cfg, d_model, conv_channels=3)
-            x = tensor(rng.normal(size=(1, lookback)).astype(np.float32))
+            x = tensor(rng.normal(size=(lookback, 1)).astype(np.float32))
             assert pre.pre_embed_batch(x, params, cfg).shape == (1, d_model)
 
     def test_shared_weights_give_identical_embeddings(self):
         cfg, params = tiny_setup()
         series = np.random.default_rng(47).normal(size=(8,)).astype(np.float32)
-        x = tensor(np.stack([series, series]))
+        x = tensor(np.stack([series, series], axis=1))
         out = pre.pre_embed_batch(x, params, cfg)
         np.testing.assert_allclose(out.data[0], out.data[1], atol=1e-7)
 
@@ -178,7 +180,7 @@ class TestStructure:
         cfg = build_pyramid_config([4], 16)
         rng = np.random.default_rng(48)
         params = init_split(rng, cfg, 4, conv_channels=2)
-        out = pre.pre_embed_batch(tensor(rng.normal(size=(1, 16)).astype(np.float32)),
+        out = pre.pre_embed_batch(tensor(rng.normal(size=(16, 1)).astype(np.float32)),
                                   params, cfg)
         counts = Tape.trace(T.sum_(out)).op_counts()
         assert counts["conv1d"] == 1
@@ -191,7 +193,7 @@ class TestStructure:
         for lookback in (64, 128):
             cfg = build_pyramid_config([4, 8], lookback)
             params = init_split(rng, cfg, 8, conv_channels=4)
-            x = tensor(rng.normal(size=(1, lookback)).astype(np.float32))
+            x = tensor(rng.normal(size=(lookback, 1)).astype(np.float32))
             out = pre.pre_embed_batch(x, params, cfg)
             flops[lookback] = Tape.trace(T.sum_(out)).flops()
         ratio = flops[128] / flops[64]
@@ -204,7 +206,7 @@ class TestStructure:
         for lookback in (64, 128):
             cfg = build_pyramid_config([4, 8], lookback)
             params = init_split(rng, cfg, 8, conv_channels=4)
-            x = tensor(rng.normal(size=(3, lookback)).astype(np.float32))
+            x = tensor(rng.normal(size=(lookback, 3)).astype(np.float32))
             nodes[lookback] = len(Tape.trace(T.sum_(pre.pre_embed_batch(x, params, cfg))))
         assert nodes[64] == nodes[128]
 
@@ -215,12 +217,12 @@ class TestGradients:
         p64 = cast_tree(params)
         err = oracles.grad_check(
             lambda t: T.sum_(oracles.tanh(pre.pre_embed_batch(t, p64, cfg))),
-            tensor(np.random.default_rng(50).normal(size=(2, 8)), dtype=np.float64))
+            tensor(np.random.default_rng(50).normal(size=(8, 2)), dtype=np.float64))
         assert err < 1e-5
 
     def test_gradient_wrt_every_parameter(self):
         cfg, params = tiny_setup()
-        x = tensor(np.random.default_rng(51).normal(size=(1, 8)), dtype=np.float64)
+        x = tensor(np.random.default_rng(51).normal(size=(8, 1)), dtype=np.float64)
 
         def make_loss(tree):
             return T.sum_(oracles.tanh(pre.pre_embed_batch(x, tree, cfg)))

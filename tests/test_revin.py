@@ -1,8 +1,8 @@
 """Instance-normalization checks: hand values, the round-trip inverse,
 moment contracts, gradient flow through the window statistics, and the
-time-major formula in `oracles` that the channel-major kernels must match.
+time-major formula in `oracles` that the time-first kernels must match.
 
-Windows are channel-major: (..., C, L) in, (..., C, H) out."""
+Windows are time first: (L, ..., C) in, (H, ..., C) out."""
 
 import numpy as np
 import pytest
@@ -19,13 +19,13 @@ def neutral(channels):
 
 class TestNormalize:
     def test_hand_standardization(self):
-        x = tensor(np.array([[1.0, 2.0, 3.0]], dtype=np.float32))
+        x = tensor(np.array([[1.0], [2.0], [3.0]], dtype=np.float32))
         out, _ = revin.normalize(x, neutral(1))
-        np.testing.assert_allclose(out.data[0], [-1.22474, 0.0, 1.22474],
+        np.testing.assert_allclose(out.data[:, 0], [-1.22474, 0.0, 1.22474],
                                    atol=1e-4)
 
     def test_constant_channel_guarded_by_eps(self):
-        x = tensor(np.full((1, 4), 5.0, dtype=np.float32))
+        x = tensor(np.full((4, 1), 5.0, dtype=np.float32))
         out, state = revin.normalize(x, neutral(1))
         assert np.all(np.isfinite(out.data))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-5)
@@ -35,9 +35,9 @@ class TestNormalize:
         params = neutral(1)
         params.gamma.data[:] = 2.0
         params.beta.data[:] = 1.0
-        x = tensor(np.array([[1.0, 2.0, 3.0]], dtype=np.float32))
+        x = tensor(np.array([[1.0], [2.0], [3.0]], dtype=np.float32))
         out, _ = revin.normalize(x, params)
-        np.testing.assert_allclose(out.data[0],
+        np.testing.assert_allclose(out.data[:, 0],
                                    [1 - 2 * 1.22474, 1.0, 1 + 2 * 1.22474], atol=1e-4)
 
     def test_moments_match_affine_targets(self):
@@ -45,11 +45,11 @@ class TestNormalize:
         params = neutral(3)
         params.gamma.data[:] = [1.0, -2.0, 0.5]
         params.beta.data[:] = [0.0, 1.0, -3.0]
-        x = tensor(rng.normal(loc=50.0, scale=9.0, size=(1, 3, 400)).astype(np.float32))
+        x = tensor(rng.normal(loc=50.0, scale=9.0, size=(400, 1, 3)).astype(np.float32))
         out, _ = revin.normalize(x, params)
-        np.testing.assert_allclose(out.data.mean(axis=2)[0], params.beta.data,
+        np.testing.assert_allclose(out.data.mean(axis=0)[0], params.beta.data,
                                    atol=1e-5)
-        np.testing.assert_allclose(out.data.std(axis=2)[0],
+        np.testing.assert_allclose(out.data.std(axis=0)[0],
                                    np.abs(params.gamma.data), atol=1e-3)
 
     def test_affine_maps_targets_like_inputs(self):
@@ -58,23 +58,22 @@ class TestNormalize:
         params = neutral(2)
         params.gamma.data[:] = [1.5, -0.5]
         params.beta.data[:] = [0.25, 2.0]
-        x = tensor(rng.normal(size=(3, 2, 7)).astype(np.float32))
+        x = tensor(rng.normal(size=(7, 3, 2)).astype(np.float32))
         x_norm, state = revin.normalize(x, params)
-        again = nn.scale_shift(T.sub(x, state.mu), state.sigma,
-                               *revin.channel_affine(params))
+        again = nn.scale_shift(T.sub(x, state.mu), state.sigma, params.gamma, params.beta)
         np.testing.assert_array_equal(again.data, x_norm.data)
 
     def test_short_window_rejected(self):
         with pytest.raises(ValueError, match=">= 2"):
-            revin.normalize(tensor(np.zeros((1, 3, 1), dtype=np.float32)), neutral(3))
+            revin.normalize(tensor(np.zeros((1, 1, 3), dtype=np.float32)), neutral(3))
 
     def test_batched_state_shapes(self):
         rng = np.random.default_rng(81)
-        x = tensor(rng.normal(size=(4, 3, 12)).astype(np.float32))
+        x = tensor(rng.normal(size=(12, 4, 3)).astype(np.float32))
         out, state = revin.normalize(x, neutral(3))
-        assert out.shape == (4, 3, 12)
-        assert state.mu.shape == (4, 3, 1)
-        assert state.sigma.shape == (4, 3, 1)
+        assert out.shape == (12, 4, 3)
+        assert state.mu.shape == (1, 4, 3)
+        assert state.sigma.shape == (1, 4, 3)
 
 
 class TestDenormalize:
@@ -85,7 +84,7 @@ class TestDenormalize:
         params.beta.data[:] = rng.normal(size=5)
         worst = 0.0
         for _ in range(100):
-            x = tensor((rng.normal(size=(10, 5, 24))
+            x = tensor((rng.normal(size=(24, 10, 5))
                         * rng.uniform(0.1, 10.0)).astype(np.float32))
             normed, state = revin.normalize(x, params)
             back = revin.denormalize(normed, state, params)
@@ -93,19 +92,19 @@ class TestDenormalize:
         assert worst < 1e-5, worst
 
     def test_neutral_state_is_identity(self):
-        state = revin.RevinState(mu=tensor(np.zeros((1, 2, 1), dtype=np.float32)),
-                                 sigma=tensor(np.ones((1, 2, 1), dtype=np.float32)))
-        y = tensor(np.random.default_rng(83).normal(size=(1, 2, 6)).astype(np.float32))
+        state = revin.RevinState(mu=tensor(np.zeros((1, 1, 2), dtype=np.float32)),
+                                 sigma=tensor(np.ones((1, 1, 2), dtype=np.float32)))
+        y = tensor(np.random.default_rng(83).normal(size=(6, 1, 2)).astype(np.float32))
         out = revin.denormalize(y, state, neutral(2))
         np.testing.assert_allclose(out.data, y.data)
 
     def test_zero_forecast_maps_to_window_mean(self):
         rng = np.random.default_rng(84)
-        x = tensor(rng.normal(loc=3.0, size=(2, 3, 16)).astype(np.float32))
+        x = tensor(rng.normal(loc=3.0, size=(16, 2, 3)).astype(np.float32))
         _, state = revin.normalize(x, neutral(3))
-        out = revin.denormalize(tensor(np.zeros((2, 3, 4), dtype=np.float32)),
+        out = revin.denormalize(tensor(np.zeros((4, 2, 3), dtype=np.float32)),
                                 state, neutral(3))
-        np.testing.assert_allclose(out.data, np.broadcast_to(state.mu.data, (2, 3, 4)),
+        np.testing.assert_allclose(out.data, np.broadcast_to(state.mu.data, (4, 2, 3)),
                                    atol=1e-6)
 
 
@@ -113,7 +112,7 @@ class TestGradients:
     def test_stats_stay_in_graph(self):
         # with mu and sigma in the graph, d/dx sum((x - mu)/sigma) is exactly 0;
         # detached statistics would leave 1/sigma per element
-        x = tensor(np.random.default_rng(85).normal(size=(1, 2, 8)), dtype=np.float64,
+        x = tensor(np.random.default_rng(85).normal(size=(8, 1, 2)), dtype=np.float64,
                    requires_grad=True)
         out, _ = revin.normalize(x, neutral(2))
         backward(T.sum_(out))
@@ -127,25 +126,25 @@ class TestGradients:
             out, _ = revin.normalize(t, params)
             return T.sum_(oracles.tanh(out))
 
-        err = grad_check(f, tensor(rng.normal(size=(2, 2, 6)), dtype=np.float64))
+        err = grad_check(f, tensor(rng.normal(size=(6, 2, 2)), dtype=np.float64))
         assert err < 1e-6
 
     def test_round_trip_gradient_through_stats(self):
         rng = np.random.default_rng(87)
         params = neutral(2)
-        w = tensor(rng.normal(size=(2, 2, 3)), dtype=np.float64)
+        w = tensor(rng.normal(size=(3, 2, 2)), dtype=np.float64)
 
         def f(t):
             normed, state = revin.normalize(t, params)
-            head = oracles.narrow(normed, 2, 0, 3)
+            head = oracles.narrow(normed, 0, 0, 3)
             return T.sum_(T.mul(revin.denormalize(head, state, params), w))
 
-        err = grad_check(f, tensor(rng.normal(size=(2, 2, 6)), dtype=np.float64))
+        err = grad_check(f, tensor(rng.normal(size=(6, 2, 2)), dtype=np.float64))
         assert err < 1e-6
 
 
 class TestTimeMajorOracle:
-    """Channel-major RevIN against the (..., L, C) formula, in float64."""
+    """Time-first RevIN against the (..., L, C) formula, in float64."""
 
     def test_normalize_and_denormalize_match_with_gradients(self):
         rng = np.random.default_rng(88)
@@ -154,15 +153,15 @@ class TestTimeMajorOracle:
         gamma0, beta0 = rng.uniform(0.5, 2.0, size=4), rng.normal(size=4)
         proj_x, proj_y = rng.normal(size=x0.shape), rng.normal(size=y0.shape)
         results = []
-        for channel_major in (True, False):
+        for time_first in (True, False):
             x = tensor(x0, dtype=np.float64, requires_grad=True)
             y = tensor(y0, dtype=np.float64, requires_grad=True)
             params = revin.RevinParams(tensor(gamma0, requires_grad=True),
                                        tensor(beta0, requires_grad=True))
-            if channel_major:
-                normed, state = revin.normalize(T.permute(x, (0, 2, 1)), params)
-                back = revin.denormalize(T.permute(y, (0, 2, 1)), state, params)
-                normed, back = T.permute(normed, (0, 2, 1)), T.permute(back, (0, 2, 1))
+            if time_first:
+                normed, state = revin.normalize(T.permute(x, (1, 0, 2)), params)
+                back = revin.denormalize(T.permute(y, (1, 0, 2)), state, params)
+                normed, back = T.permute(normed, (1, 0, 2)), T.permute(back, (1, 0, 2))
             else:
                 normed, mu, sigma = oracles.revin_normalize(x, params.gamma, params.beta)
                 back = oracles.revin_denormalize(y, mu, sigma, params.gamma, params.beta)

@@ -445,6 +445,8 @@ class TestCheckpointManifest:
                      id="format-version-1"),
         pytest.param(_set("format_version", 2), "unsupported format version 2",
                      id="format-version-2"),
+        pytest.param(_set("format_version", 3), "unsupported format version 3",
+                     id="format-version-3"),
     ])
     def test_bad_manifest_rejected(self, tmp_path, edit, message):
         path = tmp_path / "m.ckpt"
