@@ -90,13 +90,17 @@ def _load_table(path):
     return load_csv(path)
 
 
-def _load_split(args):
-    """The model in `--checkpoint`, its dataset and the row range of `--split`."""
+def _load_split(args, out=None):
+    """The model in `--checkpoint`, its dataset and the row range of `--split`;
+    `out`, if given, is checked against both files before the dataset is read."""
     from .data import DataError, split_ranges
     from .training import load_checkpoint
 
     model = load_checkpoint(args.checkpoint)
-    table = _load_table(args.dataset or model.config.dataset)
+    dataset = args.dataset or model.config.dataset
+    if out is not None:
+        _check_output(out, (args.checkpoint, dataset))
+    table = _load_table(dataset)
     if model.channels != table.n_channels:
         raise DataError(f"checkpoint expects {model.channels} channels, dataset "
                         f"has {table.n_channels}")
@@ -106,10 +110,16 @@ def _load_split(args):
     return model, table, ranges[_SPLIT_INDEX[args.split]]
 
 
-def _check_output(path):
-    """Raise DataError now if `path` could not be written at the end of the run."""
+def _check_output(path, taken=()):
+    """Raise now if `path` names one of `taken`, the files the command reads
+    or writes before it (ConfigError), or could not be written at the end of
+    the run (DataError)."""
+    from .config import ConfigError
     from .data import DataError
 
+    for other in taken:
+        if other and os.path.realpath(other) == os.path.realpath(path):
+            raise ConfigError(f"output {path} is the same file as {other}")
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise DataError(f"cannot write {path}: no directory {folder}")
@@ -129,16 +139,14 @@ def _writing(path):
 
 
 def cmd_train(args):
-    from .config import ConfigError
     from .data import write_rows
     from .training import HISTORY_COLUMNS, save_checkpoint, train
 
     config = resolve_config(args)
-    if os.path.realpath(args.checkpoint) == os.path.realpath(args.history):
-        raise ConfigError(f"--checkpoint and --history are one file: {args.checkpoint}")
-    _check_output(args.checkpoint)
-    _check_output(args.history)
-    table = _load_table(args.dataset or config.dataset)
+    dataset = args.dataset or config.dataset
+    _check_output(args.checkpoint, (args.config, dataset))
+    _check_output(args.history, (args.config, dataset, args.checkpoint))
+    table = _load_table(dataset)
 
     def progress(row):
         print(f"epoch {row['epoch']:3d}  lr {row['lr']:.2e}  "
@@ -174,8 +182,7 @@ def cmd_predict(args):
     from .data import write_predictions
     from .training import predict_over_range
 
-    _check_output(args.out)
-    model, table, row_range = _load_split(args)
+    model, table, row_range = _load_split(args, args.out)
     batches = predict_over_range(model, table.values, row_range, model.config)
     with _writing(args.out):
         write_predictions(args.out, batches, table.channels)
@@ -211,26 +218,19 @@ def cmd_bench(args):
 
 
 def cmd_inspect_embeddings(args):
-    import csv as csv_mod
-
-    from .data import _reprs, window_iter
+    from .data import window_iter, write_matrix
     from .tensor import Tensor, no_grad
 
-    _check_output(args.out)
-    model, table, row_range = _load_split(args)
+    model, table, row_range = _load_split(args, args.out)
     batch = next(window_iter(table.values, row_range, model.config.lookback,
                              model.config.pred_len, batch_size=args.count))
     with no_grad():
         tokens = model.embed(Tensor(batch.inputs))[0].data  # (windows, C, D)
-    with _writing(args.out), open(args.out, "w", newline="") as fh:
-        writer = csv_mod.writer(fh)
-        d = tokens.shape[2]
-        writer.writerow(["window_start", "variable"] + [f"e{i}" for i in range(d)])
-        cells = _reprs(tokens)
-        keys = [(int(start), name) for start in batch.starts
-                for name in table.channels]
-        writer.writerows([start, name] + cells[r * d:(r + 1) * d]
-                         for r, (start, name) in enumerate(keys))
+    d = tokens.shape[2]
+    with _writing(args.out):
+        write_matrix(args.out, ["window_start", "variable"] + [f"e{i}" for i in range(d)],
+                     [(int(start), name) for start in batch.starts
+                      for name in table.channels], tokens.reshape(-1, d))
     print(f"embeddings: {args.out} ({tokens.shape[0]} windows x "
           f"{tokens.shape[1]} variables, D={tokens.shape[2]})")
     return EXIT_OK

@@ -103,13 +103,20 @@ def load_csv(path):
 
 def save_csv(table, path):
     """Write a SeriesTable back out; full float precision so reload is exact."""
-    cells = _reprs(table.values)
-    width = table.n_channels
+    write_matrix(path, ["date"] + list(table.channels),
+                 [[ts] for ts in table.timestamps], table.values)
+
+
+def write_matrix(path, header, keys, values):
+    """Write `header`, then row i of the 2-d float array `values` led by the
+    cells of `keys[i]`; floats are written with `repr`, so they reload exactly."""
+    cells = _reprs(values)
+    width = values.shape[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["date"] + list(table.channels))
-        writer.writerows([ts] + cells[i * width:(i + 1) * width]
-                         for i, ts in enumerate(table.timestamps))
+        writer.writerow(header)
+        writer.writerows(list(key) + cells[i * width:(i + 1) * width]
+                         for i, key in enumerate(keys))
 
 
 # split scheme -> (train, val) share in tenths; test takes the rest

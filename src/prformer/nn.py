@@ -256,9 +256,9 @@ def gru_forward(x, params):
 def standardize(x, axis):
     """(x - mean, mean, sqrt(var + EPS)) over `axis`, which the statistics
     keep with length 1."""
-    mu = T.mean(x, axis=axis, keepdims=True)
+    mu = T.mean(x, axis=axis)
     centered = T.sub(x, mu)
-    var = T.mean(T.mul(centered, centered), axis=axis, keepdims=True)
+    var = T.mean(T.mul(centered, centered), axis=axis)
     sigma = T.sqrt(T.add(var, T.tensor(np.asarray(EPS, dtype=x.data.dtype))))
     return centered, mu, sigma
 
@@ -279,7 +279,7 @@ def softmax(x, axis=-1):
     axis = axis % x.ndim
     shift = T.tensor(x.data.max(axis=axis, keepdims=True))  # constant: derivative unaffected
     e = T.exp(T.sub(x, shift))
-    return T.div(e, T.sum_(e, axis=axis, keepdims=True))
+    return T.div(e, T.sum_(e, axis=axis))
 
 
 def multi_head_attention(x, params, heads):
@@ -299,7 +299,8 @@ def multi_head_attention(x, params, heads):
     q = split_heads(linear(x, params.q))
     k = split_heads(T.matmul(x, params.k))
     v = split_heads(linear(x, params.v))
-    scores = T.scale(T.matmul(q, T.permute(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    scores = T.mul(T.matmul(q, T.permute(k, (0, 1, 3, 2))),
+                   T.tensor(1.0 / np.sqrt(dh), dtype=x.dtype))
     probs = softmax(scores, axis=-1)
     ctx = T.matmul(probs, v)  # (b, heads, n, dh)
     merged = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (b, n, d))

@@ -3,9 +3,11 @@
 Every value flowing through the forecaster is a `Tensor`: a numpy array plus
 an optional link into the computation graph. Non-leaf tensors remember the
 primitive that produced them (`op`), their inputs (`parents`) and a closure
-that maps the output gradient to per-parent gradients. `backward` replays
-the graph in reverse topological order and accumulates gradients on the
-requires_grad leaves.
+that maps the output gradient to a gradient for each parent on the tape and
+None for each other parent. A constant (a dropout mask, a scale factor, an
+epsilon) is just a tensor that needs no gradient, so it costs its closure
+nothing. `backward` replays the graph in reverse topological order and
+accumulates gradients on the requires_grad leaves.
 """
 
 from __future__ import annotations
@@ -117,54 +119,43 @@ def _unbroadcast(g, shape):
     return g
 
 
-def _check_broadcast(op, a, b):
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeMismatchError(op, a.shape, b.shape) from None
-
-
 # ---------------------------------------------------------------------------
 # elementwise binaries
 
 
-def add(a, b):
-    _check_broadcast("add", a, b)
+def _elementwise(op, a, b, forward, grad_a, grad_b):
+    """One broadcasting binary node. Its backward computes `grad(g, out)` only
+    for a parent on the tape, summed back to that parent's shape, and returns
+    None for a constant."""
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ShapeMismatchError(op, a.shape, b.shape) from None
+    out = forward(a.data, b.data)
 
     def bwd(g):
-        return (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
+        return tuple(_unbroadcast(grad(g, out), p.shape) if p.requires_grad else None
+                     for p, grad in ((a, grad_a), (b, grad_b)))
 
-    return _node("add", a.data + b.data, (a, b), bwd)
+    return _node(op, out, (a, b), bwd)
+
+
+def add(a, b):
+    return _elementwise("add", a, b, np.add, lambda g, out: g, lambda g, out: g)
 
 
 def sub(a, b):
-    _check_broadcast("sub", a, b)
-
-    def bwd(g):
-        return (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
-
-    return _node("sub", a.data - b.data, (a, b), bwd)
+    return _elementwise("sub", a, b, np.subtract, lambda g, out: g, lambda g, out: -g)
 
 
 def mul(a, b):
-    _check_broadcast("mul", a, b)
-
-    def bwd(g):
-        return (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape))
-
-    return _node("mul", a.data * b.data, (a, b), bwd)
+    return _elementwise("mul", a, b, np.multiply,
+                        lambda g, out: g * b.data, lambda g, out: g * a.data)
 
 
 def div(a, b):
-    _check_broadcast("div", a, b)
-    out = a.data / b.data
-
-    def bwd(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * out / b.data, b.shape)
-        return (ga, gb)
-
-    return _node("div", out, (a, b), bwd)
+    return _elementwise("div", a, b, np.divide,
+                        lambda g, out: g / b.data, lambda g, out: -g * out / b.data)
 
 
 # ---------------------------------------------------------------------------
@@ -252,30 +243,22 @@ def concat(tensors, axis=0):
 # reductions
 
 
-def sum_(x, axis=None, keepdims=False):
-    out = x.data.sum(axis=axis, keepdims=keepdims)
-
+def _reduction(op, x, out, count):
+    """A sum or mean node; an axis reduced keeps length 1, so the backward
+    spreads `g / count` back over `x` as a broadcast view, without a copy."""
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.shape).astype(x.data.dtype, copy=False),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, x.shape).copy(),)
+        return (np.broadcast_to(g / count, x.shape).astype(x.data.dtype, copy=False),)
 
-    return _node("sum", out, (x,), bwd)
+    return _node(op, out, (x,), bwd)
 
 
-def mean(x, axis=None, keepdims=False):
-    out = x.data.mean(axis=axis, keepdims=keepdims)
-    count = x.size if axis is None else x.shape[axis]
+def sum_(x, axis=None):
+    return _reduction("sum", x, x.data.sum(axis=axis, keepdims=axis is not None), 1)
 
-    def bwd(g):
-        scale_g = g / count
-        if axis is None:
-            return (np.broadcast_to(scale_g, x.shape).astype(x.data.dtype, copy=False),)
-        gg = scale_g if keepdims else np.expand_dims(scale_g, axis)
-        return (np.broadcast_to(gg, x.shape).copy(),)
 
-    return _node("mean", out, (x,), bwd)
+def mean(x, axis=None):
+    return _reduction("mean", x, x.data.mean(axis=axis, keepdims=axis is not None),
+                      x.size if axis is None else x.shape[axis])
 
 
 # ---------------------------------------------------------------------------
@@ -322,28 +305,13 @@ def abs_(x):
     return _node("abs", np.abs(x.data), (x,), bwd)
 
 
-def scale(x, factor):
-    """Multiply by a python scalar."""
-    factor = float(factor)
-
-    def bwd(g):
-        return (g * factor,)
-
-    return _node("scale", x.data * factor, (x,), bwd)
-
-
 def dropout_mask(x, rate, rng):
     """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
-    mask = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
-
-    def bwd(g):
-        return (g * mask,)
-
-    return _node("dropout", x.data * mask, (x,), bwd)
+    return mul(x, Tensor((rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)))
 
 
 # ---------------------------------------------------------------------------

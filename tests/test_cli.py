@@ -251,6 +251,29 @@ class TestExitCodes:
         assert len(errors) == 1 and str(ckpt) in errors[0], err
         assert "epoch" not in out and not ckpt.exists()
 
+    @pytest.mark.parametrize("command", ["train", "predict", "inspect-embeddings"])
+    def test_output_naming_an_input_is_usage_error(self, dataset, tmp_path, capsys,
+                                                   command):
+        # inspect-embeddings reads its dataset path from the checkpoint's config
+        ckpt = str(_ckpt_with(tmp_path, lambda m: m["config"].update(dataset=dataset)))
+        victim, argv = {
+            "train": (dataset, ["train", "--dataset", dataset, *FAST,
+                                "--checkpoint", str(tmp_path / "m.ckpt"),
+                                "--history", dataset]),
+            "predict": (ckpt, ["predict", "--checkpoint", ckpt, "--dataset", dataset,
+                               "--out", ckpt]),
+            "inspect-embeddings": (dataset, ["inspect-embeddings", "--checkpoint", ckpt,
+                                             "--out", dataset]),
+        }[command]
+        before = open(victim, "rb").read()
+        rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 1, err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and victim in errors[0], err
+        assert open(victim, "rb").read() == before
+        assert "epoch" not in out
+
     def test_format_3_checkpoint_is_data_error(self, dataset, tmp_path, capsys):
         # format 3 stored each conv weight as (C_out, C_in, K)
         path = _ckpt_with(tmp_path, lambda m: m.update(format_version=3))

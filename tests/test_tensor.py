@@ -41,10 +41,6 @@ class TestForwardValues:
         np.testing.assert_allclose(T.relu(tensor([-2.0, 3.0])).data, [0.0, 3.0])
         np.testing.assert_allclose(T.abs_(tensor([-1.5, 2.0])).data, [1.5, 2.0])
 
-    def test_scale_by_python_scalar(self):
-        x = tensor([1.0, -2.0])
-        np.testing.assert_allclose(T.scale(x, 2.5).data, [2.5, -5.0])
-
     def test_structural_ops_round_trip(self):
         rng = np.random.default_rng(0)
         x = tensor(rng.normal(size=(2, 3, 4)))
@@ -154,11 +150,33 @@ class TestGraphMechanics:
         rng = np.random.default_rng(3)
         x = tensor(np.ones((1000,)), requires_grad=True)
         out = T.dropout_mask(x, 0.3, rng)
+        assert out.op == "mul"  # by a constant mask
         kept = out.data > 0
         np.testing.assert_allclose(out.data[kept], 1.0 / 0.7, rtol=1e-6)
         assert abs(kept.mean() - 0.7) < 0.05
         backward(T.sum_(out))
         np.testing.assert_allclose(x.grad, out.data, rtol=1e-6)
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    def test_binary_backward_skips_a_constant(self, op):
+        # the closure computes no gradient for an operand off the tape, either side
+        var = tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        const = tensor([2.0, 5.0])
+        g = np.ones((2, 2), dtype=np.float32)
+        grad_var, grad_const = getattr(T, op)(var, const)._backward(g)
+        assert grad_var.shape == (2, 2) and grad_const is None
+        grad_const, grad_var = getattr(T, op)(const, var)._backward(g)
+        assert grad_const is None and grad_var.shape == (2, 2)
+
+    def test_reductions_keep_a_reduced_axis_and_spread_without_copy(self):
+        x = tensor(np.arange(12.0).reshape(3, 4), dtype=np.float32, requires_grad=True)
+        assert T.sum_(x, axis=1).shape == (3, 1) and T.mean(x, axis=0).shape == (1, 4)
+        assert T.sum_(x).shape == T.mean(x).shape == ()
+        (spread,) = T.mean(x)._backward(np.ones((), dtype=np.float32))
+        np.testing.assert_array_equal(spread, np.full((3, 4), 1.0 / 12, dtype=np.float32))
+        assert spread.strides == (0, 0)  # a broadcast view of one number
+        (spread,) = T.mean(x, axis=1)._backward(np.ones((3, 1), dtype=np.float32))
+        np.testing.assert_array_equal(spread, np.full((3, 4), 0.25, dtype=np.float32))
 
     def test_dropout_rate_zero_is_identity(self):
         x = tensor([1.0, 2.0], requires_grad=True)
@@ -202,7 +220,7 @@ class TestGradCheck:
 
         def flaky(t):
             state["n"] += 1
-            return T.sum_(T.scale(t, state["n"]))
+            return T.sum_(T.mul(t, tensor(state["n"], dtype=np.float64)))
 
         with pytest.raises(NonDeterministicFunctionError):
             grad_check(flaky, tensor([1.0]))
@@ -236,12 +254,11 @@ class TestGradCheck:
                                             oracles.narrow(other, 1, 0, 2))),
             "mean": lambda t: T.sum_(T.mean(T.mul(t, t), axis=1)),
             "sqrt": lambda t: T.sum_(T.sqrt(t)),
-            "exp": lambda t: T.sum_(T.exp(T.scale(t, 0.1))),
+            "exp": lambda t: T.sum_(T.exp(T.mul(t, tensor(0.1, dtype=np.float64)))),
             "tanh": lambda t: T.sum_(oracles.tanh(t)),
             "sigmoid": lambda t: T.sum_(oracles.sigmoid(t)),
             "relu": lambda t: T.sum_(T.relu(t)),
             "abs": lambda t: T.sum_(T.abs_(t)),
-            "scale": lambda t: T.sum_(T.scale(t, -1.7)),
         }
         for name, f in cases.items():
             err = grad_check(f, tensor(point))
@@ -282,7 +299,7 @@ class TestGradCheck:
         # doubling the analytic gradient of a large-magnitude function should
         # still produce an O(1) error under the max(1, |analytic|) denominator
         def wrong(t):
-            return T.sum_(T.scale(T.mul(t, t), 1000.0))
+            return T.sum_(T.mul(T.mul(t, t), tensor(1000.0, dtype=np.float64)))
 
         err = grad_check(wrong, tensor([1.0]))
         assert err < GRAD_TOL  # correct analytic side stays tiny even at scale 1000
