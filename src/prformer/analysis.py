@@ -83,18 +83,18 @@ def check_pe(trials=1000, d_model=None, seed=0):
 # scaling benchmark
 
 
-def bench_forward_seconds(model, channels, repetitions, batch_size=1,
-                          include_backward=False, seed=0):
-    """Median/mean wall time of one forward pass on one batch, or with
-    `include_backward` of one full `train_step` (forward, loss, backward,
-    Adam); warm-up excluded."""
+def bench_forward_seconds(model, repetitions, include_backward=False, seed=0):
+    """Median/mean wall time of one forward pass on one batch of the model's
+    configured size, or with `include_backward` of one full `train_step`
+    (forward, loss, backward, Adam); warm-up excluded."""
     rng = np.random.default_rng(seed)
-    inputs = rng.normal(size=(batch_size, model.config.lookback, channels)
+    config = model.config
+    inputs = rng.normal(size=(config.batch_size, config.lookback, model.channels)
                         ).astype(np.float32)
     if include_backward:
-        targets = rng.normal(size=(batch_size, model.config.pred_len, channels)
-                             ).astype(np.float32)
-        optimizer = Adam(model.named_parameters(), model.config.lr)
+        targets = rng.normal(size=(config.batch_size, config.pred_len,
+                                   model.channels)).astype(np.float32)
+        optimizer = Adam(model.named_parameters(), config.lr)
 
         def run():
             train_step(model, optimizer, inputs, targets, rng)
@@ -142,8 +142,8 @@ def scaling_bench(lookbacks, windows, d_model=64, channels=3, conv_channels=16,
                            conv_channels=conv_channels, dropout=0.0,
                            batch_size=batch_size, seed=seed)
         model = PRformer(config, channels)
-        median_s, mean_s = bench_forward_seconds(
-            model, channels, repetitions, batch_size, include_backward, seed)
+        median_s, mean_s = bench_forward_seconds(model, repetitions,
+                                                 include_backward, seed)
         ratio = None if prev_median is None else median_s / prev_median
         rows.append({"lookback": lookback, "median_s": median_s,
                      "mean_s": mean_s, "ratio": ratio})

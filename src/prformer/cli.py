@@ -43,9 +43,7 @@ def _add_config_flags(sp):
     for f in dataclasses.fields(RunConfig):
         flag = "--" + f.name.replace("_", "-")
         kind = f.type.split(" | ")[0]
-        if kind == "bool":
-            sp.add_argument(flag, action="store_true", default=None, dest=f.name)
-        elif kind == "tuple":  # pyramidal windows: one or more integers
+        if kind == "tuple":  # pyramidal windows: one or more integers
             sp.add_argument(flag, type=int, nargs="+", dest=f.name, **f.metadata)
         else:
             sp.add_argument(flag, type={"int": int, "float": float, "str": str}[kind],
@@ -106,7 +104,7 @@ def _load_split(args, out=None):
                         f"has {table.n_channels}")
     config = model.config
     ranges = split_ranges(table.length, config.split_scheme, config.lookback,
-                          config.pred_len, config.strict_split)
+                          config.pred_len)
     return model, table, ranges[_SPLIT_INDEX[args.split]]
 
 

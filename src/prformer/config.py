@@ -22,8 +22,8 @@ class ConfigError(ValueError):
 
 
 # JSON value kinds allowed by each annotation name in RunConfig
-_KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str,
-          "tuple": tuple, "None": type(None)}
+_KINDS = {"int": int, "float": (int, float), "str": str, "tuple": tuple,
+          "None": type(None)}
 
 
 def read_config_file(path):
@@ -62,12 +62,9 @@ class RunConfig:
                                 metadata={"help": "benchmark-format CSV path"})
     split_scheme: str = field(default="6:2:2",
                               metadata={"choices": tuple(SPLIT_SCHEMES)})
-    strict_split: bool = False
     max_epochs: int = 30
     patience: int = 10
     lr_decay: float = 0.9
-    normalized_loss: bool = False
-    grad_clip: float | None = None
 
     def __post_init__(self):
         if isinstance(self.pyramidal_windows, list):
@@ -80,7 +77,7 @@ class RunConfig:
             value = getattr(self, f.name)
             kinds = f.type.split(" | ")
             if (not isinstance(value, tuple(_KINDS[k] for k in kinds))
-                    or isinstance(value, bool) and "bool" not in kinds
+                    or isinstance(value, bool)  # no field takes true/false
                     or isinstance(value, float) and not math.isfinite(value)):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
             choices = f.metadata.get("choices")
@@ -109,8 +106,6 @@ class RunConfig:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ConfigError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ConfigError(f"grad_clip must be positive, got {self.grad_clip}")
         if self.d_model % self.heads != 0:
             raise ConfigError(
                 f"heads ({self.heads}) must divide d_model ({self.d_model})")

@@ -123,13 +123,13 @@ def write_matrix(path, header, keys, values):
 SPLIT_SCHEMES = {"6:2:2": (6, 2), "7:1:2": (7, 1)}
 
 
-def split_ranges(n, scheme, lookback, horizon, strict=False):
+def split_ranges(n, scheme, lookback, horizon):
     """Chronological (train, val, test) half-open row ranges.
 
-    Train/val sizes are floor(ratio * n); test takes the remainder. In the
-    standard mode val and test windows may begin their lookback inside the
-    preceding split's tail (targets never leave their own split); strict mode
-    confines whole windows to their split.
+    Train/val sizes are floor(ratio * n); test takes the remainder. Val and
+    test windows begin their lookback inside the preceding split's tail, so
+    their first targets are the split's first rows; targets never leave their
+    own split.
     """
     if scheme not in SPLIT_SCHEMES:
         raise DataError(f"unknown split scheme {scheme!r}")
@@ -138,12 +138,9 @@ def split_ranges(n, scheme, lookback, horizon, strict=False):
     n_val = n * r_val // 10
     n_test = n - n_train - n_val
     window = lookback + horizon
-    if strict:
-        ranges = [(0, n_train), (n_train, n_train + n_val), (n_train + n_val, n)]
-    else:
-        ranges = [(0, n_train),
-                  (n_train - lookback, n_train + n_val),
-                  (n_train + n_val - lookback, n)]
+    ranges = [(0, n_train),
+              (n_train - lookback, n_train + n_val),
+              (n_train + n_val - lookback, n)]
     for name, (start, end), size in zip(("train", "val", "test"), ranges,
                                         (n_train, n_val, n_test)):
         if size <= 0 or end - start < window or start < 0:

@@ -67,9 +67,12 @@ class PRformer:
             emb = pre.pre_embed_batch(series, self.params.pre, self.pyramid)
         return T.reshape(emb, (b, c, self.config.d_model)), state
 
-    def forward_parts(self, x, training=False, dropout_rng=None):
-        """Returns the raw-scale forecast (B, H, C), and time-first the
-        normalized forecast (H, B, C) and the window stats."""
+    def forward(self, x, training=False, dropout_rng=None):
+        """Forecast raw-scale values: (B, L, C) -> (B, H, C).
+
+        With `training`, the encoder drops activations at the configured rate,
+        drawing its masks from `dropout_rng`.
+        """
         b, l, c = x.shape
         if l != self.config.lookback:
             raise T.ShapeMismatchError("forward", x.shape, (self.config.lookback,),
@@ -83,11 +86,7 @@ class PRformer:
                            rng=dropout_rng)
         y_norm = T.permute(encoder.forecast(h, self.params.encoder), (2, 0, 1))
         y = revin.denormalize(y_norm, state, self.params.revin)
-        return T.permute(y, (1, 0, 2)), y_norm, state
-
-    def forward(self, x, training=False, dropout_rng=None):
-        """Forecast raw-scale values: (B, L, C) -> (B, H, C)."""
-        return self.forward_parts(x, training, dropout_rng)[0]
+        return T.permute(y, (1, 0, 2))
 
     def named_parameters(self):
         return list(nn.iter_params(self.params))

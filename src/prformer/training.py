@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nn, revin, tensor as T
+from . import revin, tensor as T
 from .config import ConfigError, RunConfig
 from .data import DataError, split_ranges, window_iter
 from .model import PRformer
@@ -83,16 +83,6 @@ def grad_norm(named_params):
     return np.sqrt(total)
 
 
-def clip_gradients(named_params, max_norm, norm):
-    """Scale all gradients, whose global L2 norm is `norm`, so that it is at
-    most `max_norm`."""
-    if norm > max_norm:
-        factor = float(max_norm / norm)  # a numpy scalar would promote float32 grads
-        for _, p in named_params:
-            if p.grad is not None:
-                p.grad = p.grad * factor
-
-
 def lr_for_epoch(base_lr, decay, epoch):
     """Flat for the first three epochs, then exponential decay (1-based)."""
     return base_lr * decay ** max(0, epoch - 3)
@@ -120,39 +110,26 @@ def train_step(model, optimizer, inputs, targets, dropout_rng, epoch=1,
                batch=0):
     """One optimizer step on windows (B, L, C) -> targets (B, H, C).
 
-    Training-mode forward, L1 loss (against targets mapped onto RevIN's
-    normalized scale when `normalized_loss` is set), backward, the optional
-    global-norm clip, Adam, then RevIN's gamma clamp; settings come from the
-    model's RunConfig. Every gradient is cleared on return. A non-finite loss,
-    or a non-finite global gradient norm, raises DivergenceError naming
-    `epoch` and `batch` (and the first parameter whose gradient is not
-    finite) before any parameter changes. Returns the loss value.
+    Training-mode forward, raw-scale L1 loss, backward, Adam, then RevIN's
+    gamma clamp. Every gradient is cleared on return. A non-finite loss, or a
+    non-finite global gradient norm, raises DivergenceError naming `epoch`
+    and `batch` (and the first parameter whose gradient is not finite) before
+    any parameter changes. Returns the loss value.
     """
-    config = model.config
-    y = Tensor(targets)
-    y_raw, y_norm, state = model.forward_parts(Tensor(inputs), training=True,
-                                               dropout_rng=dropout_rng)
-    if config.normalized_loss:
-        target = nn.scale_shift(T.sub(T.permute(y, (1, 0, 2)), state.mu), state.sigma,
-                                model.params.revin.gamma, model.params.revin.beta)
-        loss = mae_loss(y_norm, target)
-    else:
-        loss = mae_loss(y_raw, y)
+    loss = mae_loss(model.forward(Tensor(inputs), training=True,
+                                  dropout_rng=dropout_rng), Tensor(targets))
     value = float(loss.data)
     if not np.isfinite(value):
         raise DivergenceError(f"non-finite loss {value} at epoch {epoch}, "
                               f"batch {batch}, lr {optimizer.lr:.3e}")
     T.backward(loss)
-    norm = grad_norm(optimizer.named_params)
-    if not np.isfinite(norm):
+    if not np.isfinite(grad_norm(optimizer.named_params)):
         name = next((n for n, p in optimizer.named_params
                      if p.grad is not None and not np.isfinite(p.grad).all()),
                     "the global norm")  # float32 gradients cannot overflow it
         optimizer.zero_grad()
         raise DivergenceError(f"non-finite gradient in {name} at epoch {epoch}, "
                               f"batch {batch}, lr {optimizer.lr:.3e}")
-    if config.grad_clip is not None:
-        clip_gradients(optimizer.named_params, config.grad_clip, norm)
     optimizer.step()
     optimizer.zero_grad()
     revin.clamp_gamma(model.params.revin)
@@ -169,9 +146,8 @@ def train(config: RunConfig, table, progress=None) -> TrainResult:
     DivergenceError naming the epoch.
     """
     config.validate()
-    ranges = split_ranges(table.length, config.split_scheme, config.lookback,
-                          config.pred_len, config.strict_split)
-    train_range, val_range, _ = ranges
+    train_range, val_range, _ = split_ranges(table.length, config.split_scheme,
+                                             config.lookback, config.pred_len)
     model = PRformer(config, table.n_channels)
     optimizer = Adam(model.named_parameters(), config.lr)
     dropout_rng = np.random.default_rng((config.seed, 1))
@@ -257,7 +233,7 @@ def predict_over_range(model, values, row_range, config):
 # checkpoint archive: 4-byte little-endian manifest length, JSON manifest,
 # then each parameter's raw little-endian buffer in manifest order
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 def save_checkpoint(path, model):

@@ -133,8 +133,7 @@ class TestScalingBench:
         config = RunConfig(lookback=16, pred_len=8, pyramidal_windows=(4,),
                            d_model=16, heads=2, conv_channels=4, dropout=0.0)
         model = PRformer(config, 2)
-        analysis.bench_forward_seconds(model, 2, repetitions=1,
-                                       include_backward=True)
+        analysis.bench_forward_seconds(model, repetitions=1, include_backward=True)
         assert all(p.grad is None for _, p in model.named_parameters())
 
     def test_csv_layout(self, tmp_path):

@@ -274,11 +274,14 @@ class TestExitCodes:
         assert open(victim, "rb").read() == before
         assert "epoch" not in out
 
-    def test_format_3_checkpoint_is_data_error(self, dataset, tmp_path, capsys):
-        # format 3 stored each conv weight as (C_out, C_in, K)
-        path = _ckpt_with(tmp_path, lambda m: m.update(format_version=3))
+    # format 3 stored each conv weight as (C_out, C_in, K); format 4 embedded
+    # a config with normalized_loss, grad_clip and strict_split
+    @pytest.mark.parametrize("version", [3, 4])
+    def test_older_format_checkpoint_is_data_error(self, dataset, tmp_path, capsys,
+                                                   version):
+        path = _ckpt_with(tmp_path, lambda m: m.update(format_version=version))
         assert cli.main(["evaluate", "--checkpoint", str(path), "--dataset", dataset]) == 2
-        assert "unsupported format version 3" in capsys.readouterr().err
+        assert f"unsupported format version {version}" in capsys.readouterr().err
 
     def test_unknown_subcommand(self):
         assert cli.main(["frobnicate"]) == 1
@@ -328,6 +331,9 @@ BAD_CONFIGS = {
     "variant-list": {"variant": ["full"]},
     "unknown-key": {"windows": [4]},
     "temperature-retired": {"temperature": 1.0},
+    "normalized-loss-retired": {"normalized_loss": True},
+    "grad-clip-retired": {"grad_clip": 1.5},
+    "strict-split-retired": {"strict_split": True},
     # a one-step window leaves RevIN no spread to measure
     "lookback-one": {"lookback": 1, "pred_len": 1, "pyramidal_windows": [1]},
     # V3 keeps the full model's per-level width, which D=2 cannot give 3 levels
@@ -373,7 +379,8 @@ BAD_CHECKPOINTS = {
 }
 
 
-# flags outside RunConfig that used to crash or check nothing
+# flags outside RunConfig that used to crash or check nothing, and flags of
+# retired RunConfig fields
 BAD_FLAGS = {
     "count-zero": ["inspect-embeddings", "--count", "0"],
     "count-negative": ["inspect-embeddings", "--count", "-1"],
@@ -391,6 +398,9 @@ BAD_FLAGS = {
     "pe-tolerance-negative": ["check-pe", "--tolerance", "-1"],
     "pe-tolerance-zero": ["check-pe", "--tolerance", "0"],
     "pe-tolerance-nan": ["check-pe", "--tolerance", "nan"],
+    "normalized-loss-retired": ["train", *FAST, "--normalized-loss"],
+    "grad-clip-retired": ["train", *FAST, "--grad-clip", "1.5"],
+    "strict-split-retired": ["train", *FAST, "--strict-split"],
 }
 
 
@@ -475,7 +485,10 @@ class TestMalformedInputContract:
     @pytest.mark.parametrize("case", sorted(BAD_FLAGS))
     def test_flag_outside_config(self, dataset, tmp_path, capsys, case):
         argv = BAD_FLAGS[case]
-        if argv[0] != "check-pe":
+        if argv[0] == "train":  # would run to the end if the flag were taken
+            argv = [*argv, "--dataset", dataset, "--checkpoint", str(tmp_path / "m.ckpt"),
+                    "--history", str(tmp_path / "h.csv")]
+        elif argv[0] != "check-pe":
             argv = [*argv, "--out", str(tmp_path / "out.csv")]
         if argv[0] == "inspect-embeddings":
             argv += ["--checkpoint", str(_ckpt_with(tmp_path)), "--dataset", dataset]
@@ -502,12 +515,9 @@ RUN_CONFIG_FLAG_VALUES = {
     "variant": (["V3"], "V3"),
     "dataset": (["elsewhere.csv"], "elsewhere.csv"),
     "split_scheme": (["7:1:2"], "7:1:2"),
-    "strict_split": ([], True),
     "max_epochs": (["5"], 5),
     "patience": (["3"], 3),
     "lr_decay": (["0.5"], 0.5),
-    "normalized_loss": ([], True),
-    "grad_clip": (["1.5"], 1.5),
 }
 
 

@@ -96,21 +96,21 @@ class TestLoadCsv:
 
 class TestSplitRanges:
     def test_benchmark_sizes_622(self):
-        train, val, test = split_ranges(17420, "6:2:2", 336, 96, strict=True)
+        train, val, test = split_ranges(17420, "6:2:2", 336, 96)
         assert train == (0, 10452)
-        assert val == (10452, 10452 + 3484)
-        assert test == (10452 + 3484, 17420)
+        assert val == (10452 - 336, 10452 + 3484)
+        assert test == (10452 + 3484 - 336, 17420)
 
     def test_benchmark_sizes_712(self):
-        train, val, test = split_ranges(26304, "7:1:2", 336, 96, strict=True)
+        train, val, test = split_ranges(26304, "7:1:2", 336, 96)
         assert train[1] - train[0] == 18412
-        assert val[1] - val[0] == 2630
-        assert test[1] - test[0] == 5262
-        assert test[1] == 26304
+        assert val[1] - val[0] == 336 + 2630
+        assert test[1] - test[0] == 336 + 5262
+        assert (train[1], val[1], test[1]) == (18412, 18412 + 2630, 26304)
 
     def test_tiny_exact_ratios(self):
-        train, val, test = split_ranges(10, "6:2:2", 1, 1, strict=True)
-        assert (train, val, test) == ((0, 6), (6, 8), (8, 10))
+        train, val, test = split_ranges(10, "6:2:2", 1, 1)
+        assert (train, val, test) == ((0, 6), (5, 8), (7, 10))
 
     def test_standard_mode_extends_lookback_into_previous_split(self):
         lookback = 48
@@ -127,14 +127,13 @@ class TestSplitRanges:
         assert first_target == 600  # val rows begin here
         assert last_target_end == 800
 
-    def test_strict_mode_windows_never_cross_boundaries(self):
-        ranges = split_ranges(1000, "6:2:2", 48, 24, strict=True)
-        for (a, b), (c, d) in zip(ranges, ranges[1:]):
-            assert b == c  # contiguous, disjoint
-
     def test_too_small_rejected(self):
-        with pytest.raises(DataError, match="too small"):
-            split_ranges(100, "6:2:2", 48, 24, strict=True)
+        with pytest.raises(DataError, match="train split too small"):
+            split_ranges(100, "6:2:2", 48, 24)
+        # val keeps its lookback from train, so only its own 200 rows of
+        # targets must cover the horizon
+        with pytest.raises(DataError, match="val split too small.*200 rows"):
+            split_ranges(1000, "6:2:2", 48, 201)
         with pytest.raises(DataError, match="unknown split scheme"):
             split_ranges(1000, "5:5", 8, 8)
 

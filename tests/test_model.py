@@ -30,7 +30,7 @@ class TestRunConfig:
         assert small_config(d_ff=24).d_ff == 24
 
     def test_json_round_trip(self, tmp_path):
-        config = small_config(dataset="x.csv", grad_clip=1.5)
+        config = small_config(dataset="x.csv", lr_decay=0.5)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config.to_dict()))
         again = RunConfig.from_dict(read_config_file(str(path)))
@@ -39,6 +39,9 @@ class TestRunConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             RunConfig.from_dict({"lookback": 8, "pred_len": 2, "windows": [2]})
+        for retired in ("normalized_loss", "grad_clip", "strict_split"):
+            with pytest.raises(ConfigError, match="unknown config keys"):
+                RunConfig.from_dict({"lookback": 8, "pred_len": 2, retired: 1})
 
     def test_missing_required_keys_rejected(self):
         with pytest.raises(ConfigError, match="missing required"):

@@ -53,7 +53,8 @@ class TestNormalize:
                                    np.abs(params.gamma.data), atol=1e-3)
 
     def test_affine_maps_targets_like_inputs(self):
-        # the normalized-loss target runs the same affine as `normalize`
+        # the window stats map any series onto the normalized scale as
+        # `normalize` maps the inputs
         rng = np.random.default_rng(24)
         params = neutral(2)
         params.gamma.data[:] = [1.5, -0.5]

@@ -20,7 +20,6 @@ from prformer.training import (
     Adam,
     CheckpointError,
     DivergenceError,
-    clip_gradients,
     evaluate,
     grad_norm,
     load_checkpoint,
@@ -94,41 +93,15 @@ class TestAdam:
         assert a.grad is None
 
 
-class TestScheduleAndClipping:
+class TestScheduleAndGradNorm:
     def test_lr_flat_then_decayed(self):
         lrs = [lr_for_epoch(1e-3, 0.9, e) for e in range(1, 6)]
         np.testing.assert_allclose(lrs, [1e-3, 1e-3, 1e-3, 9e-4, 8.1e-4])
 
-    def test_clip_rescales_global_norm(self):
-        a = Tensor(np.array([3.0]), requires_grad=True)
-        b = Tensor(np.array([4.0]), requires_grad=True)
-        a.grad, b.grad = np.array([3.0]), np.array([4.0])
-        params = [("a", a), ("b", b)]
-        norm = grad_norm(params)
-        assert abs(norm - 5.0) < 1e-12
-        clip_gradients(params, 1.0, norm)
-        total = np.sqrt(a.grad[0] ** 2 + b.grad[0] ** 2)
-        np.testing.assert_allclose(total, 1.0)
-
-    def test_clipped_step_keeps_float32_gradients(self, monkeypatch):
-        table = synthetic.mixed_table(n=60, seed=18)
-        model = PRformer(tiny_config(grad_clip=1e-6), 3)  # always clips
-        optimizer = Adam(model.named_parameters(), 1e-3)
-        dtypes = set()
-
-        def step():
-            dtypes.update(p.grad.dtype for _, p in optimizer.named_params)
-
-        monkeypatch.setattr(optimizer, "step", step)
-        train_step(model, optimizer, table.values[None, :24],
-                   table.values[None, 24:28], None)
-        assert dtypes == {np.dtype(np.float32)}
-
-    def test_clip_noop_below_threshold(self):
-        a = Tensor(np.array([0.3]), requires_grad=True)
-        a.grad = np.array([0.3])
-        clip_gradients([("a", a)], 10.0, grad_norm([("a", a)]))
-        np.testing.assert_allclose(a.grad, [0.3])
+    def test_grad_norm_is_global_l2_over_set_gradients(self):
+        a, b, c = (Tensor(np.zeros(1, np.float32), requires_grad=True) for _ in "abc")
+        a.grad, b.grad = np.array([3.0], np.float32), np.array([4.0], np.float32)
+        assert grad_norm([("a", a), ("b", b), ("c", c)]) == 5.0  # c has no gradient
 
 
 class TestTrainLoop:
@@ -173,17 +146,6 @@ class TestTrainLoop:
         with pytest.raises(DivergenceError, match="epoch 1"):
             train(tiny_config(), table)
 
-    def test_normalized_loss_path_runs(self):
-        table = synthetic.mixed_table(n=200, seed=13)
-        raw = train(tiny_config(max_epochs=1), table)
-        normed = train(tiny_config(max_epochs=1, normalized_loss=True), table)
-        assert raw.history[0]["train_mae"] != normed.history[0]["train_mae"]
-
-    def test_grad_clip_path_runs(self):
-        table = synthetic.mixed_table(n=200, seed=14)
-        result = train(tiny_config(max_epochs=1, grad_clip=0.5), table)
-        assert np.isfinite(result.history[0]["train_mae"])
-
 
 class TestTrainStep:
     def test_updates_parameters_and_clears_gradients(self):
@@ -198,6 +160,16 @@ class TestTrainStep:
         assert any(not np.array_equal(b, p.data)
                    for b, (_, p) in zip(before, model.named_parameters()))
 
+    def test_returns_raw_scale_mae_of_parameters_before_the_step(self):
+        table = synthetic.mixed_table(n=60, seed=19)
+        model = PRformer(tiny_config(), 3)  # dropout 0: training forward is forward
+        inputs, targets = table.values[None, :24], table.values[None, 24:28]
+        expected = mae_loss(model.forward(Tensor(inputs)), Tensor(targets))
+        optimizer = Adam(model.named_parameters(), 1e-3)
+        value = train_step(model, optimizer, inputs, targets, None)
+        assert value == float(expected.data)
+        assert optimizer.t == 1
+
     def test_non_finite_loss_names_epoch_and_batch_and_changes_nothing(self):
         model = PRformer(tiny_config(), 3)
         optimizer = Adam(model.named_parameters(), 1e-3)
@@ -210,11 +182,10 @@ class TestTrainStep:
         assert all(np.array_equal(b, p.data)
                    for b, (_, p) in zip(before, model.named_parameters()))
 
-    @pytest.mark.parametrize("grad_clip", [None, 0.5])
     def test_non_finite_gradient_names_parameter_and_changes_nothing(
-            self, monkeypatch, grad_clip):
+            self, monkeypatch):
         table = synthetic.mixed_table(n=60, seed=18)
-        model = PRformer(tiny_config(grad_clip=grad_clip), 3)
+        model = PRformer(tiny_config(), 3)
         optimizer = Adam(model.named_parameters(), 1e-3)
         before = [p.data.copy() for _, p in model.named_parameters()]
         params = dict(model.named_parameters())
@@ -447,6 +418,8 @@ class TestCheckpointManifest:
                      id="format-version-2"),
         pytest.param(_set("format_version", 3), "unsupported format version 3",
                      id="format-version-3"),
+        pytest.param(_set("format_version", 4), "unsupported format version 4",
+                     id="format-version-4"),
     ])
     def test_bad_manifest_rejected(self, tmp_path, edit, message):
         path = tmp_path / "m.ckpt"
