@@ -7,7 +7,9 @@ on time-first, batch-last (T, ch, N) levels: `conv1d` is a patch
 convolution (stride == kernel) run as a free reshape plus one batched
 product, `upsample_repeat` is a zero-order hold, and `gru_forward` runs a
 whole GRU sequence as one `gru_sequence` node whose cost is linear in the
-sequence length, forward and backward.
+sequence length, forward and backward. Its time loops write in place, in
+the order of operations of a gate-by-gate step, so the results are bitwise
+those of computing each gate into a temporary.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, _logistic, _node, _records
+from .tensor import Tensor, _node, _records
 
 EPS = 1e-5  # variance floor of every standardization
 
@@ -193,10 +195,16 @@ def gru_forward(x, params):
     the projections (T, 3H, B), so the z, r and candidate gates are row blocks.
     Forward projects all steps' inputs with one batched product, then loops
     over time with one (2H, H) product for the update/reset gates and one
-    (H, H) product for the candidate. When the node is recorded the loop
-    also keeps h_0..h_T, the gates and the candidates for the hand-written
-    BPTT; otherwise it keeps only h. Backward returns one gradient per
-    `GRUParams` field.
+    (H, H) product for the candidate. Every step writes in place into the
+    buffers it keeps: the gates into `zr`, the candidate into `cand` and the
+    state into the next slot of `hs`. The z and r columns of `w`, `b` and
+    `u_zr` are halved on per-call copies, which is exact, so the logistic
+    is one tanh of their sum: sigmoid(a) = (tanh(a / 2) + 1) / 2. When the
+    node is recorded the buffers keep h_0..h_T, the gates and the candidates
+    for the hand-written BPTT; otherwise `hs` is a two-slot ring and the
+    gates and candidate one slot each. BPTT writes each step's gate
+    gradients straight into the projections' gradient. Backward returns one
+    gradient per `GRUParams` field.
     """
     w_in, u_zr, u_h, b_in = params.w.data, params.u_zr.data, params.u_h.data, params.b.data
     if x.ndim != 3:
@@ -205,39 +213,66 @@ def gru_forward(x, params):
         raise T.ShapeMismatchError("gru", x.shape, w_in.shape, "input dims differ")
     t_len, _, batch = x.shape
     hidden = params.hidden_size
-    proj = np.matmul(w_in.T, x.data)  # (T, 3H, B)
-    proj += b_in[:, None]
+    zr_cols = slice(0, 2 * hidden)
+    w_half, b_half = w_in.copy(), b_in.copy()
+    w_half[:, zr_cols] *= 0.5
+    b_half[zr_cols] *= 0.5
+    u_zr_half = u_zr * 0.5
+    proj = np.matmul(w_half.T, x.data)  # (T, 3H, B), z and r halved
+    proj += b_half[:, None]
     dtype = proj.dtype
     parents = (x, params.w, params.u_zr, params.u_h, params.b)
     record = _records(parents)
 
-    h = np.zeros((hidden, batch), dtype=dtype)
-    if record:
-        hs = np.empty((t_len + 1, hidden, batch), dtype=dtype)
-        hs[0] = h
-        zr = np.empty((t_len, 2 * hidden, batch), dtype=dtype)
-        cand = np.empty((t_len, hidden, batch), dtype=dtype)
+    steps = t_len if record else 1
+    hs = np.empty((steps + 1, hidden, batch), dtype=dtype)
+    zr = np.empty((steps, 2 * hidden, batch), dtype=dtype)
+    cand = np.empty((steps, hidden, batch), dtype=dtype)
+    buf = np.empty((hidden, batch), dtype=dtype)
+    hs[0] = 0.0
     for t in range(t_len):
-        zr_t = _logistic(proj[t, :2 * hidden] + u_zr.T @ h)
-        z, r = zr_t[:hidden], zr_t[hidden:]
-        c_t = np.tanh(proj[t, 2 * hidden:] + u_h.T @ (r * h))
-        h = h + z * (c_t - h)
-        if record:
-            zr[t], cand[t], hs[t + 1] = zr_t, c_t, h
+        h, h_next = hs[t % len(hs)], hs[(t + 1) % len(hs)]
+        zr_t, c_t = zr[t % steps], cand[t % steps]
+        np.matmul(u_zr_half.T, h, out=zr_t)
+        zr_t += proj[t, zr_cols]
+        np.tanh(zr_t, out=zr_t)
+        zr_t += 1.0
+        zr_t *= 0.5
+        np.multiply(zr_t[hidden:], h, out=buf)
+        np.matmul(u_h.T, buf, out=c_t)
+        c_t += proj[t, 2 * hidden:]
+        np.tanh(c_t, out=c_t)
+        np.subtract(c_t, h, out=buf)
+        buf *= zr_t[:hidden]
+        np.add(h, buf, out=h_next)
     del proj
 
     def bwd(g):
         g_proj = np.empty((t_len, 3 * hidden, batch), dtype=np.result_type(g, dtype))
-        dh = np.ascontiguousarray(g.T)
+        dh = np.array(g.T, dtype=g_proj.dtype, order="C")
+        d_rh, one_minus_z, tmp = (np.empty_like(dh) for _ in range(3))
         for t in range(t_len - 1, -1, -1):
             h, z, r, c = hs[t], zr[t, :hidden], zr[t, hidden:], cand[t]
-            da_c = dh * z * (1.0 - c * c)
-            d_rh = u_h @ da_c
-            dz = dh * (c - h)
-            g_proj[t, :hidden] = dz * z * (1.0 - z)
-            g_proj[t, hidden:2 * hidden] = d_rh * h * r * (1.0 - r)
-            g_proj[t, 2 * hidden:] = da_c
-            dh = dh * (1.0 - z) + d_rh * r + u_zr @ g_proj[t, :2 * hidden]
+            g_z, g_r, da_c = (g_proj[t, i * hidden:(i + 1) * hidden] for i in range(3))
+            np.multiply(c, c, out=da_c)
+            np.subtract(1.0, da_c, out=da_c)
+            np.multiply(dh, z, out=tmp)
+            da_c *= tmp  # dh * z * (1 - c²)
+            np.matmul(u_h, da_c, out=d_rh)
+            np.subtract(1.0, z, out=one_minus_z)
+            np.subtract(c, h, out=g_z)
+            g_z *= dh
+            g_z *= z
+            g_z *= one_minus_z  # dh * (c - h) * z * (1 - z)
+            np.multiply(d_rh, h, out=g_r)
+            g_r *= r
+            np.subtract(1.0, r, out=tmp)
+            g_r *= tmp  # d_rh * h * r * (1 - r)
+            dh *= one_minus_z
+            d_rh *= r
+            dh += d_rh
+            np.matmul(u_zr, g_proj[t, zr_cols], out=tmp)
+            dh += tmp  # dh * (1 - z) + d_rh * r + u_zr @ [g_z; g_r]
         g_cols = g_proj.transpose(0, 2, 1)  # per step (B, 3H), BLAS-able
         rh_prev = zr[:, hidden:] * hs[:-1]
         return (np.matmul(w_in, g_proj),
@@ -246,7 +281,7 @@ def gru_forward(x, params):
                 np.matmul(rh_prev, g_cols[:, :, 2 * hidden:]).sum(axis=0),
                 g_proj.sum(axis=(0, 2)))
 
-    return _node("gru_sequence", h.T, parents, bwd)
+    return _node("gru_sequence", hs[t_len % len(hs)].T, parents, bwd)
 
 
 # ---------------------------------------------------------------------------

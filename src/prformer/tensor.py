@@ -283,11 +283,6 @@ def exp(x):
     return _node("exp", out, (x,), bwd)
 
 
-def _logistic(a):
-    # evaluated via tanh for stability on large negative inputs
-    return 0.5 * (np.tanh(0.5 * a) + 1.0)
-
-
 def relu(x):
     out = np.maximum(x.data, 0.0)
 

@@ -10,6 +10,10 @@ predictions writer. The GRU's two gate nonlinearities, `tanh` and
 their own here; the tests also use them as smooth nonlinear test functions
 and as a generic slice.
 
+`gru_gate_major` is the fused GRU node written plainly: the same gate-major
+loop and BPTT, each gate computed into a temporary and then copied into the
+history. The program's in-place kernel must match it bit for bit.
+
 `revin_normalize` and `revin_denormalize` are RevIN written time-major,
 (..., L, C); the program's time-first RevIN, (L, ..., C), must match them.
 
@@ -32,8 +36,8 @@ from prformer.tensor import (
     NonScalarLossError,
     ShapeMismatchError,
     Tensor,
-    _logistic,
     _node,
+    _records,
     _toposort,
     backward,
     no_grad,
@@ -53,6 +57,11 @@ def tanh(x):
         return (g * (1.0 - out * out),)
 
     return _node("tanh", out, (x,), bwd)
+
+
+def _logistic(a):
+    # evaluated via tanh for stability on large negative inputs
+    return 0.5 * (np.tanh(0.5 * a) + 1.0)
 
 
 def sigmoid(x):
@@ -145,6 +154,57 @@ def gru_forward(x, params):
         x_t = T.permute(T.reshape(narrow(x, 0, t, 1), (in_dim, batch)), (1, 0))
         h = gru_step(x_t, h, params)
     return h
+
+
+def gru_gate_major(x, params):
+    """GRU over x (T, in, B) from a zero state as one `gru_sequence` node;
+    returns h_T (B, H). The state is (H, B) and the projections (T, 3H, B),
+    so the gates are row blocks; the recorded run keeps h_0..h_T, the gates
+    and the candidates for the BPTT loop."""
+    w_in, u_zr, u_h, b_in = params.w.data, params.u_zr.data, params.u_h.data, params.b.data
+    t_len, _, batch = x.shape
+    hidden = params.hidden_size
+    proj = np.matmul(w_in.T, x.data)  # (T, 3H, B)
+    proj += b_in[:, None]
+    dtype = proj.dtype
+    parents = (x, params.w, params.u_zr, params.u_h, params.b)
+    record = _records(parents)
+
+    h = np.zeros((hidden, batch), dtype=dtype)
+    if record:
+        hs = np.empty((t_len + 1, hidden, batch), dtype=dtype)
+        hs[0] = h
+        zr = np.empty((t_len, 2 * hidden, batch), dtype=dtype)
+        cand = np.empty((t_len, hidden, batch), dtype=dtype)
+    for t in range(t_len):
+        zr_t = _logistic(proj[t, :2 * hidden] + u_zr.T @ h)
+        z, r = zr_t[:hidden], zr_t[hidden:]
+        c_t = np.tanh(proj[t, 2 * hidden:] + u_h.T @ (r * h))
+        h = h + z * (c_t - h)
+        if record:
+            zr[t], cand[t], hs[t + 1] = zr_t, c_t, h
+
+    def bwd(g):
+        g_proj = np.empty((t_len, 3 * hidden, batch), dtype=np.result_type(g, dtype))
+        dh = np.ascontiguousarray(g.T)
+        for t in range(t_len - 1, -1, -1):
+            h, z, r, c = hs[t], zr[t, :hidden], zr[t, hidden:], cand[t]
+            da_c = dh * z * (1.0 - c * c)
+            d_rh = u_h @ da_c
+            dz = dh * (c - h)
+            g_proj[t, :hidden] = dz * z * (1.0 - z)
+            g_proj[t, hidden:2 * hidden] = d_rh * h * r * (1.0 - r)
+            g_proj[t, 2 * hidden:] = da_c
+            dh = dh * (1.0 - z) + d_rh * r + u_zr @ g_proj[t, :2 * hidden]
+        g_cols = g_proj.transpose(0, 2, 1)
+        rh_prev = zr[:, hidden:] * hs[:-1]
+        return (np.matmul(w_in, g_proj),
+                np.matmul(g_proj, x.data.transpose(0, 2, 1)).sum(axis=0).T,
+                np.matmul(hs[:-1], g_cols[:, :, :2 * hidden]).sum(axis=0),
+                np.matmul(rh_prev, g_cols[:, :, 2 * hidden:]).sum(axis=0),
+                g_proj.sum(axis=(0, 2)))
+
+    return _node("gru_sequence", h.T, parents, bwd)
 
 
 def revin_normalize(x, gamma, beta):

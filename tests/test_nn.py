@@ -324,7 +324,9 @@ class TestGRU:
     def test_unrecorded_run_keeps_no_history(self):
         # T=200 steps: the recorded run keeps h_0..h_T, the gates and the
         # candidates, (4T + 1) * H * B values; the unrecorded run keeps the
-        # projections (T, 3H, B), its input and a few (3H, B) step buffers
+        # projections (T, 3H, B), the halved (H, 2H) recurrent weights and a
+        # ring of two state slots, one gate slot, one candidate slot and one
+        # step buffer, 6 * H * B values
         rng = np.random.default_rng(24)
         t_len, batch, hidden = 200, 64, 32
         params = f64_gru(nn.init_gru(rng, 4, hidden), requires_grad=True)
@@ -338,10 +340,34 @@ class TestGRU:
             tracemalloc.stop()
             del out
         step = 3 * hidden * batch * 8
-        inputs = t_len * step + x.data.nbytes
+        ring = 6 * hidden * batch * 8
+        assert peaks["no_grad"] < t_len * step + params.u_zr.data.nbytes + ring + step // 2
         history = (4 * t_len + 1) * hidden * batch * 8
-        assert peaks["no_grad"] < inputs + 16 * step
         assert peaks["recorded"] > peaks["no_grad"] + 0.9 * history
+
+    @pytest.mark.parametrize("t_len", [1, 2, 7])
+    def test_bitwise_equal_to_gate_major_oracle(self, t_len):
+        # float32, as the model runs: the in-place kernel keeps the oracle's
+        # order of operations, so the output and all five gradients match it
+        # bit for bit; odd and even T cover both slots of the unrecorded ring
+        rng = np.random.default_rng(90 + t_len)
+        base = nn.init_gru(rng, 3, 6)
+        x0 = rng.normal(size=(t_len, 3, 9)).astype(np.float32)
+        proj = tensor(rng.normal(size=(9, 6)).astype(np.float32))
+        results = []
+        for gru in (nn.gru_forward, oracles.gru_gate_major):
+            x = tensor(x0, requires_grad=True)
+            params = GRUParams(**{n: tensor(getattr(base, n).data, requires_grad=True)
+                                  for n in GRU_FIELDS})
+            out = gru(x, params)
+            backward(T.sum_(T.mul(out, proj)))
+            with no_grad():
+                unrecorded = gru(x, params)
+            results.append([out.data, unrecorded.data, x.grad]
+                           + [getattr(params, n).grad for n in GRU_FIELDS])
+        for name, got, ref in zip(("out", "unrecorded", "x") + GRU_FIELDS, *results):
+            assert got.dtype == ref.dtype == np.float32, name
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), name
 
     def test_appears_as_one_tape_op(self):
         params = nn.init_gru(np.random.default_rng(22), 2, 3)

@@ -52,17 +52,44 @@ class TestNormalize:
         np.testing.assert_allclose(out.data.std(axis=0)[0],
                                    np.abs(params.gamma.data), atol=1e-3)
 
-    def test_affine_maps_targets_like_inputs(self):
-        # the window stats map any series onto the normalized scale as
-        # `normalize` maps the inputs
+    def test_spread_affine_matches_plain_broadcast(self):
+        # gamma and beta spread to the window's (B, C) give bitwise the
+        # forward and the gamma/beta gradients of broadcasting the stored
+        # (C,) vectors: the gradients still sum over time, then over B
         rng = np.random.default_rng(24)
-        params = neutral(2)
-        params.gamma.data[:] = [1.5, -0.5]
-        params.beta.data[:] = [0.25, 2.0]
-        x = tensor(rng.normal(size=(7, 3, 2)).astype(np.float32))
-        x_norm, state = revin.normalize(x, params)
-        again = nn.scale_shift(T.sub(x, state.mu), state.sigma, params.gamma, params.beta)
-        np.testing.assert_array_equal(again.data, x_norm.data)
+        x0 = rng.normal(loc=2.0, size=(7, 3, 2)).astype(np.float32)
+        scale = tensor(rng.normal(size=(7, 3, 2)).astype(np.float32))
+        proj = tensor(rng.normal(size=(7, 3, 2)).astype(np.float32))
+
+        def plain_normalize(x, params):
+            centered, mu, sigma = nn.standardize(x, 0)
+            x_norm = nn.scale_shift(centered, sigma, params.gamma, params.beta)
+            return x_norm, revin.RevinState(mu=mu, sigma=sigma)
+
+        def plain_denormalize(y, state, params):
+            unscaled = T.div(T.sub(y, params.beta), params.gamma)
+            return T.add(T.mul(unscaled, state.sigma), state.mu)
+
+        results = []
+        for norm, denorm in ((revin.normalize, revin.denormalize),
+                             (plain_normalize, plain_denormalize)):
+            params = neutral(2)
+            params.gamma.data[:] = [1.5, -0.5]
+            params.beta.data[:] = [-0.0, 2.0]
+            x_norm, state = norm(tensor(x0), params)
+            y = denorm(T.mul(x_norm, scale), state, params)
+            backward(T.sum_(T.mul(y, proj)))
+            results.append((x_norm.data, y.data, params.gamma.grad, params.beta.grad))
+        for name, got, ref in zip(("x_norm", "y", "gamma", "beta"), *results):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+
+    def test_spread_keeps_negative_zero(self):
+        params = neutral(3)
+        params.gamma.data[:] = [-0.0, 1.0, -2.0]
+        params.beta.data[:] = [-0.0, 0.0, 3.0]
+        for stored, spread in zip((params.gamma, params.beta), revin._spread(params, (4, 3))):
+            assert spread.shape == (4, 3)
+            assert spread.data.tobytes() == np.broadcast_to(stored.data, (4, 3)).tobytes()
 
     def test_short_window_rejected(self):
         with pytest.raises(ValueError, match=">= 2"):
