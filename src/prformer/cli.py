@@ -286,8 +286,6 @@ def build_parser():
                    help="time a full training step (forward, L1 loss, "
                         "backward, Adam) instead of the forward pass only")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-pin", action="store_true",
-                   help="skip pinning numerics to one thread")
     p.add_argument("--out", default="bench.csv")
     p.set_defaults(handler=cmd_bench)
 
@@ -313,8 +311,9 @@ def build_parser():
 
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv[:1] == ["bench"] and "--no-pin" not in argv:
-        # must happen before numpy is first imported to take effect
+    if argv[:1] == ["bench"]:
+        # must happen before numpy is first imported to take effect; a
+        # thread count already set in the environment is kept
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
             os.environ.setdefault(var, "1")

@@ -31,23 +31,20 @@ class PRformer:
         config.validate()
         self.config = config
         self.channels = channels
-        self.variant = config.variant
         rng = np.random.default_rng((config.seed, 0))
 
         pyramid = config.pyramid()
         if pyramid is None:
-            self.pyramid = None
             pre_params = None
             window_proj = nn.init_linear(rng, config.lookback, config.d_model)
         else:
-            self.pyramid, hidden_sizes = pyramid
-            pre_params = pre.init_pre(rng, self.pyramid, hidden_sizes,
-                                      config.d_model, config.conv_channels)
+            pre_params = pre.init_pre(rng, *pyramid, config.d_model,
+                                      config.conv_channels)
             window_proj = None
 
         enc = encoder.init_encoder(
             rng, config.d_model, config.d_ff, config.heads, config.e_layers,
-            config.pred_len, token_linear=self.variant == "V1")
+            config.pred_len, token_linear=config.variant == "V1")
         self.params = ModelParams(revin=revin.init_revin(channels),
                                   pre=pre_params, window_proj=window_proj,
                                   encoder=enc)
@@ -61,10 +58,10 @@ class PRformer:
         x_norm, state = revin.normalize(T.permute(x, (1, 0, 2)), self.params.revin)
         l, b, c = x_norm.shape
         series = T.reshape(x_norm, (l, b * c))
-        if self.variant == "V2":
+        if self.config.variant == "V2":
             emb = nn.linear(T.permute(series, (1, 0)), self.params.window_proj)
         else:
-            emb = pre.pre_embed_batch(series, self.params.pre, self.pyramid)
+            emb = pre.pre_embed_batch(series, self.params.pre)
         return T.reshape(emb, (b, c, self.config.d_model)), state
 
     def forward(self, x, training=False, dropout_rng=None):

@@ -22,10 +22,8 @@ class PyramidConfigWarning(UserWarning):
 
 @dataclass(frozen=True)
 class PyramidConfig:
-    windows: tuple  # ascending period lengths, one per level
     kernels: tuple  # per-level conv kernel == stride
     level_lengths: tuple  # sequence length after each level for this lookback
-    lookback: int
 
 
 def build_pyramid_config(windows, lookback):
@@ -66,8 +64,7 @@ def build_pyramid_config(windows, lookback):
                 f"lookback {lookback} too short for windows {list(windows)}: "
                 f"a level would have length 0")
         lengths.append(n)
-    return PyramidConfig(windows=windows, kernels=tuple(kernels),
-                         level_lengths=tuple(lengths), lookback=lookback)
+    return PyramidConfig(kernels=tuple(kernels), level_lengths=tuple(lengths))
 
 
 def level_hidden_sizes(d_model, levels):
@@ -99,11 +96,11 @@ def init_pre(rng, cfg, hidden_sizes, d_model, conv_channels=16):
                      grus=grus, fuse=fuse)
 
 
-def bottom_up(x, params, cfg):
-    """Coarsen (L, N) through the pyramid; returns per-level (L_i, ch, N)."""
-    if x.shape[0] != cfg.lookback:
-        raise T.ShapeMismatchError("bottom_up", x.shape, (cfg.lookback,),
-                                   "series length != configured lookback")
+def bottom_up(x, params):
+    """Coarsen (L, N) through the pyramid; returns per-level (L_i, ch, N).
+
+    Each level reads its kernel from its conv weight; the caller checks the
+    lookback."""
     cur = T.reshape(x, (x.shape[0], 1, x.shape[1]))
     features = []
     for w, b in zip(params.conv_weights, params.conv_biases):
@@ -137,6 +134,6 @@ def multi_scale_rnn(fused, params):
     return nn.linear(T.concat(summaries, axis=1), params.fuse)
 
 
-def pre_embed_batch(x, params, cfg):
+def pre_embed_batch(x, params):
     """Embed a batch of univariate series (L, N) -> (N, D)."""
-    return multi_scale_rnn(top_down_fuse(bottom_up(x, params, cfg)), params)
+    return multi_scale_rnn(top_down_fuse(bottom_up(x, params)), params)

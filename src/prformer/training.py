@@ -45,42 +45,37 @@ class Metrics:
     per_horizon: list  # (mse, mae) per step ahead
 
 
-class Adam:
-    """Standard Adam with bias correction; lr is mutable between epochs."""
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 
-    def __init__(self, named_params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+
+class Adam:
+    """Standard Adam with bias correction; lr is mutable between epochs. The
+    moments `m` and `v` are lists beside `named_params`, updated in place."""
+
+    def __init__(self, named_params, lr):
         self.named_params = list(named_params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {n: np.zeros_like(p.data) for n, p in self.named_params}
-        self.v = {n: np.zeros_like(p.data) for n, p in self.named_params}
+        self.m = [np.zeros_like(p.data) for _, p in self.named_params]
+        self.v = [np.zeros_like(p.data) for _, p in self.named_params]
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for name, p in self.named_params:
+        for (_, p), m, v in zip(self.named_params, self.m, self.v):
             if p.grad is None:
                 continue
             g = p.grad.astype(p.data.dtype, copy=False)
-            m = self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            v = self.v[name] = b2 * self.v[name] + (1 - b2) * (g * g)
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= BETA1
+            m += (1 - BETA1) * g
+            v *= BETA2
+            v += (1 - BETA2) * (g * g)
+            m_hat = m / (1 - BETA1 ** self.t)
+            v_hat = v / (1 - BETA2 ** self.t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
     def zero_grad(self):
         for _, p in self.named_params:
             p.grad = None
-
-
-def grad_norm(named_params):
-    """Global L2 norm of every gradient, summed in float64."""
-    total = 0.0
-    for _, p in named_params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad.astype(np.float64) ** 2))
-    return np.sqrt(total)
 
 
 def lr_for_epoch(base_lr, decay, epoch):
@@ -112,9 +107,9 @@ def train_step(model, optimizer, inputs, targets, dropout_rng, epoch=1,
 
     Training-mode forward, raw-scale L1 loss, backward, Adam, then RevIN's
     gamma clamp. Every gradient is cleared on return. A non-finite loss, or a
-    non-finite global gradient norm, raises DivergenceError naming `epoch`
-    and `batch` (and the first parameter whose gradient is not finite) before
-    any parameter changes. Returns the loss value.
+    non-finite gradient, raises DivergenceError naming `epoch` and `batch`
+    (and the first parameter whose gradient is not finite) before any
+    parameter changes. Returns the loss value.
     """
     loss = mae_loss(model.forward(Tensor(inputs), training=True,
                                   dropout_rng=dropout_rng), Tensor(targets))
@@ -123,10 +118,9 @@ def train_step(model, optimizer, inputs, targets, dropout_rng, epoch=1,
         raise DivergenceError(f"non-finite loss {value} at epoch {epoch}, "
                               f"batch {batch}, lr {optimizer.lr:.3e}")
     T.backward(loss)
-    if not np.isfinite(grad_norm(optimizer.named_params)):
-        name = next((n for n, p in optimizer.named_params
-                     if p.grad is not None and not np.isfinite(p.grad).all()),
-                    "the global norm")  # float32 gradients cannot overflow it
+    name = next((n for n, p in optimizer.named_params
+                 if p.grad is not None and not np.isfinite(p.grad).all()), None)
+    if name is not None:
         optimizer.zero_grad()
         raise DivergenceError(f"non-finite gradient in {name} at epoch {epoch}, "
                               f"batch {batch}, lr {optimizer.lr:.3e}")

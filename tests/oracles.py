@@ -17,6 +17,9 @@ history. The program's in-place kernel must match it bit for bit.
 `revin_normalize` and `revin_denormalize` are RevIN written time-major,
 (..., L, C); the program's time-first RevIN, (L, ..., C), must match them.
 
+`OutOfPlaceAdam` is Adam with each step building new moment arrays; the
+program's in-place update must match it bit for bit.
+
 The other oracles: `Tape`, the recorded ops below one output with a cost
 per op derived from its shapes; `grad_check`, the central finite-difference
 check every gradient is held to; and the forecasters the model must beat
@@ -232,6 +235,32 @@ def write_predictions(path, batches, channels):
                         writer.writerow([int(s), h, name,
                                          repr(float(y_true[i, h, c])),
                                          repr(float(y_pred[i, h, c]))])
+
+
+class OutOfPlaceAdam:
+    """Bias-corrected Adam whose moments are new arrays each step, kept in
+    dicts by parameter name."""
+
+    def __init__(self, named_params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.named_params = list(named_params)
+        self.lr = lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = {n: np.zeros_like(p.data) for n, p in self.named_params}
+        self.v = {n: np.zeros_like(p.data) for n, p in self.named_params}
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for name, p in self.named_params:
+            if p.grad is None:
+                continue
+            g = p.grad.astype(p.data.dtype, copy=False)
+            m = self.m[name] = b1 * self.m[name] + (1 - b1) * g
+            v = self.v[name] = b2 * self.v[name] + (1 - b2) * (g * g)
+            m_hat = m / (1 - b1 ** self.t)
+            v_hat = v / (1 - b2 ** self.t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def _op_flops(node):

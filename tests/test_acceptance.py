@@ -203,12 +203,12 @@ class TestAcceptance:
         def seconds(lookback, batch=224, repetitions=5):
             cfg = build_pyramid_config([24, 48, 96], lookback)
             rng = np.random.default_rng(0)
-            params = pre.init_pre(rng, cfg, pre.level_hidden_sizes(128, len(cfg.windows)), 128)
+            params = pre.init_pre(rng, cfg, pre.level_hidden_sizes(128, len(cfg.kernels)), 128)
             x = Tensor(rng.normal(size=(lookback, batch)).astype(np.float32))
             times = []
             for _ in range(repetitions + 1):  # the first run is warm-up
                 started = time.perf_counter()
-                T.backward(T.sum_(pre.pre_embed_batch(x, params, cfg)))
+                T.backward(T.sum_(pre.pre_embed_batch(x, params)))
                 times.append(time.perf_counter() - started)
             return float(np.median(times[1:]))
 

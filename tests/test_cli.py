@@ -27,6 +27,15 @@ def dataset(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def bench_threads(monkeypatch):
+    """`bench` pins BLAS threads in the process environment unless a count is
+    set there already; set one first, so the session's environment is kept."""
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+
+
 def train_fast(dataset, tmp_path, extra=()):
     ckpt = str(tmp_path / "m.ckpt")
     hist = str(tmp_path / "h.csv")
@@ -151,12 +160,13 @@ class TestRoundTrip:
 
 
 class TestBenchAndPe:
+    @pytest.mark.usefixtures("bench_threads")
     def test_bench_writes_csv(self, tmp_path, capsys):
         out = str(tmp_path / "b.csv")
         rc = cli.main(["bench", "--lookbacks", "16", "32", "64",
                        "--windows", "4", "8", "--d-model", "16",
                        "--channels", "2", "--conv-channels", "4",
-                       "--heads", "2", "--repetitions", "2", "--no-pin",
+                       "--heads", "2", "--repetitions", "2",
                        "--out", out])
         assert rc == 0
         assert "lookback" in capsys.readouterr().out
@@ -384,13 +394,13 @@ BAD_CHECKPOINTS = {
 BAD_FLAGS = {
     "count-zero": ["inspect-embeddings", "--count", "0"],
     "count-negative": ["inspect-embeddings", "--count", "-1"],
-    "lookbacks-two": ["bench", "--lookbacks", "720", "1440", "--no-pin"],
-    "lookbacks-below-window": ["bench", "--lookbacks", "10", "20", "30", "--no-pin"],
+    "lookbacks-two": ["bench", "--lookbacks", "720", "1440"],
+    "lookbacks-below-window": ["bench", "--lookbacks", "10", "20", "30"],
     "lookbacks-repeated": ["bench", "--lookbacks", "16", "16", "16", "--windows", "4",
-                           "--d-model", "16", "--heads", "2", "--repetitions", "1",
-                           "--no-pin"],
-    "repetitions-zero": ["bench", "--repetitions", "0", "--no-pin"],
-    "channels-zero": ["bench", "--channels", "0", "--no-pin"],
+                           "--d-model", "16", "--heads", "2", "--repetitions", "1"],
+    "repetitions-zero": ["bench", "--repetitions", "0"],
+    "channels-zero": ["bench", "--channels", "0"],
+    "no-pin-retired": ["bench", "--no-pin"],
     "pe-width-odd": ["check-pe", "--d-model", "3"],
     "pe-width-zero": ["check-pe", "--d-model", "0"],
     "pe-trials-zero": ["check-pe", "--trials", "0"],
@@ -457,6 +467,7 @@ class TestMalformedInputContract:
 
     @pytest.mark.parametrize("command", ["train-checkpoint", "train-history", "predict",
                                          "inspect-embeddings", "bench"])
+    @pytest.mark.usefixtures("bench_threads")
     def test_output_in_missing_directory(self, dataset, tmp_path, capsys, command):
         missing = str(tmp_path / "no-such-dir" / "out.csv")
         ckpt = str(_ckpt_with(tmp_path))
@@ -472,7 +483,7 @@ class TestMalformedInputContract:
             "inspect-embeddings": ["inspect-embeddings", "--checkpoint", ckpt,
                                    "--dataset", dataset, "--out", missing],
             "bench": ["bench", "--lookbacks", "16", "--windows", "4", "--d-model", "16",
-                      "--heads", "2", "--repetitions", "1", "--no-pin",
+                      "--heads", "2", "--repetitions", "1",
                       "--out", missing],
         }[command]
         rc = cli.main(argv)
@@ -483,6 +494,7 @@ class TestMalformedInputContract:
 
 
     @pytest.mark.parametrize("case", sorted(BAD_FLAGS))
+    @pytest.mark.usefixtures("bench_threads")
     def test_flag_outside_config(self, dataset, tmp_path, capsys, case):
         argv = BAD_FLAGS[case]
         if argv[0] == "train":  # would run to the end if the flag were taken

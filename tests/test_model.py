@@ -118,8 +118,10 @@ class TestVariants:
 
     def test_v3_truncates_to_bottom_level(self):
         model = PRformer(small_config(variant="V3"), 2)
-        assert model.pyramid.windows == (4,)
-        assert model.pyramid.level_lengths == (4,)
+        pyramid, _ = model.config.pyramid()
+        assert pyramid.kernels == (4,)
+        assert pyramid.level_lengths == (4,)
+        assert [w.shape for w in model.params.pre.conv_weights] == [(3, 4)]
 
     def test_v3_has_fewer_parameters_than_full(self):
         full = PRformer(small_config(variant="full"), 2)
@@ -151,7 +153,8 @@ def reference_tokens(model, x):
                                            model.params.revin.beta)
     cur = T.reshape(T.permute(x_norm, (0, 2, 1)), (b * c, 1, length))
     features = []
-    for w, bias, k in zip(params.conv_weights, params.conv_biases, model.pyramid.kernels):
+    kernels = model.config.pyramid()[0].kernels
+    for w, bias, k in zip(params.conv_weights, params.conv_biases, kernels):
         folded = Tensor(w.data.reshape(w.shape[0], k, -1).transpose(0, 2, 1))
         cur = oracles.conv1d(cur, folded, bias, stride=k)
         features.append(cur)

@@ -20,8 +20,12 @@ from prformer.tensor import tensor
 
 def init_split(rng, cfg, d_model, conv_channels):
     """Pyramid parameters with D split across the levels, as the full model does."""
-    return pre.init_pre(rng, cfg, level_hidden_sizes(d_model, len(cfg.windows)), d_model,
+    return pre.init_pre(rng, cfg, level_hidden_sizes(d_model, len(cfg.kernels)), d_model,
                         conv_channels)
+
+
+# criterion 2's window sets: one level, doubling, a kernel-1 level, odd ratios
+CRITERION_02_WINDOWS = ([24], [24, 48, 96], [24, 48, 72, 144], [7, 21, 84])
 
 
 def tiny_setup(windows=(2, 4), lookback=8, d_model=4, channels=2, seed=40):
@@ -58,9 +62,15 @@ class TestBuildPyramidConfig:
                     n = n // k
                     assert expect == n and n >= 1
 
-    def test_lengths_match_actual_convolutions(self):
-        cfg, params = tiny_setup(windows=(3, 6, 12), lookback=40, d_model=6)
-        feats = pre.bottom_up(tensor(np.zeros((40, 1), dtype=np.float32)), params, cfg)
+    @pytest.mark.filterwarnings("ignore::prformer.pre.PyramidConfigWarning")
+    @pytest.mark.parametrize("lookback", [144, 200, 720, 1001], ids=lambda n: f"L{n}")
+    @pytest.mark.parametrize("windows", CRITERION_02_WINDOWS,
+                             ids=lambda w: "w" + "-".join(map(str, w)))
+    def test_lengths_match_actual_convolutions(self, windows, lookback):
+        # bottom_up reads each level's kernel from its conv weight, so the
+        # lengths it produces must be the ones the config derived
+        cfg, params = tiny_setup(windows=windows, lookback=lookback, d_model=6)
+        feats = pre.bottom_up(tensor(np.zeros((lookback, 1), dtype=np.float32)), params)
         assert [f.shape[0] for f in feats] == list(cfg.level_lengths)
 
     def test_rejections(self):
@@ -89,13 +99,13 @@ class TestHiddenSplit:
 
 class TestBottomUp:
     def test_zero_weights_give_zero_features(self):
-        cfg, params = tiny_setup()
+        _, params = tiny_setup()
         for w, b in zip(params.conv_weights, params.conv_biases):
             w.data[:] = 0.0
             b.data[:] = 0.0
         rng = np.random.default_rng(41)
         feats = pre.bottom_up(tensor(rng.normal(size=(8, 3)).astype(np.float32)),
-                              params, cfg)
+                              params)
         for f in feats:
             np.testing.assert_allclose(f.data, 0.0)
 
@@ -105,16 +115,11 @@ class TestBottomUp:
         rng = np.random.default_rng(42)
         params = init_split(rng, cfg, 3, conv_channels=4)
         x = rng.normal(size=(6, 1)).astype(np.float32)
-        feats = pre.bottom_up(tensor(x), params, cfg)
+        feats = pre.bottom_up(tensor(x), params)
         w = params.conv_weights[0].data[:, 0]
         b = params.conv_biases[0].data
         expected = x * w + b  # (T, C_out)
         np.testing.assert_allclose(feats[0].data[:, :, 0], expected, rtol=1e-5)
-
-    def test_wrong_length_rejected(self):
-        cfg, params = tiny_setup()
-        with pytest.raises(T.ShapeMismatchError, match="lookback"):
-            pre.bottom_up(tensor(np.zeros((9, 1), dtype=np.float32)), params, cfg)
 
 
 class TestTopDownFuse:
@@ -149,12 +154,12 @@ class TestTopDownFuse:
 
 class TestMultiScaleRnn:
     def test_zero_grus_leave_only_fusion_bias(self):
-        cfg, params = tiny_setup()
+        _, params = tiny_setup()
         for gru in params.grus:
             for _, p in nn.iter_params(gru):
                 p.data[:] = 0.0
         x = tensor(np.random.default_rng(44).normal(size=(8, 3)).astype(np.float32))
-        out = pre.pre_embed_batch(x, params, cfg)
+        out = pre.pre_embed_batch(x, params)
         np.testing.assert_allclose(out.data, np.tile(params.fuse.b.data, (3, 1)),
                                    atol=1e-6)
 
@@ -165,13 +170,13 @@ class TestMultiScaleRnn:
             cfg = build_pyramid_config(windows, lookback)
             params = init_split(rng, cfg, d_model, conv_channels=3)
             x = tensor(rng.normal(size=(lookback, 1)).astype(np.float32))
-            assert pre.pre_embed_batch(x, params, cfg).shape == (1, d_model)
+            assert pre.pre_embed_batch(x, params).shape == (1, d_model)
 
     def test_shared_weights_give_identical_embeddings(self):
-        cfg, params = tiny_setup()
+        _, params = tiny_setup()
         series = np.random.default_rng(47).normal(size=(8,)).astype(np.float32)
         x = tensor(np.stack([series, series], axis=1))
-        out = pre.pre_embed_batch(x, params, cfg)
+        out = pre.pre_embed_batch(x, params)
         np.testing.assert_allclose(out.data[0], out.data[1], atol=1e-7)
 
 
@@ -181,7 +186,7 @@ class TestStructure:
         rng = np.random.default_rng(48)
         params = init_split(rng, cfg, 4, conv_channels=2)
         out = pre.pre_embed_batch(tensor(rng.normal(size=(16, 1)).astype(np.float32)),
-                                  params, cfg)
+                                  params)
         counts = Tape.trace(T.sum_(out)).op_counts()
         assert counts["conv1d"] == 1
         assert "upsample" not in counts
@@ -194,7 +199,7 @@ class TestStructure:
             cfg = build_pyramid_config([4, 8], lookback)
             params = init_split(rng, cfg, 8, conv_channels=4)
             x = tensor(rng.normal(size=(lookback, 1)).astype(np.float32))
-            out = pre.pre_embed_batch(x, params, cfg)
+            out = pre.pre_embed_batch(x, params)
             flops[lookback] = Tape.trace(T.sum_(out)).flops()
         ratio = flops[128] / flops[64]
         assert 1.8 <= ratio <= 2.2, ratio
@@ -207,25 +212,25 @@ class TestStructure:
             cfg = build_pyramid_config([4, 8], lookback)
             params = init_split(rng, cfg, 8, conv_channels=4)
             x = tensor(rng.normal(size=(lookback, 3)).astype(np.float32))
-            nodes[lookback] = len(Tape.trace(T.sum_(pre.pre_embed_batch(x, params, cfg))))
+            nodes[lookback] = len(Tape.trace(T.sum_(pre.pre_embed_batch(x, params))))
         assert nodes[64] == nodes[128]
 
 
 class TestGradients:
     def test_gradient_wrt_input(self):
-        cfg, params = tiny_setup()
+        _, params = tiny_setup()
         p64 = cast_tree(params)
         err = oracles.grad_check(
-            lambda t: T.sum_(oracles.tanh(pre.pre_embed_batch(t, p64, cfg))),
+            lambda t: T.sum_(oracles.tanh(pre.pre_embed_batch(t, p64))),
             tensor(np.random.default_rng(50).normal(size=(8, 2)), dtype=np.float64))
         assert err < 1e-5
 
     def test_gradient_wrt_every_parameter(self):
-        cfg, params = tiny_setup()
+        _, params = tiny_setup()
         x = tensor(np.random.default_rng(51).normal(size=(8, 1)), dtype=np.float64)
 
         def make_loss(tree):
-            return T.sum_(oracles.tanh(pre.pre_embed_batch(x, tree, cfg)))
+            return T.sum_(oracles.tanh(pre.pre_embed_batch(x, tree)))
 
         name, err = grad_check_all_params(make_loss, params)
         assert err < 1e-4, f"worst leaf {name}: {err}"
