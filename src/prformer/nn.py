@@ -6,10 +6,11 @@ The pyramid kernels are one tape node each, with a hand-written backward,
 on time-first, batch-last (T, ch, N) levels: `conv1d` is a patch
 convolution (stride == kernel) run as a free reshape plus one batched
 product, `upsample_repeat` is a zero-order hold, and `gru_forward` runs a
-whole GRU sequence as one `gru_sequence` node whose cost is linear in the
-sequence length, forward and backward. Its time loops write in place, in
-the order of operations of a gate-by-gate step, so the results are bitwise
-those of computing each gate into a temporary.
+whole GRU sequence as one `gru_sequence` node whose time and memory are
+linear in the sequence length, forward and backward. Its time loops use
+each step's data while it is in cache and write in place, in the order of
+operations of a gate-by-gate step, so the results are bitwise those of
+computing each gate into a temporary over whole-sequence projections.
 """
 
 from __future__ import annotations
@@ -165,8 +166,9 @@ def conv1d(x, weight, bias):
 def upsample_repeat(x, target_len):
     """Zero-order-hold upsampling of (L, ch, N) along time to `target_len`.
 
-    Output step j holds input step j · L // target_len, so the backward is
-    one product with that 0/1 (L, target_len) hold matrix, whatever the ratio.
+    Output step j holds input step j · L // target_len, so each input step
+    holds one run of output steps, and the backward sums every run one
+    offset at a time: linear in the length, whatever the ratio.
     """
     if x.ndim != 3:
         raise T.ShapeMismatchError("upsample", x.shape, (target_len,), "expects 3-d input")
@@ -175,10 +177,15 @@ def upsample_repeat(x, target_len):
         raise T.ShapeMismatchError("upsample", x.shape, (target_len,),
                                    "target shorter than input")
     idx = (np.arange(target_len) * l_in) // target_len
+    starts = np.searchsorted(idx, np.arange(l_in))  # each input step's first output step
+    runs = np.diff(starts, append=target_len)
 
     def bwd(g):
-        hold = (np.arange(l_in)[:, None] == idx).astype(g.dtype)
-        return ((hold @ g.reshape(target_len, -1)).reshape(x.shape),)
+        gx = g[starts]
+        for k in range(1, runs.max()):
+            rows = np.flatnonzero(runs > k)
+            gx[rows] += g[starts[rows] + k]
+        return (gx,)
 
     return _node("upsample", x.data[idx], (x,), bwd)
 
@@ -191,19 +198,22 @@ def gru_forward(x, params):
     """Run a GRU from a zero state over x (T, in, B); return h_T (B, H).
 
     The whole sequence is one `gru_sequence` tape node, computed gate-major:
-    the input is a pyramid level as it is, (T, in, B), the state (H, B) and
-    the projections (T, 3H, B), so the z, r and candidate gates are row blocks.
-    Forward projects all steps' inputs with one batched product, then loops
-    over time with one (2H, H) product for the update/reset gates and one
-    (H, H) product for the candidate. Every step writes in place into the
-    buffers it keeps: the gates into `zr`, the candidate into `cand` and the
-    state into the next slot of `hs`. The z and r columns of `w`, `b` and
-    `u_zr` are halved on per-call copies, which is exact, so the logistic
-    is one tanh of their sum: sigmoid(a) = (tanh(a / 2) + 1) / 2. When the
-    node is recorded the buffers keep h_0..h_T, the gates and the candidates
-    for the hand-written BPTT; otherwise `hs` is a two-slot ring and the
-    gates and candidate one slot each. BPTT writes each step's gate
-    gradients straight into the projections' gradient. Backward returns one
+    the input is a pyramid level as it is, (T, in, B), and the state (H, B),
+    so the z, r and candidate gates are row blocks. Each step projects its
+    own input into one (3H, B) buffer, then takes one (2H, H) product for
+    the update/reset gates and one (H, H) product for the candidate, and
+    writes in place into the buffers it keeps: the gates into `zr`, the
+    candidate into `cand` and the state into the next slot of `hs`. The z
+    and r columns of `w`, `b` and `u_zr` are halved on per-call copies,
+    which is exact, so the logistic is one tanh of their sum:
+    sigmoid(a) = (tanh(a / 2) + 1) / 2. When the node is recorded the
+    buffers keep h_0..h_T, the gates and the candidates for the hand-written
+    BPTT; otherwise `hs` is a two-slot ring and the gates and candidate one
+    slot each. BPTT writes each step's gate gradients into one (3H, B)
+    buffer and, while it is in cache, the step's input gradient and its
+    shares of the weight gradients, which are summed over time after the
+    loop. Each per-step product is the BLAS call a whole-sequence product
+    makes for that step, so streaming changes no bit. Backward returns one
     gradient per `GRUParams` field.
     """
     w_in, u_zr, u_h, b_in = params.w.data, params.u_zr.data, params.u_h.data, params.b.data
@@ -211,16 +221,14 @@ def gru_forward(x, params):
         raise T.ShapeMismatchError("gru", x.shape, w_in.shape, "expects (T, in, B) input")
     if x.shape[1] != w_in.shape[0]:
         raise T.ShapeMismatchError("gru", x.shape, w_in.shape, "input dims differ")
-    t_len, _, batch = x.shape
+    t_len, in_dim, batch = x.shape
     hidden = params.hidden_size
     zr_cols = slice(0, 2 * hidden)
     w_half, b_half = w_in.copy(), b_in.copy()
     w_half[:, zr_cols] *= 0.5
     b_half[zr_cols] *= 0.5
     u_zr_half = u_zr * 0.5
-    proj = np.matmul(w_half.T, x.data)  # (T, 3H, B), z and r halved
-    proj += b_half[:, None]
-    dtype = proj.dtype
+    dtype = np.result_type(w_half, x.data)
     parents = (x, params.w, params.u_zr, params.u_h, params.b)
     record = _records(parents)
 
@@ -228,32 +236,41 @@ def gru_forward(x, params):
     hs = np.empty((steps + 1, hidden, batch), dtype=dtype)
     zr = np.empty((steps, 2 * hidden, batch), dtype=dtype)
     cand = np.empty((steps, hidden, batch), dtype=dtype)
+    proj = np.empty((3 * hidden, batch), dtype=dtype)  # one step's, z and r halved
     buf = np.empty((hidden, batch), dtype=dtype)
     hs[0] = 0.0
     for t in range(t_len):
         h, h_next = hs[t % len(hs)], hs[(t + 1) % len(hs)]
         zr_t, c_t = zr[t % steps], cand[t % steps]
+        np.matmul(w_half.T, x.data[t], out=proj)
+        proj += b_half[:, None]
         np.matmul(u_zr_half.T, h, out=zr_t)
-        zr_t += proj[t, zr_cols]
+        zr_t += proj[zr_cols]
         np.tanh(zr_t, out=zr_t)
         zr_t += 1.0
         zr_t *= 0.5
         np.multiply(zr_t[hidden:], h, out=buf)
         np.matmul(u_h.T, buf, out=c_t)
-        c_t += proj[t, 2 * hidden:]
+        c_t += proj[2 * hidden:]
         np.tanh(c_t, out=c_t)
         np.subtract(c_t, h, out=buf)
         buf *= zr_t[:hidden]
         np.add(h, buf, out=h_next)
-    del proj
 
     def bwd(g):
-        g_proj = np.empty((t_len, 3 * hidden, batch), dtype=np.result_type(g, dtype))
-        dh = np.array(g.T, dtype=g_proj.dtype, order="C")
+        g_dtype = np.result_type(g, dtype)
+        g_step = np.empty((3 * hidden, batch), dtype=g_dtype)
+        g_z, g_r, da_c = (g_step[i * hidden:(i + 1) * hidden] for i in range(3))
+        dh = np.array(g.T, dtype=g_dtype, order="C")
         d_rh, one_minus_z, tmp = (np.empty_like(dh) for _ in range(3))
+        rh = np.empty((hidden, batch), dtype=dtype)
+        gx = np.empty(x.shape, dtype=g_dtype)
+        gw = np.empty((t_len, 3 * hidden, in_dim), dtype=g_dtype)  # per-step shares
+        gu_zr = np.empty((t_len, hidden, 2 * hidden), dtype=g_dtype)
+        gu_h = np.empty((t_len, hidden, hidden), dtype=g_dtype)
+        gb = np.empty((t_len, 3 * hidden), dtype=g_dtype)
         for t in range(t_len - 1, -1, -1):
             h, z, r, c = hs[t], zr[t, :hidden], zr[t, hidden:], cand[t]
-            g_z, g_r, da_c = (g_proj[t, i * hidden:(i + 1) * hidden] for i in range(3))
             np.multiply(c, c, out=da_c)
             np.subtract(1.0, da_c, out=da_c)
             np.multiply(dh, z, out=tmp)
@@ -271,15 +288,15 @@ def gru_forward(x, params):
             dh *= one_minus_z
             d_rh *= r
             dh += d_rh
-            np.matmul(u_zr, g_proj[t, zr_cols], out=tmp)
+            np.matmul(u_zr, g_step[zr_cols], out=tmp)
             dh += tmp  # dh * (1 - z) + d_rh * r + u_zr @ [g_z; g_r]
-        g_cols = g_proj.transpose(0, 2, 1)  # per step (B, 3H), BLAS-able
-        rh_prev = zr[:, hidden:] * hs[:-1]
-        return (np.matmul(w_in, g_proj),
-                np.matmul(g_proj, x.data.transpose(0, 2, 1)).sum(axis=0).T,
-                np.matmul(hs[:-1], g_cols[:, :, :2 * hidden]).sum(axis=0),
-                np.matmul(rh_prev, g_cols[:, :, 2 * hidden:]).sum(axis=0),
-                g_proj.sum(axis=(0, 2)))
+            np.matmul(w_in, g_step, out=gx[t])
+            np.matmul(g_step, x.data[t].T, out=gw[t])
+            np.matmul(h, g_step[zr_cols].T, out=gu_zr[t])
+            np.multiply(r, h, out=rh)
+            np.matmul(rh, da_c.T, out=gu_h[t])
+            g_step.sum(axis=1, out=gb[t])
+        return (gx, gw.sum(axis=0).T, gu_zr.sum(axis=0), gu_h.sum(axis=0), gb.sum(axis=0))
 
     return _node("gru_sequence", hs[t_len % len(hs)].T, parents, bwd)
 

@@ -209,9 +209,7 @@ def permute(x, axes):
 
 
 def reshape(x, shape):
-    shape = tuple(shape)
-    target = int(np.prod(shape, dtype=np.int64)) if -1 not in shape else -1
-    if target != -1 and target != x.size:
+    if int(np.prod(shape, dtype=np.int64)) != x.size:
         raise ShapeMismatchError("reshape", x.shape, shape, "element count differs")
     old = x.shape
 

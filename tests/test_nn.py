@@ -21,6 +21,24 @@ def f64(x, requires_grad=False):
     return tensor(np.asarray(x, dtype=np.float64), requires_grad=requires_grad)
 
 
+class CountingNumpy:
+    """Stands in for a module's `np`: each numpy function it hands out counts
+    its calls; types and constants pass through."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if isinstance(attr, type) or not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+        return counted
+
+
 def scalar_gru(wz=0.0, uz=0.0, bz=0.0, wr=0.0, ur=0.0, br=0.0,
                wh=0.0, uh=0.0, bh=0.0):
     """A one-unit GRU from per-gate scalars, fused into `GRUParams` layout."""
@@ -198,7 +216,7 @@ class TestUpsampleRepeat:
         assert err < GRAD_TOL
 
     def test_gradient_exact_ratio(self):
-        # one hold-matrix product for every ratio, whole or not
+        # one run sum per input step for every ratio, whole or not
         rng = np.random.default_rng(16)
         for target in (4, 6, 12):
             weight = f64(rng.normal(size=(target, 3, 2)))
@@ -323,10 +341,11 @@ class TestGRU:
 
     def test_unrecorded_run_keeps_no_history(self):
         # T=200 steps: the recorded run keeps h_0..h_T, the gates and the
-        # candidates, (4T + 1) * H * B values; the unrecorded run keeps the
-        # projections (T, 3H, B), the halved (H, 2H) recurrent weights and a
-        # ring of two state slots, one gate slot, one candidate slot and one
-        # step buffer, 6 * H * B values
+        # candidates, (4T + 1) * H * B values; the unrecorded run keeps,
+        # whatever T, one step's projections (3H, B), numpy's buffer for the
+        # broadcast bias add (at most one step), the halved (H, 2H) recurrent
+        # weights and a ring of two state slots, one gate slot, one candidate
+        # slot and one step buffer, 6 * H * B values
         rng = np.random.default_rng(24)
         t_len, batch, hidden = 200, 64, 32
         params = f64_gru(nn.init_gru(rng, 4, hidden), requires_grad=True)
@@ -341,19 +360,64 @@ class TestGRU:
             del out
         step = 3 * hidden * batch * 8
         ring = 6 * hidden * batch * 8
-        assert peaks["no_grad"] < t_len * step + params.u_zr.data.nbytes + ring + step // 2
+        assert peaks["no_grad"] < 2 * step + params.u_zr.data.nbytes + ring + step // 2
         history = (4 * t_len + 1) * hidden * batch * 8
         assert peaks["recorded"] > peaks["no_grad"] + 0.9 * history
 
-    @pytest.mark.parametrize("t_len", [1, 2, 7])
-    def test_bitwise_equal_to_gate_major_oracle(self, t_len):
-        # float32, as the model runs: the in-place kernel keeps the oracle's
-        # order of operations, so the output and all five gradients match it
-        # bit for bit; odd and even T cover both slots of the unrecorded ring
+    def test_recorded_backward_keeps_no_gate_history(self):
+        # BPTT holds the gradients it returns, the per-step weight-gradient
+        # shares (T, 3H·in + 3H·H + 3H) and a few (3H, B) step buffers, never a
+        # whole-sequence (T, 3H, B) gate gradient or (T, H, B) r·h
+        rng = np.random.default_rng(25)
+        t_len, in_dim, batch, hidden = 200, 4, 256, 16
+        params = f64_gru(nn.init_gru(rng, in_dim, hidden), requires_grad=True)
+        x = f64(rng.normal(size=(t_len, in_dim, batch)), requires_grad=True)
+        loss = T.sum_(nn.gru_forward(x, params))
+        tracemalloc.start()
+        backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        grads = x.data.nbytes + sum(getattr(params, n).data.nbytes for n in GRU_FIELDS)
+        shares = t_len * 3 * hidden * (in_dim + hidden + 1) * 8
+        step = 3 * hidden * batch * 8
+        assert peak < grads + shares + 4 * step
+
+    def test_numpy_calls_linear_in_length(self, monkeypatch):
+        # a cost gate no host load can waive: forward plus BPTT make exactly
+        # a·T + b numpy calls, so a BPTT that replays the sequence for each
+        # step, quadratic in T, fails it
+        rng = np.random.default_rng(26)
+        params = nn.init_gru(rng, 2, 3)
+        xs = {t_len: tensor(rng.normal(size=(t_len, 2, 4)).astype(np.float32),
+                            requires_grad=True) for t_len in (8, 16, 32)}
+        counter = CountingNumpy()
+        monkeypatch.setattr(nn, "np", counter)
+        calls = {}
+        for t_len, x in xs.items():
+            counter.calls = 0
+            backward(T.sum_(nn.gru_forward(x, params)))
+            calls[t_len] = counter.calls
+        per_step = (calls[16] - calls[8]) // 8
+        assert per_step > 0 and calls[8] - 8 * per_step >= 0, calls
+        assert calls[16] == calls[8] + 8 * per_step, calls
+        assert calls[32] == calls[8] + 24 * per_step, calls
+
+    @pytest.mark.parametrize("t_len,in_dim,batch,hidden", [
+        pytest.param(1, 3, 9, 6, id="1"),
+        pytest.param(2, 3, 9, 6, id="2"),
+        pytest.param(7, 3, 9, 6, id="7"),
+        # train-long's levels 0 and 2: B·C = 224 rows, 16 conv channels
+        pytest.param(60, 16, 224, 42, id="level0"),
+        pytest.param(15, 16, 224, 44, id="level2")])
+    def test_bitwise_equal_to_gate_major_oracle(self, t_len, in_dim, batch, hidden):
+        # float32, as the model runs: the kernel keeps the oracle's order of
+        # operations and its sgemm calls, so the output and all five gradients
+        # match it bit for bit; odd and even T cover both slots of the
+        # unrecorded ring
         rng = np.random.default_rng(90 + t_len)
-        base = nn.init_gru(rng, 3, 6)
-        x0 = rng.normal(size=(t_len, 3, 9)).astype(np.float32)
-        proj = tensor(rng.normal(size=(9, 6)).astype(np.float32))
+        base = nn.init_gru(rng, in_dim, hidden)
+        x0 = rng.normal(size=(t_len, in_dim, batch)).astype(np.float32)
+        proj = tensor(rng.normal(size=(batch, hidden)).astype(np.float32))
         results = []
         for gru in (nn.gru_forward, oracles.gru_gate_major):
             x = tensor(x0, requires_grad=True)

@@ -3,6 +3,8 @@ pathways, the level summaries, and gradients through the whole stage.
 
 Series are time first, (L, N), and every level is (L_i, ch, N)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,8 @@ class TestBuildPyramidConfig:
             build_pyramid_config([], 100)
         with pytest.raises(ValueError, match="positive"):
             build_pyramid_config([-4, 8], 100)
+        with pytest.raises(ValueError, match="positive"):
+            build_pyramid_config([0, 8], 100)
 
 
 class TestHiddenSplit:
@@ -203,6 +207,23 @@ class TestStructure:
             flops[lookback] = Tape.trace(T.sum_(out)).flops()
         ratio = flops[128] / flops[64]
         assert 1.8 <= ratio <= 2.2, ratio
+
+    def test_peak_memory_linear_in_lookback(self):
+        # a cost gate no host load can waive: a recorded forward plus backward
+        # keeps per-step buffers only, so doubling L doubles the traced peak;
+        # N = 16 rows keep any (L_i, L_j) array, such as a dense hold matrix,
+        # in view
+        peaks = {}
+        for lookback in (768, 1536):
+            cfg = build_pyramid_config([2, 4], lookback)
+            params = init_split(np.random.default_rng(53), cfg, 8, conv_channels=4)
+            x = tensor(np.random.default_rng(54).normal(size=(lookback, 16)), dtype=np.float32)
+            tracemalloc.start()
+            T.backward(T.sum_(pre.pre_embed_batch(x, params)))
+            peaks[lookback] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        ratio = peaks[1536] / peaks[768]
+        assert 1.94 <= ratio <= 2.06, ratio
 
     def test_graph_size_independent_of_lookback(self):
         # one tape node per kernel, whatever the number of time steps

@@ -95,6 +95,12 @@ class TestNormalize:
         with pytest.raises(ValueError, match=">= 2"):
             revin.normalize(tensor(np.zeros((1, 1, 3), dtype=np.float32)), neutral(3))
 
+    def test_length_two_window_accepted(self):
+        # the shortest window with a spread: each channel maps to -1, +1
+        x = tensor(np.array([[[1.0, -3.0, 0.5]], [[3.0, 5.0, 0.0]]], dtype=np.float32))
+        out, _ = revin.normalize(x, neutral(3))
+        np.testing.assert_allclose(out.data[:, 0], [[-1, -1, 1], [1, 1, -1]], atol=1e-4)
+
     def test_batched_state_shapes(self):
         rng = np.random.default_rng(81)
         x = tensor(rng.normal(size=(12, 4, 3)).astype(np.float32))

@@ -146,6 +146,12 @@ class TestGraphMechanics:
         with pytest.raises(ShapeMismatchError, match="concat"):
             T.concat([a, tensor(np.zeros((2, 4, 1)))], axis=0)
 
+    def test_concat_rejects_a_mismatched_second_tensor(self):
+        # numpy would raise a bare ValueError; the op names itself and the shapes
+        a, c = tensor(np.zeros((2, 3))), tensor(np.zeros((1, 3)))
+        with pytest.raises(ShapeMismatchError, match=r"concat: .* \(2, 3\) and \(2, 4\)"):
+            T.concat([a, tensor(np.zeros((2, 4))), c], axis=0)
+
     def test_dropout_mask_backward_matches_mask(self):
         rng = np.random.default_rng(3)
         x = tensor(np.ones((1000,)), requires_grad=True)
