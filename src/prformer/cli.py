@@ -2,8 +2,9 @@
 
 Subcommands: train, evaluate, predict, bench, inspect-embeddings, check-pe.
 Exit codes: 0 success, 1 usage/config error, 2 data error (an unwritable
-output path included), 3 numeric failure. Heavy imports stay inside
-handlers so `bench` can pin the BLAS thread count before numpy loads.
+output path and running out of memory included), 3 numeric failure. Heavy
+imports stay inside handlers so `bench` can pin the BLAS thread count
+before numpy loads.
 """
 
 from __future__ import annotations
@@ -190,20 +191,14 @@ def cmd_predict(args):
 
 def cmd_bench(args):
     from .analysis import BENCH_COLUMNS, scaling_bench
-    from .data import DataError, write_rows
+    from .data import write_rows
 
     _check_output(args.out)
-    try:
-        rows = scaling_bench(args.lookbacks, args.windows, d_model=args.d_model,
-                             channels=args.channels,
-                             conv_channels=args.conv_channels,
-                             e_layers=args.e_layers, heads=args.heads,
-                             repetitions=args.repetitions,
-                             batch_size=args.batch_size,
-                             include_backward=args.backward, seed=args.seed)
-    except MemoryError:
-        raise DataError("benchmark ran out of memory; reduce lookbacks or "
-                        "d_model") from None
+    rows = scaling_bench(args.lookbacks, args.windows, d_model=args.d_model,
+                         channels=args.channels, conv_channels=args.conv_channels,
+                         e_layers=args.e_layers, heads=args.heads,
+                         repetitions=args.repetitions, batch_size=args.batch_size,
+                         include_backward=args.backward, seed=args.seed)
     print(f"{'lookback':>9} {'median_s':>10} {'mean_s':>10} {'ratio':>7}")
     for row in rows:
         ratio = "" if row["ratio"] is None else f"{row['ratio']:.2f}"
@@ -335,6 +330,10 @@ def main(argv=None):
         return EXIT_USAGE
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as e:
+        detail = str(e) or "reduce the model or its inputs"
+        print(f"data error: out of memory: {detail}", file=sys.stderr)
         return EXIT_DATA
     except DivergenceError as e:
         print(f"numeric failure: {e}", file=sys.stderr)

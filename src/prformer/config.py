@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .data import SPLIT_SCHEMES
-from .pre import build_pyramid_config, level_hidden_sizes
+from .pre import level_hidden_sizes, pyramid_kernels
 
 
 class ConfigError(ValueError):
@@ -73,6 +73,8 @@ class RunConfig:
             self.d_ff = 2 * self.d_model
 
     def validate(self):
+        """Check every rule of the run once, here: the layers below trust a
+        validated config and do not re-check it. Returns self."""
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             kinds = f.type.split(" | ")
@@ -116,8 +118,8 @@ class RunConfig:
         return self
 
     def pyramid(self):
-        """(PyramidConfig, per-level GRU widths) of the variant's embedding,
-        or None for V2, which has no pyramid.
+        """(per-level conv kernels, per-level GRU widths) of the variant's
+        embedding, or None for V2, which has no pyramid.
 
         V3 keeps only the bottom level, at the full model's per-level width,
         so the ablation stays a strict submodel. Raises ValueError when the
@@ -127,8 +129,8 @@ class RunConfig:
             return None
         levels = len(self.pyramidal_windows)
         keep = 1 if self.variant == "V3" else levels
-        cfg = build_pyramid_config(self.pyramidal_windows[:keep], self.lookback)
-        return cfg, level_hidden_sizes(self.d_model, levels)[:keep]
+        kernels = pyramid_kernels(self.pyramidal_windows[:keep], self.lookback)
+        return kernels, level_hidden_sizes(self.d_model, levels)[:keep]
 
     def to_dict(self):
         d = dataclasses.asdict(self)

@@ -131,8 +131,6 @@ def split_ranges(n, scheme, lookback, horizon):
     their first targets are the split's first rows; targets never leave their
     own split.
     """
-    if scheme not in SPLIT_SCHEMES:
-        raise DataError(f"unknown split scheme {scheme!r}")
     r_train, r_val = SPLIT_SCHEMES[scheme]
     n_train = n * r_train // 10
     n_val = n * r_val // 10
@@ -161,12 +159,11 @@ def window_iter(values, row_range, lookback, horizon, batch_size,
     Each window pairs `lookback` input rows with the `horizon` rows that
     follow immediately. With a seed the start order is a deterministic
     shuffle; otherwise chronological. The final short batch is emitted.
+    `row_range` holds at least one window, as every range `split_ranges`
+    returns does.
     """
     start, end = row_range
     count = window_count(end - start, lookback, horizon)
-    if count < 1:
-        raise DataError(f"range {row_range} shorter than one "
-                        f"lookback+horizon window ({lookback}+{horizon})")
     starts = np.arange(start, start + count)
     if shuffle_seed is not None:
         starts = starts[np.random.default_rng(shuffle_seed).permutation(count)]

@@ -38,8 +38,6 @@ def init_encoder(rng, d_model, d_ff, heads, e_layers, horizon, token_linear=Fals
     With `token_linear` the attention sublayer is replaced by one linear map
     applied to every token independently (the attention-ablation variant).
     """
-    if d_model % heads != 0:
-        raise ValueError(f"d_model {d_model} not divisible by heads {heads}")
     layers = []
     for _ in range(e_layers):
         attn = None if token_linear else nn.init_mha(rng, d_model)

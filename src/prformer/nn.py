@@ -341,8 +341,6 @@ def multi_head_attention(x, params, heads):
     row-stochastic attention matrix, returned for inspection.
     """
     b, n, d = x.shape
-    if d % heads != 0:
-        raise ValueError(f"d_model {d} not divisible by heads {heads}")
     dh = d // heads
 
     def split_heads(t):

@@ -1,7 +1,8 @@
 """Pyramidal RNN embedding: one D-dim vector per variable.
 
 A univariate lookback series is coarsened bottom-up by patch convolutions
-(stride == kernel, one level per configured period), the top level is
+(stride == kernel, one level per configured period window, its kernel the
+ratio to the window below: `pyramid_kernels`), the top level is
 repeatedly upsampled and added laterally on the way down, a GRU summarizes
 each fused level, and a fusion linear mixes the concatenated summaries into
 the final embedding. A batch of N series is time first and batch last: (L, N)
@@ -20,18 +21,13 @@ class PyramidConfigWarning(UserWarning):
     """A level's kernel degenerates to 1 (no temporal downsampling)."""
 
 
-@dataclass(frozen=True)
-class PyramidConfig:
-    kernels: tuple  # per-level conv kernel == stride
-    level_lengths: tuple  # sequence length after each level for this lookback
-
-
-def build_pyramid_config(windows, lookback):
-    """Derive kernels and level lengths from period windows.
+def pyramid_kernels(windows, lookback):
+    """Per-level conv kernels (== strides) derived from period windows.
 
     Each kernel is the floor ratio of consecutive windows (the base window is
-    1 sample); each level is a patch convolution (stride == kernel), so its
-    length is the floor division of the one below.
+    1 sample). The kernels up to level i multiply to at most w_i, and a floor
+    of a floor is the floor of the product, so level i keeps at least
+    floor(L / w_top) >= 1 steps once the lookback covers the top window.
     """
     windows = tuple(int(w) for w in windows)
     if not windows:
@@ -44,27 +40,13 @@ def build_pyramid_config(windows, lookback):
         raise ValueError(
             f"lookback {lookback} shorter than top window {windows[-1]}")
 
-    kernels = []
-    prev = 1
-    for w in windows:
-        kernels.append(w // prev)
-        prev = w
+    kernels = tuple(w // prev for prev, w in zip((1,) + windows, windows))
     degenerate = [windows[i] for i, k in enumerate(kernels) if k == 1]
     if degenerate:
         warnings.warn(
             f"windows {degenerate} give kernel 1 (no downsampling at that level)",
             PyramidConfigWarning, stacklevel=2)
-
-    lengths = []
-    n = lookback
-    for k in kernels:
-        n = n // k
-        if n < 1:
-            raise ValueError(
-                f"lookback {lookback} too short for windows {list(windows)}: "
-                f"a level would have length 0")
-        lengths.append(n)
-    return PyramidConfig(kernels=tuple(kernels), level_lengths=tuple(lengths))
+    return kernels
 
 
 def level_hidden_sizes(d_model, levels):
@@ -85,11 +67,12 @@ class PREParams:
     fuse: nn.LinearParams  # (sum of hiddens -> D)
 
 
-def init_pre(rng, cfg, hidden_sizes, d_model, conv_channels=16):
-    """Build pyramid parameters: per level a patch conv and a GRU of width
+def init_pre(rng, kernels, hidden_sizes, d_model, conv_channels):
+    """Build pyramid parameters: per level a patch conv with kernel
+    `kernels[i]` and `conv_channels` outputs and a GRU of width
     `hidden_sizes[i]`, then the fusion linear to D."""
     convs = [nn.init_conv1d(rng, conv_channels if i else 1, conv_channels, k)
-             for i, k in enumerate(cfg.kernels)]
+             for i, k in enumerate(kernels)]
     grus = [nn.init_gru(rng, conv_channels, h) for h in hidden_sizes]
     fuse = nn.init_linear(rng, sum(hidden_sizes), d_model)
     return PREParams(conv_weights=[w for w, _ in convs], conv_biases=[b for _, b in convs],

@@ -48,9 +48,8 @@ def _spread(params, shape):
 
 
 def normalize(x, params):
-    """Standardize (L, ..., C) per window and channel; returns (x_norm, state)."""
-    if x.shape[0] < 2:
-        raise ValueError(f"window length must be >= 2, got {x.shape[0]}")
+    """Standardize (L, ..., C) per window and channel, L >= 2; returns
+    (x_norm, state)."""
     centered, mu, sigma = nn.standardize(x, 0)
     gamma, beta = _spread(params, x.shape[1:])
     x_norm = nn.scale_shift(centered, sigma, gamma, beta)

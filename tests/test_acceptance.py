@@ -24,7 +24,7 @@ from prformer.analysis import check_pe, pe_dot_invariance, scaling_bench
 from prformer.config import RunConfig
 from prformer.data import load_csv, split_ranges, window_iter
 from prformer.model import PRformer
-from prformer.pre import PyramidConfigWarning, build_pyramid_config
+from prformer.pre import PyramidConfigWarning, pyramid_kernels
 from prformer.tensor import Tensor
 from prformer.training import (
     evaluate,
@@ -97,33 +97,40 @@ class TestAcceptance:
         assert seconds < 120
 
     def test_criterion_02_pyramid_configuration(self):
-        three = build_pyramid_config([24, 48, 96], 720)
+        three = pyramid_kernels([24, 48, 96], 720)
         with pytest.warns(PyramidConfigWarning):
-            four = build_pyramid_config([24, 48, 72, 144], 720)
+            four = pyramid_kernels([24, 48, 72, 144], 720)
         floors_ok = True
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), T.no_grad():
             warnings.simplefilter("ignore", PyramidConfigWarning)
             for windows in ([24], [24, 48, 96], [24, 48, 72, 144], [7, 21, 84]):
+                # the kernels do not depend on the lookback, so one pyramid
+                # of one-channel convs serves every L
+                kernels = pyramid_kernels(windows, max(windows))
+                levels = len(kernels)
+                params = pre.init_pre(np.random.default_rng(0), kernels,
+                                      pre.level_hidden_sizes(levels, levels), levels, 1)
                 for lookback in range(max(windows), 1001):
-                    cfg = build_pyramid_config(windows, lookback)
+                    feats = pre.bottom_up(
+                        Tensor(np.zeros((lookback, 1), dtype=np.float32)), params)
+                    built = tuple(f.shape[0] for f in feats)
                     # lengths follow the kernel chain; with a kernel-1 level
                     # the effective window differs from the nominal one
                     length, expect = lookback, []
-                    for kernel in cfg.kernels:
+                    for kernel in kernels:
                         length //= kernel
                         expect.append(length)
-                    if cfg.level_lengths != tuple(expect):
+                    if (pyramid_kernels(windows, lookback) != kernels
+                            or built != tuple(expect) or min(built) < 1):
                         floors_ok = False
                     if all(b % a == 0 for a, b in zip(windows, windows[1:])):
-                        if cfg.level_lengths != tuple(
-                                lookback // w for w in windows):
+                        if built != tuple(lookback // w for w in windows):
                             floors_ok = False
-        passed = (three.kernels == (24, 2, 2)
-                  and four.kernels == (24, 2, 1, 2) and floors_ok)
-        report(2, passed, f"kernels {three.kernels} / {four.kernels}, "
-                          f"floor lengths exhaustive to L=1000: {floors_ok}")
-        assert three.kernels == (24, 2, 2)
-        assert four.kernels == (24, 2, 1, 2)
+        passed = three == (24, 2, 2) and four == (24, 2, 1, 2) and floors_ok
+        report(2, passed, f"kernels {three} / {four}, built level lengths "
+                          f"exhaustive to L=1000: {floors_ok}")
+        assert three == (24, 2, 2)
+        assert four == (24, 2, 1, 2)
         assert floors_ok
 
     def test_criterion_03_normalization_round_trip(self):
@@ -201,9 +208,10 @@ class TestAcceptance:
         # fwd+bwd of the pyramid embedding alone, where the recurrence sits,
         # at the paper's ETTh1 width: 32 windows x 7 channels, d_model 128
         def seconds(lookback, batch=224, repetitions=5):
-            cfg = build_pyramid_config([24, 48, 96], lookback)
+            kernels = pyramid_kernels([24, 48, 96], lookback)
             rng = np.random.default_rng(0)
-            params = pre.init_pre(rng, cfg, pre.level_hidden_sizes(128, len(cfg.kernels)), 128)
+            params = pre.init_pre(rng, kernels, pre.level_hidden_sizes(128, len(kernels)), 128,
+                                  16)
             x = Tensor(rng.normal(size=(lookback, batch)).astype(np.float32))
             times = []
             for _ in range(repetitions + 1):  # the first run is warm-up

@@ -126,7 +126,8 @@ class TestScalingBench:
         assert [r["lookback"] for r in rows] == [16, 32, 60]
 
     def test_lookback_below_top_window_rejected(self):
-        with pytest.raises(ValueError, match="smaller than the top window"):
+        # the first model built, at the smallest lookback, fails validation
+        with pytest.raises(ValueError, match="lookback 4 shorter than top window 8"):
             tiny_bench(lookbacks=[4, 32, 64])
 
     def test_backward_mode_leaves_grads_clear(self):

@@ -349,6 +349,13 @@ BAD_CONFIGS = {
     # V3 keeps the full model's per-level width, which D=2 cannot give 3 levels
     "v3-width-below-levels": {"lookback": 96, "pyramidal_windows": [4, 8, 16],
                               "variant": "V3", "d_model": 2, "heads": 1},
+    # each rule below has one home, RunConfig.validate; no layer re-checks it
+    "heads-not-dividing": {"d_model": 16, "heads": 5},
+    "dropout-one": {"dropout": 1.0},
+    "split-unknown": {"split_scheme": "5:5"},
+    "lookback-below-top-window": {"lookback": 16, "pyramidal_windows": [24]},
+    # V2 builds no pyramid, so lookback >= 2 is RevIN's only guard
+    "v2-lookback-one": {"lookback": 1, "pred_len": 1, "variant": "V2"},
 }
 
 
@@ -492,6 +499,22 @@ class TestMalformedInputContract:
         assert "Traceback" not in err and missing in err
         assert "epoch" not in out  # train stops before its first epoch
 
+    @pytest.mark.parametrize("command, detail", [
+        ("train", "Unable to allocate 1.82 TiB for an array"),  # numpy's wording
+        ("bench", ""),
+    ])
+    @pytest.mark.usefixtures("bench_threads")
+    def test_out_of_memory_is_a_data_error(self, monkeypatch, capsys, command, detail):
+        # a stand-in handler raises at once, so nothing large is allocated
+        def run_out(args):
+            raise MemoryError(detail)
+
+        monkeypatch.setattr(cli, f"cmd_{command}", run_out)
+        rc = cli.main([command])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.splitlines() == [
+            f"data error: out of memory: {detail or 'reduce the model or its inputs'}"]
 
     @pytest.mark.parametrize("case", sorted(BAD_FLAGS))
     @pytest.mark.usefixtures("bench_threads")

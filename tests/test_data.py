@@ -134,8 +134,6 @@ class TestSplitRanges:
         # targets must cover the horizon
         with pytest.raises(DataError, match="val split too small.*200 rows"):
             split_ranges(1000, "6:2:2", 48, 201)
-        with pytest.raises(DataError, match="unknown split scheme"):
-            split_ranges(1000, "5:5", 8, 8)
 
 
 class TestWindowIter:
@@ -178,10 +176,6 @@ class TestWindowIter:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
         np.testing.assert_array_equal(c, np.arange(33))
-
-    def test_too_short_range_rejected(self):
-        with pytest.raises(DataError, match="shorter than one"):
-            next(window_iter(np.zeros((10, 1)), (0, 10), 8, 4, 2))
 
 
 class TestPredictionsCsv:

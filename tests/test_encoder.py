@@ -95,10 +95,6 @@ class TestEncode:
                              params, collect_attn=seen)
         assert seen == [] and out.shape == (1, 3, 8)
 
-    def test_heads_must_divide_width_at_init(self):
-        with pytest.raises(ValueError, match="divisible"):
-            build(np.random.default_rng(69), d_model=10, heads=4)
-
 
 class TestProjectionHead:
     def test_zero_weights_give_bias_forecast(self):

@@ -9,7 +9,7 @@ import pytest
 import oracles
 from conftest import cast_tree
 from oracles import Tape
-from prformer import nn, tensor as T
+from prformer import nn, pre, tensor as T
 from prformer.config import ConfigError, RunConfig, read_config_file
 from prformer.model import PRformer
 from prformer.pre import PyramidConfigWarning
@@ -118,9 +118,11 @@ class TestVariants:
 
     def test_v3_truncates_to_bottom_level(self):
         model = PRformer(small_config(variant="V3"), 2)
-        pyramid, _ = model.config.pyramid()
-        assert pyramid.kernels == (4,)
-        assert pyramid.level_lengths == (4,)
+        kernels, _ = model.config.pyramid()
+        assert kernels == (4,)
+        feats = pre.bottom_up(Tensor(np.zeros((16, 1), dtype=np.float32)),
+                              model.params.pre)
+        assert [f.shape[0] for f in feats] == [4]
         assert [w.shape for w in model.params.pre.conv_weights] == [(3, 4)]
 
     def test_v3_has_fewer_parameters_than_full(self):
@@ -153,7 +155,7 @@ def reference_tokens(model, x):
                                            model.params.revin.beta)
     cur = T.reshape(T.permute(x_norm, (0, 2, 1)), (b * c, 1, length))
     features = []
-    kernels = model.config.pyramid()[0].kernels
+    kernels = model.config.pyramid()[0]
     for w, bias, k in zip(params.conv_weights, params.conv_biases, kernels):
         folded = Tensor(w.data.reshape(w.shape[0], k, -1).transpose(0, 2, 1))
         cur = oracles.conv1d(cur, folded, bias, stride=k)

@@ -566,12 +566,6 @@ class TestMultiHeadAttention:
         expected = (p @ v) @ params.o.w.data + params.o.b.data
         np.testing.assert_allclose(out.data, expected, rtol=1e-10)
 
-    def test_heads_must_divide_width(self):
-        rng = np.random.default_rng(30)
-        with pytest.raises(ValueError, match="divisible"):
-            nn.multi_head_attention(f64(rng.normal(size=(1, 3, 6))),
-                                    self.params(rng, 6), heads=4)
-
     def test_gradient(self):
         rng = np.random.default_rng(31)
         params = self.params(rng, 4)
@@ -636,6 +630,8 @@ class TestParamPlumbing:
         rng = np.random.default_rng(35)
         lin = nn.init_linear(rng, 16, 8)
         assert np.all(np.abs(lin.w.data) <= 0.25)
+        key = np.abs(nn.init_mha(rng, 16).k.data)  # U(±1/√D), like a linear's weight
+        assert key.max() <= 0.25 and key.max() > 0.9 * 0.25
         gru = nn.init_gru(rng, 4, 16)
         assert np.all(np.abs(gru.u_h.data) <= 0.25)
         assert all(p.requires_grad for _, p in nn.iter_params(gru))

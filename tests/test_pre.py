@@ -14,15 +14,15 @@ from oracles import Tape
 from prformer import nn, pre, tensor as T
 from prformer.pre import (
     PyramidConfigWarning,
-    build_pyramid_config,
     level_hidden_sizes,
+    pyramid_kernels,
 )
 from prformer.tensor import tensor
 
 
-def init_split(rng, cfg, d_model, conv_channels):
+def init_split(rng, kernels, d_model, conv_channels):
     """Pyramid parameters with D split across the levels, as the full model does."""
-    return pre.init_pre(rng, cfg, level_hidden_sizes(d_model, len(cfg.kernels)), d_model,
+    return pre.init_pre(rng, kernels, level_hidden_sizes(d_model, len(kernels)), d_model,
                         conv_channels)
 
 
@@ -31,61 +31,70 @@ CRITERION_02_WINDOWS = ([24], [24, 48, 96], [24, 48, 72, 144], [7, 21, 84])
 
 
 def tiny_setup(windows=(2, 4), lookback=8, d_model=4, channels=2, seed=40):
-    cfg = build_pyramid_config(windows, lookback)
+    kernels = pyramid_kernels(windows, lookback)
     rng = np.random.default_rng(seed)
-    params = init_split(rng, cfg, d_model, conv_channels=channels)
-    return cfg, params
+    params = init_split(rng, kernels, d_model, conv_channels=channels)
+    return kernels, params
+
+
+def built_lengths(params, lookback):
+    """Each level's length as `bottom_up` builds it from a `lookback`-step series."""
+    feats = pre.bottom_up(tensor(np.zeros((lookback, 1), dtype=np.float32)), params)
+    return tuple(f.shape[0] for f in feats)
 
 
 class TestBuildPyramidConfig:
     def test_three_level_hourly_daily_config(self):
-        cfg = build_pyramid_config([24, 48, 96], 720)
-        assert cfg.kernels == (24, 2, 2)
-        assert cfg.level_lengths == (30, 15, 7)
+        kernels, params = tiny_setup([24, 48, 96], 720)
+        assert kernels == (24, 2, 2)
+        assert built_lengths(params, 720) == (30, 15, 7)
 
     def test_four_level_config_with_unit_kernel(self):
         with pytest.warns(PyramidConfigWarning):
-            cfg = build_pyramid_config([24, 48, 72, 144], 720)
-        assert cfg.kernels == (24, 2, 1, 2)
-        assert cfg.level_lengths == (30, 15, 15, 7)
+            kernels, params = tiny_setup([24, 48, 72, 144], 720)
+        assert kernels == (24, 2, 1, 2)
+        assert built_lengths(params, 720) == (30, 15, 15, 7)
 
     def test_whole_window_collapse(self):
         for lookback in (7, 64, 500):
-            cfg = build_pyramid_config([lookback], lookback)
-            assert cfg.kernels == (lookback,)
-            assert cfg.level_lengths == (1,)
+            kernels, params = tiny_setup([lookback], lookback)
+            assert kernels == (lookback,)
+            assert built_lengths(params, lookback) == (1,)
 
     def test_floor_length_rule_exhaustive(self):
         for windows in ([4, 8], [3, 6, 12], [5, 10, 30]):
+            # the kernels do not depend on the lookback: one pyramid serves all
+            kernels, params = tiny_setup(windows, windows[-1], d_model=3)
             for lookback in range(windows[-1], 1001, 7):
-                cfg = build_pyramid_config(windows, lookback)
                 n = lookback
-                for k, expect in zip(cfg.kernels, cfg.level_lengths):
+                for k, built in zip(kernels, built_lengths(params, lookback)):
                     n = n // k
-                    assert expect == n and n >= 1
+                    assert built == n and n >= 1
 
     @pytest.mark.filterwarnings("ignore::prformer.pre.PyramidConfigWarning")
     @pytest.mark.parametrize("lookback", [144, 200, 720, 1001], ids=lambda n: f"L{n}")
     @pytest.mark.parametrize("windows", CRITERION_02_WINDOWS,
                              ids=lambda w: "w" + "-".join(map(str, w)))
     def test_lengths_match_actual_convolutions(self, windows, lookback):
-        # bottom_up reads each level's kernel from its conv weight, so the
-        # lengths it produces must be the ones the config derived
-        cfg, params = tiny_setup(windows=windows, lookback=lookback, d_model=6)
-        feats = pre.bottom_up(tensor(np.zeros((lookback, 1), dtype=np.float32)), params)
-        assert [f.shape[0] for f in feats] == list(cfg.level_lengths)
+        # bottom_up reads each level's kernel from its conv weight; a floor of
+        # a floor is the floor of the product, so level i has L // (k_0···k_i)
+        kernels, params = tiny_setup(windows=windows, lookback=lookback, d_model=6)
+        expect = tuple(lookback // int(np.prod(kernels[:i + 1]))
+                       for i in range(len(kernels)))
+        assert built_lengths(params, lookback) == expect
+        assert min(expect) >= lookback // windows[-1] >= 1
 
     def test_rejections(self):
         with pytest.raises(ValueError, match="ascending"):
-            build_pyramid_config([24, 24], 720)
+            pyramid_kernels([24, 24], 720)
         with pytest.raises(ValueError, match="shorter than top window"):
-            build_pyramid_config([24, 48], 47)
+            pyramid_kernels([24, 48], 47)
         with pytest.raises(ValueError, match="nonempty"):
-            build_pyramid_config([], 100)
+            pyramid_kernels([], 100)
         with pytest.raises(ValueError, match="positive"):
-            build_pyramid_config([-4, 8], 100)
+            pyramid_kernels([-4, 8], 100)
         with pytest.raises(ValueError, match="positive"):
-            build_pyramid_config([0, 8], 100)
+            pyramid_kernels([0, 8], 100)
 
 
 class TestHiddenSplit:
@@ -115,9 +124,9 @@ class TestBottomUp:
 
     def test_unit_kernel_is_pointwise_linear(self):
         with pytest.warns(PyramidConfigWarning):
-            cfg = build_pyramid_config([1], 6)
+            kernels = pyramid_kernels([1], 6)
         rng = np.random.default_rng(42)
-        params = init_split(rng, cfg, 3, conv_channels=4)
+        params = init_split(rng, kernels, 3, conv_channels=4)
         x = rng.normal(size=(6, 1)).astype(np.float32)
         feats = pre.bottom_up(tensor(x), params)
         w = params.conv_weights[0].data[:, 0]
@@ -171,8 +180,8 @@ class TestMultiScaleRnn:
         rng = np.random.default_rng(45)
         for windows, lookback, d_model in [((2, 4), 8, 4), ((3, 9), 27, 7),
                                            ((4, 8, 16), 64, 10), ((5,), 20, 3)]:
-            cfg = build_pyramid_config(windows, lookback)
-            params = init_split(rng, cfg, d_model, conv_channels=3)
+            kernels = pyramid_kernels(windows, lookback)
+            params = init_split(rng, kernels, d_model, conv_channels=3)
             x = tensor(rng.normal(size=(lookback, 1)).astype(np.float32))
             assert pre.pre_embed_batch(x, params).shape == (1, d_model)
 
@@ -186,9 +195,9 @@ class TestMultiScaleRnn:
 
 class TestStructure:
     def test_single_level_path_is_conv_gru_linear(self):
-        cfg = build_pyramid_config([4], 16)
+        kernels = pyramid_kernels([4], 16)
         rng = np.random.default_rng(48)
-        params = init_split(rng, cfg, 4, conv_channels=2)
+        params = init_split(rng, kernels, 4, conv_channels=2)
         out = pre.pre_embed_batch(tensor(rng.normal(size=(16, 1)).astype(np.float32)),
                                   params)
         counts = Tape.trace(T.sum_(out)).op_counts()
@@ -200,8 +209,8 @@ class TestStructure:
         rng = np.random.default_rng(49)
         flops = {}
         for lookback in (64, 128):
-            cfg = build_pyramid_config([4, 8], lookback)
-            params = init_split(rng, cfg, 8, conv_channels=4)
+            kernels = pyramid_kernels([4, 8], lookback)
+            params = init_split(rng, kernels, 8, conv_channels=4)
             x = tensor(rng.normal(size=(lookback, 1)).astype(np.float32))
             out = pre.pre_embed_batch(x, params)
             flops[lookback] = Tape.trace(T.sum_(out)).flops()
@@ -215,8 +224,8 @@ class TestStructure:
         # in view
         peaks = {}
         for lookback in (768, 1536):
-            cfg = build_pyramid_config([2, 4], lookback)
-            params = init_split(np.random.default_rng(53), cfg, 8, conv_channels=4)
+            kernels = pyramid_kernels([2, 4], lookback)
+            params = init_split(np.random.default_rng(53), kernels, 8, conv_channels=4)
             x = tensor(np.random.default_rng(54).normal(size=(lookback, 16)), dtype=np.float32)
             tracemalloc.start()
             T.backward(T.sum_(pre.pre_embed_batch(x, params)))
@@ -230,8 +239,8 @@ class TestStructure:
         rng = np.random.default_rng(52)
         nodes = {}
         for lookback in (64, 128):
-            cfg = build_pyramid_config([4, 8], lookback)
-            params = init_split(rng, cfg, 8, conv_channels=4)
+            kernels = pyramid_kernels([4, 8], lookback)
+            params = init_split(rng, kernels, 8, conv_channels=4)
             x = tensor(rng.normal(size=(lookback, 3)).astype(np.float32))
             nodes[lookback] = len(Tape.trace(T.sum_(pre.pre_embed_batch(x, params))))
         assert nodes[64] == nodes[128]

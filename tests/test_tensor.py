@@ -141,6 +141,9 @@ class TestGraphMechanics:
             T.add(a, b)
         with pytest.raises(ShapeMismatchError, match="matmul"):
             T.matmul(a, b)
+        # a 1-d operand would pass the inner-dim check and fold into one row
+        with pytest.raises(ShapeMismatchError, match=">= 2-d"):
+            T.matmul(tensor(np.zeros(3)), tensor(np.zeros((3, 5))))
         with pytest.raises(ShapeMismatchError, match="reshape"):
             T.reshape(a, (7,))
         with pytest.raises(ShapeMismatchError, match="concat"):
@@ -187,10 +190,6 @@ class TestGraphMechanics:
     def test_dropout_rate_zero_is_identity(self):
         x = tensor([1.0, 2.0], requires_grad=True)
         assert T.dropout_mask(x, 0.0, np.random.default_rng(0)) is x
-
-    def test_dropout_rate_validation(self):
-        with pytest.raises(ValueError):
-            T.dropout_mask(tensor([1.0]), 1.0, np.random.default_rng(0))
 
 
 class TestTape:
