@@ -54,8 +54,6 @@ def pe_dot_invariance(d_model, t, s, offset):
     sin(a)sin(b) + cos(a)cos(b) = cos(a - b) collapses each sin-cos pair to
     cos(w_k * offset), independent of the absolute position.
     """
-    if t < 0 or s < 0 or offset < 0:
-        raise ValueError("positions and offset must be nonnegative")
     dot_t = float(sinusoidal_pe(d_model, t) @ sinusoidal_pe(d_model, t + offset))
     dot_s = float(sinusoidal_pe(d_model, s) @ sinusoidal_pe(d_model, s + offset))
     reference = float(np.cos(pe_frequencies(d_model) * offset).sum())

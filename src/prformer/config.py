@@ -74,7 +74,7 @@ class RunConfig:
 
     def validate(self):
         """Check every rule of the run once, here: the layers below trust a
-        validated config and do not re-check it. Returns self."""
+        validated config and do not re-check it."""
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             kinds = f.type.split(" | ")
@@ -115,7 +115,6 @@ class RunConfig:
             self.pyramid()
         except ValueError as e:
             raise ConfigError(str(e)) from None
-        return self
 
     def pyramid(self):
         """(per-level conv kernels, per-level GRU widths) of the variant's
@@ -131,11 +130,6 @@ class RunConfig:
         keep = 1 if self.variant == "V3" else levels
         kernels = pyramid_kernels(self.pyramidal_windows[:keep], self.lookback)
         return kernels, level_hidden_sizes(self.d_model, levels)[:keep]
-
-    def to_dict(self):
-        d = dataclasses.asdict(self)
-        d["pyramidal_windows"] = list(self.pyramidal_windows)
-        return d
 
     @classmethod
     def field_names(cls):

@@ -141,7 +141,7 @@ def split_ranges(n, scheme, lookback, horizon):
               (n_train + n_val - lookback, n)]
     for name, (start, end), size in zip(("train", "val", "test"), ranges,
                                         (n_train, n_val, n_test)):
-        if size <= 0 or end - start < window or start < 0:
+        if end - start < window:
             raise DataError(
                 f"{name} split too small for lookback {lookback} + horizon "
                 f"{horizon}: {size} rows of {n}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -139,33 +139,28 @@ def train(config: RunConfig, table, progress=None) -> TrainResult:
     restored before returning. A non-finite validation MAE or MSE raises
     DivergenceError naming the epoch.
     """
-    config.validate()
+    model = PRformer(config, table.n_channels)
     train_range, val_range, _ = split_ranges(table.length, config.split_scheme,
                                              config.lookback, config.pred_len)
-    model = PRformer(config, table.n_channels)
     optimizer = Adam(model.named_parameters(), config.lr)
     dropout_rng = np.random.default_rng((config.seed, 1))
     result = TrainResult(model=model)
-    best = None
-    patience_left = config.patience
 
     for epoch in range(1, config.max_epochs + 1):
         started = time.monotonic()
         optimizer.lr = lr_for_epoch(config.lr, config.lr_decay, epoch)
-        loss_sum, n_batches = 0.0, 0
-        for batch in window_iter(table.values, train_range, config.lookback,
-                                 config.pred_len, config.batch_size,
-                                 shuffle_seed=(config.seed, 1 + epoch)):
-            loss_sum += train_step(model, optimizer, batch.inputs, batch.targets,
-                                   dropout_rng, epoch, n_batches)
-            n_batches += 1
+        batches = window_iter(table.values, train_range, config.lookback,
+                              config.pred_len, config.batch_size,
+                              shuffle_seed=(config.seed, 1 + epoch))
+        losses = [train_step(model, optimizer, b.inputs, b.targets, dropout_rng,
+                             epoch, i) for i, b in enumerate(batches)]
 
         val = evaluate(model, table.values, val_range, config)
         if not np.isfinite([val.mae, val.mse]).all():
             raise DivergenceError(f"non-finite validation metric (mae {val.mae}, "
                                   f"mse {val.mse}) at epoch {epoch}")
         row = {"epoch": epoch, "lr": optimizer.lr,
-               "train_mae": loss_sum / max(1, n_batches),
+               "train_mae": sum(losses) / len(losses),
                "val_mae": val.mae, "val_mse": val.mse,
                "seconds": time.monotonic() - started}
         result.history.append(row)
@@ -173,18 +168,15 @@ def train(config: RunConfig, table, progress=None) -> TrainResult:
         if progress is not None:
             progress(row)
 
+        # epoch 1 always improves: its MAE is finite, the initial best is inf
         if val.mae < result.best_val_mae:
             result.best_val_mae = val.mae
-            best = _snapshot(model)
-            patience_left = config.patience
-        else:
-            patience_left -= 1
-            if patience_left == 0:
-                result.stopped_early = True
-                break
+            best, best_epoch = _snapshot(model), epoch
+        elif epoch - best_epoch == config.patience:
+            result.stopped_early = True
+            break
 
-    if best is not None:
-        _restore(model, best)
+    _restore(model, best)
     return result
 
 
@@ -234,12 +226,11 @@ def save_checkpoint(path, model):
     entries = []
     payloads = []
     for name, p in model.named_parameters():
-        arr = np.ascontiguousarray(p.data.astype(p.data.dtype.newbyteorder("<")))
         entries.append({"name": name, "shape": list(p.data.shape),
                         "dtype": p.data.dtype.name})
-        payloads.append(arr.tobytes())
+        payloads.append(p.data.astype(p.data.dtype.newbyteorder("<")).tobytes())
     manifest = {"format_version": CHECKPOINT_VERSION,
-                "config": model.config.to_dict(),
+                "config": asdict(model.config),
                 "channels": model.channels,
                 "params": entries}
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
@@ -291,11 +282,10 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: manifest params must be a list of "
                               f"{{name, shape, dtype}} objects")
     try:
-        config = RunConfig.from_dict(manifest["config"]).validate()
+        model = PRformer(RunConfig.from_dict(manifest["config"]), channels)
     except ConfigError as e:
         raise CheckpointError(f"{path}: invalid embedded config: {e}") from None
 
-    model = PRformer(config, channels)
     offset = 4 + length
     named = dict(model.named_parameters())
     seen = set()

@@ -70,12 +70,6 @@ class TestDotInvariance:
         r = pe_dot_invariance(64, 5, 300, 17)
         assert abs(r.dot_t - r.dot_s) < 1e-9
 
-    def test_negative_arguments_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            pe_dot_invariance(8, -1, 0, 3)
-        with pytest.raises(ValueError, match="nonnegative"):
-            pe_dot_invariance(8, 0, 2, -3)
-
     def test_random_sweep_stays_tiny(self):
         rng = np.random.default_rng(11)
         for _ in range(200):

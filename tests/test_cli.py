@@ -1,13 +1,16 @@
 """End-to-end runs of every subcommand plus the exit-code contract."""
 
 import json
+import os
 import struct
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import sine_pair_table
-from prformer import cli, data, encoder, synthetic
+from prformer import cli, data, encoder, synthetic, training
+from prformer.analysis import check_pe
 from prformer.config import RunConfig
 from prformer.model import PRformer
 from prformer.tensor import Tensor, no_grad
@@ -150,6 +153,21 @@ class TestRoundTrip:
         np.testing.assert_array_equal(written, seen[0].reshape(2 * 3, 16))
         assert [int(r[0]) for r in rows] == [int(s) for s in batch.starts for _ in range(3)]
 
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_evaluate_scores_the_named_split(self, dataset, tmp_path, capsys, split):
+        rc, ckpt, _ = train_fast(dataset, tmp_path)
+        assert rc == 0
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--checkpoint", ckpt, "--split", split]) == 0
+        model = load_checkpoint(ckpt)
+        table = data.load_csv(dataset)
+        ranges = data.split_ranges(table.length, model.config.split_scheme, 32, 8)
+        metrics = training.evaluate(model, table.values,
+                                    ranges[["train", "val", "test"].index(split)],
+                                    model.config)
+        assert capsys.readouterr().out == (f"{split} mse {metrics.mse:.6f} "
+                                           f"mae {metrics.mae:.6f}\n")
+
     def test_evaluate_channel_mismatch_is_data_error(self, dataset, tmp_path):
         rc, ckpt, _ = train_fast(dataset, tmp_path)
         assert rc == 0
@@ -174,9 +192,30 @@ class TestBenchAndPe:
             assert fh.readline().strip() == "lookback,median_s,mean_s,ratio"
             assert len(fh.readlines()) == 3
 
+    def test_bench_pins_unset_blas_threads_and_keeps_a_set_one(self, monkeypatch):
+        for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert cli.main(["bench", "--repetitions", "0"]) == 1  # stops at parsing
+        assert {var: os.environ[var] for var in (
+            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+            "NUMEXPR_NUM_THREADS")} == {"OMP_NUM_THREADS": "1",
+                                        "OPENBLAS_NUM_THREADS": "2",
+                                        "MKL_NUM_THREADS": "1",
+                                        "NUMEXPR_NUM_THREADS": "1"}
+
     def test_check_pe_passes(self, capsys):
         assert cli.main(["check-pe", "--trials", "50"]) == 0
         assert "invariance holds" in capsys.readouterr().out
+
+    def test_check_pe_needs_the_worst_deviation_below_the_tolerance(self, capsys):
+        worst = check_pe(trials=50)
+        assert cli.main(["check-pe", "--trials", "50", "--tolerance", repr(worst)]) == 3
+
+    def test_main_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["prformer", "check-pe", "--trials", "5"])
+        assert cli.main() == 0
+        assert "over 5 trials" in capsys.readouterr().out
 
     def test_check_pe_impossible_tolerance_is_numeric_failure(self, capsys):
         # the smallest tolerance worth asking for; 0 is a usage error
@@ -293,6 +332,46 @@ class TestExitCodes:
         assert cli.main(["evaluate", "--checkpoint", str(path), "--dataset", dataset]) == 2
         assert f"unsupported format version {version}" in capsys.readouterr().err
 
+    def test_bad_config_stops_before_the_dataset_is_read(self, tmp_path, capsys):
+        rc = cli.main(["train", "--dataset", str(tmp_path / "nope.csv"), *FAST,
+                       "--heads", "5", "--checkpoint", str(tmp_path / "m.ckpt"),
+                       "--history", str(tmp_path / "h.csv")])
+        _assert_clean_exit(rc, 1, capsys)
+
+    def test_no_dataset_anywhere_is_usage_error(self, tmp_path, capsys):
+        rc = cli.main(["train", *FAST, "--checkpoint", str(tmp_path / "m.ckpt"),
+                       "--history", str(tmp_path / "h.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1 and "a dataset path is required" in err
+
+    def test_output_path_that_is_a_directory_is_data_error(self, dataset, tmp_path,
+                                                           capsys):
+        rc = cli.main(["train", "--dataset", dataset, *FAST,
+                       "--checkpoint", str(tmp_path),
+                       "--history", str(tmp_path / "h.csv")])
+        out, err = capsys.readouterr()
+        assert rc == 2, err
+        assert str(tmp_path) in err and "epoch" not in out
+
+    def test_write_failing_late_is_data_error_naming_the_path(
+            self, dataset, tmp_path, capsys, monkeypatch):
+        def disk_full(path, model):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(training, "save_checkpoint", disk_full)
+        rc, ckpt, _ = train_fast(dataset, tmp_path)
+        out, err = capsys.readouterr()
+        assert rc == 2, err
+        assert "epoch   1" in out
+        assert err.splitlines() == [
+            f"data error: cannot write {ckpt}: No space left on device"]
+
+    def test_evaluate_needs_a_checkpoint(self):
+        assert cli.main(["evaluate"]) == 1
+
+    def test_no_subcommand_is_usage_error(self):
+        assert cli.main([]) == 1
+
     def test_unknown_subcommand(self):
         assert cli.main(["frobnicate"]) == 1
 
@@ -356,6 +435,11 @@ BAD_CONFIGS = {
     "lookback-below-top-window": {"lookback": 16, "pyramidal_windows": [24]},
     # V2 builds no pyramid, so lookback >= 2 is RevIN's only guard
     "v2-lookback-one": {"lookback": 1, "pred_len": 1, "variant": "V2"},
+    "lr-zero": {"lr": 0.0},
+    "lr-decay-zero": {"lr_decay": 0.0},
+    "lr-decay-above-one": {"lr_decay": 1.5},
+    # pyramid_kernels would floor 24.5 to 24 and train
+    "window-float": {"pyramidal_windows": [24.5]},
 }
 
 
@@ -371,12 +455,14 @@ BAD_CSVS = {
     "inf": _series(["1.0"] * 150 + ["-inf"] + ["1.0"] * 149),
     "empty": "",
     "header-only": "date,a\n",
-    "date-only": "date\n2016-07-01 00:00:00\n",
+    # date-only and repeated-date are long enough to split, so only their
+    # own checks can stop them
+    "date-only": _series(["1.0"] * 300).replace("date,a", "date").replace(",1.0", ""),
     "ragged": "date,a,b\n2016-07-01 00:00:00,1.0\n",
     "repeated-column": _series(["1.0,2.0"] * 300).replace("date,a\n", "date,a,a\n"),
     "text-cell": _series(["1.0", "spam"]),
     "nul-byte": _series(["1.0", "1\x00.0"]),
-    "repeated-date": "date,a\n2016-07-01 00:00:00,1.0\n2016-07-01 00:00:00,2.0\n",
+    "repeated-date": _series(["1.0"] * 300).replace("2016-07-03 06:00", "2016-07-03 05:00"),
     "too-short": _series(["1.0"] * 20),
 }
 

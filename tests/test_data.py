@@ -40,6 +40,13 @@ class TestLoadCsv:
         np.testing.assert_array_equal(again.values, table.values)
         assert again.timestamps == table.timestamps
 
+    def test_write_matrix_round_trips_a_negative_first_value(self, tmp_path):
+        path = str(tmp_path / "m.csv")
+        values = np.array([[-1.5, 2.0], [3.0, -0.25]])
+        data.write_matrix(path, ["key", "x", "y"], [["p"], ["q"]], values)
+        assert open(path).read().splitlines() == ["key,x,y", "p,-1.5,2.0",
+                                                  "q,3.0,-0.25"]
+
     def test_missing_file(self):
         with pytest.raises(DataError, match="not found"):
             load_csv("/no/such/file.csv")
@@ -136,6 +143,13 @@ class TestSplitRanges:
             split_ranges(1000, "6:2:2", 48, 201)
 
 
+    def test_split_of_exactly_one_window_accepted(self):
+        # val keeps 20 rows of targets: one window at horizon 20
+        train, val, test = split_ranges(100, "6:2:2", 10, 20)
+        assert val == (50, 80) and test == (70, 100)
+        assert data.window_count(val[1] - val[0], 10, 20) == 1
+
+
 class TestWindowIter:
     def test_window_count_formula(self):
         vals = np.zeros((1000, 2), dtype=np.float32)
@@ -193,6 +207,14 @@ class TestPredictionsCsv:
         assert first[:3] == ["10", "0", "a"]
         assert np.float32(first[3]) == y_true[0, 0, 0]
         assert np.float32(first[4]) == y_pred[0, 0, 0]
+
+    def test_negative_first_value_round_trips(self, tmp_path):
+        y_true = np.array([[[-0.75], [0.5]]], dtype=np.float32)
+        y_pred = np.array([[[-2.5], [1.25]]], dtype=np.float32)
+        path = str(tmp_path / "pred.csv")
+        data.write_predictions(path, [(np.array([3]), y_true, y_pred)], ["a"])
+        lines = open(path).read().splitlines()
+        assert lines[1:] == ["3,0,a,-0.75,-2.5", "3,1,a,0.5,1.25"]
 
     def test_byte_identical_to_row_loop(self, tmp_path):
         rng = np.random.default_rng(93)

@@ -1,6 +1,7 @@
 """Model-level checks: the four variants' shared contract, their structural
 differences, seeded init determinism, and RunConfig parsing."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -32,9 +33,13 @@ class TestRunConfig:
     def test_json_round_trip(self, tmp_path):
         config = small_config(dataset="x.csv", lr_decay=0.5)
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(config.to_dict()))
+        path.write_text(json.dumps(dataclasses.asdict(config)))
         again = RunConfig.from_dict(read_config_file(str(path)))
         assert again == config
+
+    def test_boundary_values_accepted(self):
+        RunConfig(lookback=2, pred_len=1, variant="V2").validate()
+        small_config(lr_decay=1.0).validate()
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
