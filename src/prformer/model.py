@@ -68,15 +68,9 @@ class PRformer:
         """Forecast raw-scale values: (B, L, C) -> (B, H, C).
 
         With `training`, the encoder drops activations at the configured rate,
-        drawing its masks from `dropout_rng`.
+        drawing its masks from `dropout_rng`. Shapes are checked where windows
+        are cut (`data.window_iter`) and tables loaded (`cli._load_split`).
         """
-        b, l, c = x.shape
-        if l != self.config.lookback:
-            raise T.ShapeMismatchError("forward", x.shape, (self.config.lookback,),
-                                       "window length != configured lookback")
-        if c != self.channels:
-            raise T.ShapeMismatchError("forward", x.shape, (self.channels,),
-                                       "channel count != model channels")
         tokens, state = self.embed(x)
         rate = self.config.dropout if training else 0.0
         h = encoder.encode(tokens, self.params.encoder, dropout=rate,

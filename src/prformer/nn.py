@@ -137,17 +137,10 @@ def conv1d(x, weight, bias):
     windows do not overlap, so the first T // K · K steps (a tail shorter
     than K is dropped) reshape without a copy to (T // K, K·C_in, N) patches,
     which one batched product projects. Registered on the tape as one op.
+    K <= T, as `RunConfig.validate` keeps every pyramid level a step long.
     """
-    if x.ndim != 3 or weight.ndim != 2:
-        raise T.ShapeMismatchError("conv1d", x.shape, weight.shape,
-                                   "expects 3-d input and 2-d weight")
     length, c_in, batch = x.shape
-    if weight.shape[1] % c_in:
-        raise T.ShapeMismatchError("conv1d", x.shape, weight.shape, "channel dims differ")
     k = weight.shape[1] // c_in
-    if k > length:
-        raise T.ShapeMismatchError("conv1d", x.shape, weight.shape,
-                                   f"kernel {k} longer than length {length}")
     l_out = length // k
     patches = x.data[:l_out * k].reshape(l_out, k * c_in, batch)
     out = np.matmul(weight.data, patches)
@@ -169,13 +162,9 @@ def upsample_repeat(x, target_len):
     Output step j holds input step j · L // target_len, so each input step
     holds one run of output steps, and the backward sums every run one
     offset at a time: linear in the length, whatever the ratio.
+    `target_len` >= L: level lengths fall going up the pyramid.
     """
-    if x.ndim != 3:
-        raise T.ShapeMismatchError("upsample", x.shape, (target_len,), "expects 3-d input")
     l_in = x.shape[0]
-    if target_len < l_in:
-        raise T.ShapeMismatchError("upsample", x.shape, (target_len,),
-                                   "target shorter than input")
     idx = (np.arange(target_len) * l_in) // target_len
     starts = np.searchsorted(idx, np.arange(l_in))  # each input step's first output step
     runs = np.diff(starts, append=target_len)
@@ -217,10 +206,6 @@ def gru_forward(x, params):
     gradient per `GRUParams` field.
     """
     w_in, u_zr, u_h, b_in = params.w.data, params.u_zr.data, params.u_h.data, params.b.data
-    if x.ndim != 3:
-        raise T.ShapeMismatchError("gru", x.shape, w_in.shape, "expects (T, in, B) input")
-    if x.shape[1] != w_in.shape[0]:
-        raise T.ShapeMismatchError("gru", x.shape, w_in.shape, "input dims differ")
     t_len, in_dim, batch = x.shape
     hidden = params.hidden_size
     zr_cols = slice(0, 2 * hidden)
@@ -311,7 +296,7 @@ def standardize(x, axis):
     mu = T.mean(x, axis=axis)
     centered = T.sub(x, mu)
     var = T.mean(T.mul(centered, centered), axis=axis)
-    sigma = T.sqrt(T.add(var, T.tensor(np.asarray(EPS, dtype=x.data.dtype))))
+    sigma = T.sqrt(T.add(var, T.tensor(EPS, dtype=x.dtype)))
     return centered, mu, sigma
 
 
@@ -326,12 +311,11 @@ def layer_norm(x, gamma, beta):
     return scale_shift(centered, sigma, gamma, beta)
 
 
-def softmax(x, axis=-1):
-    """Numerically stable softmax along `axis`."""
-    axis = axis % x.ndim
-    shift = T.tensor(x.data.max(axis=axis, keepdims=True))  # constant: derivative unaffected
+def softmax(x):
+    """Numerically stable softmax along the last axis."""
+    shift = T.tensor(x.data.max(axis=-1, keepdims=True))  # constant: derivative unaffected
     e = T.exp(T.sub(x, shift))
-    return T.div(e, T.sum_(e, axis=axis))
+    return T.div(e, T.sum_(e, axis=-1))
 
 
 def multi_head_attention(x, params, heads):
@@ -351,7 +335,7 @@ def multi_head_attention(x, params, heads):
     v = split_heads(linear(x, params.v))
     scores = T.mul(T.matmul(q, T.permute(k, (0, 1, 3, 2))),
                    T.tensor(1.0 / np.sqrt(dh), dtype=x.dtype))
-    probs = softmax(scores, axis=-1)
+    probs = softmax(scores)
     ctx = T.matmul(probs, v)  # (b, heads, n, dh)
     merged = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (b, n, d))
     return linear(merged, params.o), probs

@@ -17,8 +17,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-DEFAULT_DTYPE = np.float32
-
 _grad_enabled = contextvars.ContextVar("prformer_grad_enabled", default=True)
 
 
@@ -74,13 +72,8 @@ class Tensor:
 
 
 def tensor(data, dtype=None, requires_grad=False):
-    """Wrap `data` as a leaf Tensor, defaulting to single precision."""
-    arr = np.asarray(data)
-    if dtype is not None:
-        arr = arr.astype(dtype)
-    elif arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(DEFAULT_DTYPE)
-    return Tensor(arr, requires_grad=requires_grad)
+    """Wrap `data` as a leaf Tensor, cast to `dtype` if one is given."""
+    return Tensor(np.asarray(data, dtype=dtype), requires_grad=requires_grad)
 
 
 @contextmanager
@@ -194,7 +187,6 @@ def _matmul_shared(a, b):
 
 
 def permute(x, axes):
-    axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
 
     def bwd(g):
@@ -215,9 +207,7 @@ def reshape(x, shape):
     return _node("reshape", x.data.reshape(shape), (x,), bwd)
 
 
-def concat(tensors, axis=0):
-    if not tensors:
-        raise ValueError("concat: empty input list")
+def concat(tensors, axis):
     ref = tensors[0].shape
     for t in tensors[1:]:
         if len(t.shape) != len(ref) or any(
@@ -335,14 +325,12 @@ def backward(loss):
     order = _toposort(loss)
     grads = {id(loss): np.ones_like(loss.data)}
     for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
+        g = grads.pop(id(node))
         if node.op is None:
             node.grad = g if node.grad is None else node.grad + g
             continue
         for p, pg in zip(node.parents, node._backward(g)):
-            if pg is None or not p.requires_grad:
+            if not p.requires_grad:
                 continue
             key = id(p)
             grads[key] = pg if key not in grads else grads[key] + pg

@@ -1,5 +1,7 @@
 """Positional-encoding invariance math and the scaling benchmark harness."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,29 @@ class TestScalingBench:
         model = PRformer(config, 2)
         analysis.bench_forward_seconds(model, repetitions=1, include_backward=True)
         assert all(p.grad is None for _, p in model.named_parameters())
+
+    @pytest.mark.parametrize("include_backward", [False, True])
+    def test_times_each_run_of_the_model(self, monkeypatch, include_backward):
+        config = RunConfig(lookback=16, pred_len=8, pyramidal_windows=(4,),
+                           d_model=16, heads=2, conv_channels=4, dropout=0.0)
+        model = PRformer(config, 2)
+        forward, calls = model.forward, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", counted)
+        # a fake clock: the three timed runs take 1, 3 and 2 s
+        readings = iter([0.0, 1.0, 10.0, 13.0, 20.0, 22.0])
+        monkeypatch.setattr(analysis, "time",
+                            types.SimpleNamespace(perf_counter=lambda: next(readings)))
+        before = [p.data.copy() for _, p in model.named_parameters()]
+        assert analysis.bench_forward_seconds(model, 3, include_backward) == (2.0, 2.0)
+        assert len(calls) == 3 + 1  # the warm-up, then the timed runs
+        stepped = [not np.array_equal(old, p.data)
+                   for old, (_, p) in zip(before, model.named_parameters())]
+        assert stepped == [include_backward] * len(before)
 
     def test_csv_layout(self, tmp_path):
         rows = [{"lookback": 16, "median_s": 0.5, "mean_s": 0.5, "ratio": None},

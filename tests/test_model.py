@@ -15,6 +15,7 @@ from prformer.config import ConfigError, RunConfig, read_config_file
 from prformer.model import PRformer
 from prformer.pre import PyramidConfigWarning
 from prformer.tensor import Tensor
+from prformer.training import mae_loss
 
 
 def small_config(**overrides):
@@ -224,13 +225,29 @@ class TestModelMechanics:
                 if np.abs(p.grad).max() <= 1e-8]
         assert flat == []
 
-    def test_input_validation(self):
-        model = PRformer(small_config(), 2)
+    def test_init_draws_from_its_own_stream(self):
+        # stream (seed, 0) is the init's; the dropout masks draw from others
+        config = small_config()
+        model = PRformer(config, 2)
+        k = pre.pyramid_kernels(config.pyramidal_windows, config.lookback)[0]
+        bound = 1.0 / np.sqrt(k)
+        want = np.random.default_rng((config.seed, 0)).uniform(
+            -bound, bound, (config.conv_channels, 1, k)).astype(np.float32)
+        np.testing.assert_array_equal(model.params.pre.conv_weights[0].data,
+                                      want.reshape(config.conv_channels, k))
+
+    @pytest.mark.parametrize("variant", ["full", "V1", "V2", "V3"])
+    def test_float32_end_to_end(self, variant):
+        # float32 windows and parameters keep every activation and gradient
+        # float32, attention's score scale included
+        model = PRformer(small_config(variant=variant, dropout=0.1), 2)
         rng = np.random.default_rng(113)
-        with pytest.raises(T.ShapeMismatchError, match="lookback"):
-            model.forward(Tensor(rng.normal(size=(1, 15, 2)).astype(np.float32)))
-        with pytest.raises(T.ShapeMismatchError, match="channel"):
-            model.forward(Tensor(rng.normal(size=(1, 16, 3)).astype(np.float32)))
+        out = model.forward(Tensor(rng.normal(size=(3, 16, 2)).astype(np.float32)),
+                            training=True, dropout_rng=rng)
+        assert out.dtype == np.float32
+        T.backward(mae_loss(out, Tensor(rng.normal(size=out.shape).astype(np.float32))))
+        assert {n: p.grad.dtype for n, p in model.named_parameters()
+                if p.grad.dtype != np.float32} == {}
 
     @pytest.mark.parametrize("variant", ["full", "V1", "V2", "V3"])
     def test_unrecorded_forward_is_bitwise_the_recorded_one(self, variant):

@@ -172,14 +172,6 @@ class TestConv1d:
         if length % k:
             assert np.all(results[0][1][:, :, length // k * k:] == 0.0)
 
-    def test_shape_validation(self):
-        with pytest.raises(T.ShapeMismatchError, match="channel dims differ"):
-            nn.conv1d(f64(np.zeros((8, 3, 1))), f64(np.zeros((3, 8))), f64(np.zeros(3)))
-        with pytest.raises(T.ShapeMismatchError, match="longer than length"):
-            nn.conv1d(f64(np.zeros((4, 1, 1))), f64(np.zeros((1, 5))), f64(np.zeros(1)))
-        with pytest.raises(T.ShapeMismatchError, match="2-d weight"):
-            nn.conv1d(f64(np.zeros((8, 1, 1))), f64(np.zeros((1, 1, 4))), f64(np.zeros(1)))
-
     def test_appears_as_one_tape_op(self):
         x = tensor(np.ones((8, 1, 1)), requires_grad=True)
         out = nn.conv1d(x, tensor(np.ones((2, 4))), tensor(np.zeros(2)))
@@ -240,10 +232,6 @@ class TestUpsampleRepeat:
             results.append((out.data, x.grad))
         for name, fused, ref in zip(("out", "x"), *results):
             np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12, err_msg=name)
-
-    def test_target_shorter_than_input_rejected(self):
-        with pytest.raises(T.ShapeMismatchError, match="upsample"):
-            nn.upsample_repeat(f64(np.zeros((8, 1, 1))), 4)
 
 
 GRU_FIELDS = tuple(f.name for f in dataclasses.fields(GRUParams))
@@ -331,10 +319,6 @@ class TestGRU:
 
     def test_rejects_unbatched_input_and_initial_state(self):
         params = nn.init_gru(np.random.default_rng(18), 2, 3)
-        with pytest.raises(T.ShapeMismatchError, match="gru"):
-            nn.gru_forward(tensor(np.zeros((4, 2), dtype=np.float32)), params)
-        with pytest.raises(T.ShapeMismatchError, match="gru"):
-            nn.gru_forward(tensor(np.zeros((4, 3, 1), dtype=np.float32)), params)
         with pytest.raises(TypeError):
             nn.gru_forward(tensor(np.zeros((4, 2, 1), dtype=np.float32)), params,
                            tensor(np.ones((1, 3), dtype=np.float32)))
@@ -507,7 +491,7 @@ class TestSoftmax:
         rng = np.random.default_rng(24)
         for _ in range(20):
             x = rng.normal(scale=5.0, size=(3, int(rng.integers(2, 9))))
-            out = nn.softmax(f64(x), axis=-1)
+            out = nn.softmax(f64(x))
             np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
             assert np.all(out.data >= 0)
 

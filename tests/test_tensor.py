@@ -79,9 +79,11 @@ class TestBackwardValues:
         np.testing.assert_allclose(x.grad, [0.786448], atol=1e-6)
 
     def test_abs_subgradient_zero_at_zero(self):
-        x = tensor([-2.0, 0.0, 3.0], requires_grad=True)
-        backward(T.sum_(T.abs_(x)))
-        np.testing.assert_allclose(x.grad, [-1.0, 0.0, 1.0])
+        # relu's too: both are kinked at 0
+        for op, want in ((T.abs_, [-1.0, 0.0, 1.0]), (T.relu, [0.0, 0.0, 1.0])):
+            x = tensor([-2.0, 0.0, 3.0], requires_grad=True)
+            backward(T.sum_(op(x)))
+            np.testing.assert_array_equal(x.grad, want)
 
     def test_shared_subexpression_accumulates(self):
         x = tensor([3.0], requires_grad=True)
