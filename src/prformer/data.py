@@ -43,13 +43,15 @@ class WindowBatch:
 
 def load_csv(path):
     """Parse a benchmark-format CSV into a SeriesTable; every value must be
-    a finite float32."""
+    a finite float32. Errors name the first defect in file order."""
     try:
         fh = open(path, newline="")
     except FileNotFoundError:
         raise DataError(f"dataset file not found: {path}") from None
     except OSError as e:
         raise DataError(f"cannot read dataset {path}: {e.strerror}") from None
+    timestamps, cells, linenos = [], [], []
+    late = None  # a ragged row or unreadable byte, reported after the cells above it
     with fh:
         reader = csv.reader(fh)
         try:
@@ -60,38 +62,40 @@ def load_csv(path):
             for i, name in enumerate(channels):
                 if name in channels[:i]:
                     raise DataError(f"{path}:1: repeated column {name!r}")
-            timestamps = []
-            rows = []
-            linenos = []
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
                 if len(row) != len(header):
-                    raise DataError(f"{path}:{lineno}: expected {len(header)} cells, "
-                                    f"got {len(row)}")
+                    late = f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
+                    break
                 timestamps.append(row[0])
-                parsed = []
-                for col, cell in zip(channels, row[1:]):
-                    try:
-                        parsed.append(float(cell))
-                    except ValueError:
-                        raise DataError(
-                            f"{path}:{lineno}: non-numeric cell {cell!r} in column "
-                            f"{col!r}") from None
-                rows.append(parsed)
+                cells.append(row[1:])
                 linenos.append(lineno)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         except (UnicodeDecodeError, csv.Error) as e:
-            raise DataError(f"{path}: not a readable CSV file: {e}") from None
-    if not rows:
+            late = f"{path}: not a readable CSV file: {e}"
+    try:
+        wide = np.array(cells, dtype=np.float64)  # numpy parses each cell with float()
+    except ValueError:
+        for lineno, row in zip(linenos, cells):
+            for col, cell in zip(channels, row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: non-numeric cell {cell!r} in "
+                                    f"column {col!r}") from None
+        raise
+    if late:
+        raise DataError(late)
+    if not cells:
         raise DataError(f"{path}: no data rows")
     with np.errstate(over="ignore"):
-        values = np.asarray(rows, dtype=np.float32)
+        values = wide.astype(np.float32)
     bad = np.argwhere(~np.isfinite(values))
     if len(bad):
         r, c = bad[0]
-        raise DataError(f"{path}:{linenos[r]}: value {rows[r][c]!r} in column "
+        raise DataError(f"{path}:{linenos[r]}: value {wide[r, c].item()!r} in column "
                         f"{channels[c]!r} is not a finite float32")
     for i in range(1, len(timestamps)):
         # benchmark dates are ISO-formatted, so string order is time order
@@ -109,14 +113,20 @@ def save_csv(table, path):
 
 def write_matrix(path, header, keys, values):
     """Write `header`, then row i of the 2-d float array `values` led by the
-    cells of `keys[i]`; floats are written with `repr`, so they reload exactly."""
-    cells = _reprs(values)
-    width = values.shape[1]
+    cells of `keys[i]`, all keys equally long; floats are written with `repr`,
+    so they reload exactly. The file is built as one list of strings, filled a
+    column at a time, with key cells quoted as `csv.writer` quotes them."""
+    keyed = [list(map(str, column)) for column in zip(*keys)]
+    # csv quotes a cell for a character it holds, so check each key column at once
+    columns = [c if _csv_cell("".join(c)) == "".join(c) else list(map(_csv_cell, c))
+               for c in keyed] + [_reprs(column) for column in values.T]
+    stride = 2 * len(columns)  # each cell, then its "," or "\r\n"
+    out = ([","] * (stride - 1) + ["\r\n"]) * len(values)
+    for j, column in enumerate(columns):
+        out[2 * j::stride] = column
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(list(key) + cells[i * width:(i + 1) * width]
-                         for i, key in enumerate(keys))
+        csv.writer(fh).writerow(header)
+        fh.write("".join(out))
 
 
 # split scheme -> (train, val) share in tenths; test takes the rest
@@ -221,7 +231,7 @@ def _reprs(values):
     One repr of the whole list is faster than one call per element, and no
     float's repr contains the ", " that separates the items.
     """
-    return repr(values.reshape(-1).tolist())[1:-1].split(", ")
+    return repr(values.reshape(-1).tolist())[1:-1].split(", ") if values.size else []
 
 
 def _distinct_reprs(values):

@@ -9,17 +9,16 @@ lagged channel.
 
 from __future__ import annotations
 
-import datetime
+from itertools import accumulate
 
 import numpy as np
 
 from .data import SeriesTable
 
 
-def _hourly_timestamps(n, start="2016-07-01 00:00:00"):
-    t0 = datetime.datetime.fromisoformat(start)
-    step = datetime.timedelta(hours=1)
-    return [(t0 + i * step).strftime("%Y-%m-%d %H:%M:%S") for i in range(n)]
+def _hourly_timestamps(n):
+    hours = np.datetime64("2016-07-01T00:00:00") + np.arange(n).astype("timedelta64[h]")
+    return [s.replace("T", " ") for s in np.datetime_as_string(hours, unit="s").tolist()]
 
 
 def mixed_table(n=2000, seed=0, noise=0.1, coupling=0.8, lag=12, rho=0.9,
@@ -35,11 +34,10 @@ def mixed_table(n=2000, seed=0, noise=0.1, coupling=0.8, lag=12, rho=0.9,
     """
     rng = np.random.default_rng(seed)
     t = np.arange(n + lag)
-    z = np.empty(n + lag)
-    z[0] = rng.normal()
+    z0 = rng.normal()
     innov = rng.normal(scale=np.sqrt(1.0 - rho * rho), size=n + lag)
-    for i in range(1, n + lag):
-        z[i] = rho * z[i - 1] + innov[i]
+    # on Python floats: the same IEEE multiply and add as float64 scalars, faster
+    z = np.array(list(accumulate(innov[1:].tolist(), lambda prev, e: rho * prev + e, initial=z0)))
 
     daily = np.sin(2 * np.pi * t / 24.0)
     slow = np.sin(2 * np.pi * t / 96.0)

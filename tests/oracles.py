@@ -20,6 +20,13 @@ history. The program's in-place kernel must match it bit for bit.
 `OutOfPlaceAdam` is Adam with each step building new moment arrays; the
 program's in-place update must match it bit for bit.
 
+The CSV boundary, cell by cell and row by row: `load_csv` converts each
+cell with its own `float()` and raises at the first defect it meets,
+`write_matrix` writes each row through `csv.writer`, `hourly_timestamps`
+formats each stamp with `strftime`, and `mixed_table` steps its AR(1)
+process on numpy float64 scalars. The program's bulk forms must give the
+same bytes, values and error messages.
+
 The other oracles: `Tape`, the recorded ops below one output with a cost
 per op derived from its shapes; `grad_check`, the central finite-difference
 check every gradient is held to; and the forecasters the model must beat
@@ -29,11 +36,12 @@ least squares.
 """
 
 import csv
+import datetime
 
 import numpy as np
 
 from prformer import nn, tensor as T
-from prformer.data import PREDICTION_COLUMNS, window_iter
+from prformer.data import PREDICTION_COLUMNS, DataError, SeriesTable, _reprs, window_iter
 from prformer.nn import LinearParams
 from prformer.tensor import (
     NonScalarLossError,
@@ -235,6 +243,106 @@ def write_predictions(path, batches, channels):
                         writer.writerow([int(s), h, name,
                                          repr(float(y_true[i, h, c])),
                                          repr(float(y_pred[i, h, c]))])
+
+
+def load_csv(path):
+    """Parse a benchmark-format CSV cell by cell; every value must be a
+    finite float32."""
+    try:
+        fh = open(path, newline="")
+    except FileNotFoundError:
+        raise DataError(f"dataset file not found: {path}") from None
+    except OSError as e:
+        raise DataError(f"cannot read dataset {path}: {e.strerror}") from None
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+            if len(header) < 2:
+                raise DataError(f"{path}: need a date column plus at least one channel")
+            channels = header[1:]
+            for i, name in enumerate(channels):
+                if name in channels[:i]:
+                    raise DataError(f"{path}:1: repeated column {name!r}")
+            timestamps = []
+            rows = []
+            linenos = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"{path}:{lineno}: expected {len(header)} cells, "
+                                    f"got {len(row)}")
+                timestamps.append(row[0])
+                parsed = []
+                for col, cell in zip(channels, row[1:]):
+                    try:
+                        parsed.append(float(cell))
+                    except ValueError:
+                        raise DataError(
+                            f"{path}:{lineno}: non-numeric cell {cell!r} in column "
+                            f"{col!r}") from None
+                rows.append(parsed)
+                linenos.append(lineno)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        except (UnicodeDecodeError, csv.Error) as e:
+            raise DataError(f"{path}: not a readable CSV file: {e}") from None
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    with np.errstate(over="ignore"):
+        values = np.asarray(rows, dtype=np.float32)
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        r, c = bad[0]
+        raise DataError(f"{path}:{linenos[r]}: value {rows[r][c]!r} in column "
+                        f"{channels[c]!r} is not a finite float32")
+    for i in range(1, len(timestamps)):
+        if timestamps[i] <= timestamps[i - 1]:
+            raise DataError(f"{path}: timestamps not strictly increasing at line "
+                            f"{linenos[i]} ({timestamps[i]!r} after {timestamps[i - 1]!r})")
+    return SeriesTable(timestamps=timestamps, channels=channels, values=values)
+
+
+def write_matrix(path, header, keys, values):
+    """`header`, then each key's cells and its row of `values`, one
+    `csv.writer` row at a time."""
+    cells = _reprs(values)
+    width = values.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(list(key) + cells[i * width:(i + 1) * width]
+                         for i, key in enumerate(keys))
+
+
+def hourly_timestamps(n):
+    t0 = datetime.datetime.fromisoformat("2016-07-01 00:00:00")
+    step = datetime.timedelta(hours=1)
+    return [(t0 + i * step).strftime("%Y-%m-%d %H:%M:%S") for i in range(n)]
+
+
+def mixed_table(n=2000, seed=0, noise=0.1, coupling=0.8, lag=12, rho=0.9,
+                modulation=0.8):
+    """The program's mixed table as (timestamps, values), its AR(1) process
+    stepped in a float64 array."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n + lag)
+    z = np.empty(n + lag)
+    z[0] = rng.normal()
+    innov = rng.normal(scale=np.sqrt(1.0 - rho * rho), size=n + lag)
+    for i in range(1, n + lag):
+        z[i] = rho * z[i - 1] + innov[i]
+
+    daily = np.sin(2 * np.pi * t / 24.0)
+    slow = np.sin(2 * np.pi * t / 96.0)
+    eps = rng.normal(scale=noise, size=(3, n + lag))
+
+    c0 = (1.0 + modulation * z) * daily + 0.5 * slow + eps[0]
+    c1 = 0.8 * np.sin(2 * np.pi * t / 24.0 + 1.0) + 0.4 * slow + eps[1]
+    c2 = 0.6 * slow + coupling * np.concatenate([np.zeros(lag), z[:-lag] if lag else z]) + eps[2]
+
+    return hourly_timestamps(n), np.stack([c0, c1, c2], axis=1)[lag:].astype(np.float32)
 
 
 class OutOfPlaceAdam:

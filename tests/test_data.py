@@ -1,13 +1,17 @@
 """Data plumbing checks: CSV parse/round-trip, split arithmetic, window
 enumeration, and the synthetic generators' advertised structure."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import periodic_table
 from prformer import data, synthetic
-from prformer.data import DataError, load_csv, save_csv, split_ranges, window_iter
+from prformer.data import DataError, load_csv, save_csv, split_ranges, window_iter, write_matrix
 
 
 def write(tmp_path, text, name="t.csv"):
@@ -99,6 +103,142 @@ class TestLoadCsv:
         path = write(tmp_path, "date,a,b,a\n2016-07-01 00:00:00,1.0,2.0,3.0\n")
         with pytest.raises(DataError, match=r"t\.csv:1: repeated column 'a'"):
             load_csv(path)
+
+
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+
+F32_MAX = float(np.finfo(np.float32).max)
+# text `float()` accepts: ASCII and non-ASCII digits, whitespace, underscores,
+# signs, exponents, non-finite words and values past float32's range
+NUMBER_TEXTS = st.one_of(
+    st.floats(width=32).map(repr),
+    st.floats().map(repr),
+    st.sampled_from(["-0.0", " 1.5 ", "\t2\u2003", "1_000", "١٢", "٣.٥e-٢", "０.５", "+7E+2",
+                     "inf", "-Infinity", "nan", "-NaN", "1e39", "-3.5e38", "1e500",
+                     repr(F32_MAX), "3.4028236e38", "1e-46", "1e-40"]),
+)
+
+
+def rejected(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+# text `float()` rejects, some of it with commas that csv must quote
+BAD_TEXTS = st.one_of(
+    st.sampled_from(["", "0x10", "1,5", "1__0", "_1", "1e", "--1", "oops", " ", "1 2", '"3"']),
+    st.text("0123456789١_+-eE. ,x", min_size=1, max_size=6).filter(rejected),
+)
+
+
+def csv_line(cells):
+    buf = io.StringIO()
+    csv.writer(buf).writerow(cells)
+    return buf.getvalue()
+
+
+def outcome(load, path):
+    """What `load` makes of `path`: its bits, stamps and channels, or its error."""
+    try:
+        table = load(path)
+    except DataError as e:
+        return str(e)
+    return table.values.dtype, table.values.tobytes(), table.timestamps, table.channels
+
+
+@st.composite
+def csv_bytes(draw, cells):
+    """A small table whose cells come from `cells`, with now and then a blank
+    line, a ragged row, a repeated timestamp or an undecodable byte."""
+    width = draw(st.integers(1, 3))
+    lines = [csv_line(["date"] + [f"c{i}" for i in range(width)])]
+    for i in range(draw(st.integers(0, 5))):
+        row = [draw(cells) for _ in range(width)]
+        ragged = draw(st.sampled_from([0] * 8 + [-1, 1]))
+        row = row[:width + ragged] if ragged < 0 else row + ["1"] * ragged
+        stamp = f"2016-07-01 {i - draw(st.sampled_from([0] * 9 + [1])):02d}:00:00"
+        lines.append(csv_line([stamp] + row) + draw(st.sampled_from([""] * 5 + ["\r\n"])))
+    blob = "".join(lines).encode()
+    if draw(st.booleans()) and len(lines) > 1:
+        at = blob.index(lines[-1].encode())
+        blob = blob[:at] + b"\xff" + blob[at:]
+    return blob
+
+
+class TestLoadCsvAgainstOracle:
+    """`load_csv` converts every cell at once; the oracle converts them one
+    at a time. They must agree on every bit, or on the error message."""
+
+    @PROPERTY
+    @given(blob=csv_bytes(NUMBER_TEXTS))
+    def test_numeric_tables_match_bit_for_bit(self, tmp_path_factory, blob):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_bytes(blob)
+        assert outcome(load_csv, str(path)) == outcome(oracles.load_csv, str(path))
+
+    @PROPERTY
+    @given(blob=csv_bytes(st.one_of(NUMBER_TEXTS, BAD_TEXTS)))
+    def test_defective_tables_give_the_same_message(self, tmp_path_factory, blob):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_bytes(blob)
+        assert outcome(load_csv, str(path)) == outcome(oracles.load_csv, str(path))
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_bad_cell_is_named_before_a_later_defect(self, tmp_path_factory, data):
+        rows = data.draw(st.integers(1, 5))
+        bad_row = data.draw(st.integers(0, rows - 1))
+        lines = [csv_line(["date", "a", "b"])]
+        for i in range(rows):
+            cells = [data.draw(NUMBER_TEXTS), "0.5"]
+            if i == bad_row:
+                cells[data.draw(st.integers(0, 1))] = data.draw(BAD_TEXTS)
+            lines.append(csv_line([f"t{i:04d}"] + cells))
+        later = data.draw(st.sampled_from(["ragged", "byte", "huge field"]))
+        if later == "ragged":
+            lines.append(csv_line(["t9999", "1.0"]))
+        elif later == "huge field":
+            lines.append(csv_line(["t9999", "1" * (csv.field_size_limit() + 1), "1.0"]))
+        else:
+            # bytes are decoded 8 KiB at a time, so a bad byte in the first
+            # chunk fails before any row is parsed, in both loaders: pad past it
+            lines += [csv_line([f"t{i:04d}", "1.0", "2.0"]) for i in range(rows, 1000)]
+            lines.append("t9999,\udcff,1.0\r\n")
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_bytes("".join(lines).encode(errors="surrogateescape"))
+        message = outcome(load_csv, str(path))
+        assert "non-numeric cell" in message
+        assert message == outcome(oracles.load_csv, str(path))
+
+
+KEY_TEXTS = st.one_of(st.integers(-5, 10**6), st.text(',"\r\n a\u00e9\t;', max_size=4))
+MATRIX_VALUES = st.one_of(
+    st.floats(width=32), st.floats(),
+    st.sampled_from([-0.0, 0.0, 1e-45, -1.4e-45, 5e-324, 2.2e-308, F32_MAX, -F32_MAX]))
+
+
+class TestWriteMatrixAgainstOracle:
+    @PROPERTY
+    @given(data=st.data())
+    def test_bytes_equal_csv_writer_rows(self, tmp_path_factory, data):
+        # values keep at least one column: csv.writer writes a row that is one
+        # empty cell as '""', and no caller writes such a row
+        rows, width = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 3))
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        drawn = [[data.draw(MATRIX_VALUES) for _ in range(width)] for _ in range(rows)]
+        with np.errstate(over="ignore"):  # doubles past float32's range become inf
+            values = np.array(drawn, dtype=dtype).reshape(rows, width)
+        key_width = data.draw(st.integers(0, 2))
+        keys = [tuple(data.draw(KEY_TEXTS) for _ in range(key_width)) for _ in range(rows)]
+        header = ["key"] * key_width + [f"v{i}" for i in range(width)]
+        fast = tmp_path_factory.mktemp("m") / "fast.csv"
+        slow = fast.with_name("slow.csv")
+        write_matrix(str(fast), header, keys, values)
+        oracles.write_matrix(str(slow), header, keys, values)
+        assert fast.read_bytes() == slow.read_bytes()
 
 
 class TestSplitRanges:
@@ -289,6 +429,23 @@ class TestSyntheticGenerators:
         table = periodic_table(n=240, period=24)
         v = table.values
         np.testing.assert_array_equal(v[24:], v[:-24])
+
+    def test_hourly_timestamps_equal_strftime_loop(self):
+        # 40,000 hours run from mid-2016 into 2021: 2020-02-29 and four year ends
+        stamps = synthetic._hourly_timestamps(40000)
+        assert stamps == oracles.hourly_timestamps(40000)
+        assert {"2020-02-29 23:00:00", "2020-12-31 23:00:00", "2021-01-01 00:00:00"} <= set(stamps)
+        assert synthetic._hourly_timestamps(0) == []
+        assert synthetic._hourly_timestamps(1) == ["2016-07-01 00:00:00"]
+
+    @pytest.mark.parametrize("n, seed, lag", [(600, 4, 12), (50, 3, 0), (2376, (1, 0), 24),
+                                              (1, 7, 0)])
+    def test_mixed_table_equals_float64_scalar_loop(self, n, seed, lag):
+        table = synthetic.mixed_table(n=n, seed=seed, lag=lag)
+        timestamps, values = oracles.mixed_table(n=n, seed=seed, lag=lag)
+        assert table.values.dtype == values.dtype
+        assert table.values.tobytes() == values.tobytes()
+        assert table.timestamps == timestamps
 
     def test_determinism(self):
         a = synthetic.mixed_table(n=100, seed=5).values
