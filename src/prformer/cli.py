@@ -14,6 +14,7 @@ import dataclasses
 import math
 import os
 import sys
+import warnings
 from contextlib import contextmanager
 
 EXIT_OK = 0
@@ -322,22 +323,25 @@ def main(argv=None):
     from .data import DataError
     from .training import DivergenceError
 
-    try:
-        return args.handler(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        print(parser.format_usage(), end="", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except MemoryError as e:
-        detail = str(e) or "reduce the model or its inputs"
-        print(f"data error: out of memory: {detail}", file=sys.stderr)
-        return EXIT_DATA
-    except DivergenceError as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
+    with warnings.catch_warnings():  # each warning shown is one stderr line
+        warnings.showwarning = lambda message, *_, **__: print(f"warning: {message}",
+                                                               file=sys.stderr)
+        try:
+            return args.handler(args)
+        except ConfigError as e:
+            print(f"error: {e}", file=sys.stderr)
+            print(parser.format_usage(), end="", file=sys.stderr)
+            return EXIT_USAGE
+        except DataError as e:
+            print(f"data error: {e}", file=sys.stderr)
+            return EXIT_DATA
+        except MemoryError as e:
+            detail = str(e) or "reduce the model or its inputs"
+            print(f"data error: out of memory: {detail}", file=sys.stderr)
+            return EXIT_DATA
+        except DivergenceError as e:
+            print(f"numeric failure: {e}", file=sys.stderr)
+            return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

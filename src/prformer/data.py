@@ -45,36 +45,44 @@ def load_csv(path):
     """Parse a benchmark-format CSV into a SeriesTable; every value must be
     a finite float32. Errors name the first defect in file order."""
     try:
-        fh = open(path, newline="")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except FileNotFoundError:
         raise DataError(f"dataset file not found: {path}") from None
     except OSError as e:
         raise DataError(f"cannot read dataset {path}: {e.strerror}") from None
-    timestamps, cells, linenos = [], [], []
     late = None  # a ragged row or unreadable byte, reported after the cells above it
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-            if len(header) < 2:
-                raise DataError(f"{path}: need a date column plus at least one channel")
-            channels = header[1:]
-            for i, name in enumerate(channels):
-                if name in channels[:i]:
-                    raise DataError(f"{path}:1: repeated column {name!r}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    late = f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
-                    break
-                timestamps.append(row[0])
-                cells.append(row[1:])
-                linenos.append(lineno)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        except (UnicodeDecodeError, csv.Error) as e:
-            late = f"{path}: not a readable CSV file: {e}"
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # "?" stands in for the bad byte, so its line is the last of `lines`;
+        # only the lines above it are parsed
+        lines = (raw[:e.start] + b"?").splitlines(keepends=True)
+        text = b"".join(lines[:-1]).decode("utf-8")
+        late = f"{path}:{len(lines)}: not a readable CSV file: {e}"
+    timestamps, cells, linenos = [], [], []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+        if len(header) < 2:
+            raise DataError(f"{path}: need a date column plus at least one channel")
+        channels = header[1:]
+        for i, name in enumerate(channels):
+            if name in channels[:i]:
+                raise DataError(f"{path}:1: repeated column {name!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                late = f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
+                break
+            timestamps.append(row[0])
+            cells.append(row[1:])
+            linenos.append(lineno)
+    except StopIteration:
+        raise DataError(late or f"{path}: empty file") from None
+    except csv.Error as e:
+        late = f"{path}: not a readable CSV file: {e}"
     try:
         wide = np.array(cells, dtype=np.float64)  # numpy parses each cell with float()
     except ValueError:

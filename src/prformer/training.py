@@ -12,6 +12,7 @@ import json
 import struct
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -220,31 +221,31 @@ def predict_over_range(model, values, row_range, config):
 CHECKPOINT_VERSION = 5
 
 
+def _layout(model):
+    """The manifest's `params`: each parameter's name, shape and dtype, in order."""
+    return [{"name": name, "shape": list(p.data.shape), "dtype": p.data.dtype.name}
+            for name, p in model.named_parameters()]
+
+
 def save_checkpoint(path, model):
-    entries = []
-    payloads = []
-    for name, p in model.named_parameters():
-        entries.append({"name": name, "shape": list(p.data.shape),
-                        "dtype": p.data.dtype.name})
-        payloads.append(p.data.astype(p.data.dtype.newbyteorder("<")).tobytes())
     manifest = {"format_version": CHECKPOINT_VERSION,
                 "config": asdict(model.config),
                 "channels": model.channels,
-                "params": entries}
+                "params": _layout(model)}
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for payload in payloads:
-            fh.write(payload)
+        for _, p in model.named_parameters():
+            fh.write(p.data.astype(p.data.dtype.newbyteorder("<")).tobytes())
 
 
 def load_checkpoint(path):
     """Rebuild a model from an archive.
 
-    The whole manifest is checked before the model is built; then every
-    parameter's name, shape and dtype must match the model, every value must
-    be finite, and the payloads must fill the rest of the file exactly.
+    Version, config and channels are checked before the model is built; then
+    its parameter list must equal `_layout(model)`, the payload must be
+    exactly the parameters' size, and every value must be finite.
     """
     try:
         with open(path, "rb") as fh:
@@ -273,47 +274,31 @@ def load_checkpoint(path):
     if type(channels) is not int or channels < 1:
         raise CheckpointError(f"{path}: manifest channels must be a positive "
                               f"integer, got {channels!r}")
-    entries = manifest.get("params")
-    if not isinstance(entries, list) or not all(
-            isinstance(e, dict) and set(e) == {"name", "shape", "dtype"}
-            and isinstance(e["name"], str) for e in entries):
-        raise CheckpointError(f"{path}: manifest params must be a list of "
-                              f"{{name, shape, dtype}} objects")
+    if not isinstance(manifest.get("params"), list):
+        raise CheckpointError(f"{path}: manifest params must be a list")
     try:
         model = PRformer(RunConfig.from_dict(manifest["config"]), channels)
     except ConfigError as e:
         raise CheckpointError(f"{path}: invalid embedded config: {e}") from None
 
+    layout = _layout(model)
+    if manifest["params"] != layout:
+        i, stored, expected = next((i, a, b) for i, (a, b) in enumerate(
+            zip_longest(manifest["params"], layout)) if a != b)
+        stored, expected = (json.dumps(e, sort_keys=True) for e in (stored, expected))
+        raise CheckpointError(f"{path}: params entry {i} does not match the model: "
+                              f"archive {stored}, model {expected}")
     offset = 4 + length
-    named = dict(model.named_parameters())
-    seen = set()
-    for entry in entries:
-        name = entry["name"]
-        if name not in named or name in seen:
-            raise CheckpointError(f"{path}: unknown or repeated parameter {name!r}")
-        p = named[name]
-        if entry["shape"] != list(p.data.shape):
-            raise CheckpointError(f"{path}: shape mismatch for {name!r}: archive "
-                                  f"{entry['shape']!r}, model {list(p.data.shape)}")
-        if entry["dtype"] != p.data.dtype.name:
-            raise CheckpointError(f"{path}: dtype mismatch for {name!r}: archive "
-                                  f"{entry['dtype']!r}, model {p.data.dtype.name}")
-        chunk = raw[offset:offset + p.data.nbytes]
-        if len(chunk) != p.data.nbytes:
-            raise CheckpointError(f"{path}: truncated payload for {name!r}")
-        p.data[:] = np.frombuffer(chunk, dtype=p.data.dtype.newbyteorder("<")
-                                  ).reshape(p.data.shape)
+    size = sum(p.data.nbytes for _, p in model.named_parameters())
+    if len(raw) - offset != size:
+        raise CheckpointError(f"{path}: payload is {len(raw) - offset} bytes, "
+                              f"the parameters take {size}")
+    for name, p in model.named_parameters():
+        p.data[:] = np.frombuffer(raw, p.data.dtype.newbyteorder("<"), p.data.size,
+                                  offset).reshape(p.data.shape)
         if not np.isfinite(p.data).all():
             raise CheckpointError(f"{path}: non-finite value in parameter {name!r}")
         offset += p.data.nbytes
-        seen.add(name)
-    missing = set(named) - seen
-    if missing:
-        raise CheckpointError(f"{path}: archive missing parameters "
-                              f"{sorted(missing)[:3]}...")
-    if offset != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - offset} unexpected bytes "
-                              f"after the last payload")
     return model
 
 

@@ -20,8 +20,9 @@ history. The program's in-place kernel must match it bit for bit.
 `OutOfPlaceAdam` is Adam with each step building new moment arrays; the
 program's in-place update must match it bit for bit.
 
-The CSV boundary, cell by cell and row by row: `load_csv` converts each
-cell with its own `float()` and raises at the first defect it meets,
+The CSV boundary, cell by cell and row by row: `load_csv` decodes each
+line as the reader reaches it, converts each cell with its own `float()`
+and raises at the first defect it meets,
 `write_matrix` writes each row through `csv.writer`, `hourly_timestamps`
 formats each stamp with `strftime`, and `mixed_table` steps its AR(1)
 process on numpy float64 scalars. The program's bulk forms must give the
@@ -245,49 +246,62 @@ def write_predictions(path, batches, channels):
                                          repr(float(y_pred[i, h, c]))])
 
 
+def _utf8_lines(path, raw):
+    """The file's lines, each decoded as `csv.reader` asks for it; an
+    undecodable one raises a DataError naming its line and file offset."""
+    offset = 0
+    for lineno, line in enumerate(raw.splitlines(keepends=True), start=1):
+        try:
+            yield line.decode("utf-8")
+        except UnicodeDecodeError as e:
+            at = UnicodeDecodeError("utf-8", raw, offset + e.start, offset + e.end, e.reason)
+            raise DataError(f"{path}:{lineno}: not a readable CSV file: {at}") from None
+        offset += len(line)
+
+
 def load_csv(path):
     """Parse a benchmark-format CSV cell by cell; every value must be a
     finite float32."""
     try:
-        fh = open(path, newline="")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except FileNotFoundError:
         raise DataError(f"dataset file not found: {path}") from None
     except OSError as e:
         raise DataError(f"cannot read dataset {path}: {e.strerror}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-            if len(header) < 2:
-                raise DataError(f"{path}: need a date column plus at least one channel")
-            channels = header[1:]
-            for i, name in enumerate(channels):
-                if name in channels[:i]:
-                    raise DataError(f"{path}:1: repeated column {name!r}")
-            timestamps = []
-            rows = []
-            linenos = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise DataError(f"{path}:{lineno}: expected {len(header)} cells, "
-                                    f"got {len(row)}")
-                timestamps.append(row[0])
-                parsed = []
-                for col, cell in zip(channels, row[1:]):
-                    try:
-                        parsed.append(float(cell))
-                    except ValueError:
-                        raise DataError(
-                            f"{path}:{lineno}: non-numeric cell {cell!r} in column "
-                            f"{col!r}") from None
-                rows.append(parsed)
-                linenos.append(lineno)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        except (UnicodeDecodeError, csv.Error) as e:
-            raise DataError(f"{path}: not a readable CSV file: {e}") from None
+    reader = csv.reader(_utf8_lines(path, raw))
+    try:
+        header = next(reader)
+        if len(header) < 2:
+            raise DataError(f"{path}: need a date column plus at least one channel")
+        channels = header[1:]
+        for i, name in enumerate(channels):
+            if name in channels[:i]:
+                raise DataError(f"{path}:1: repeated column {name!r}")
+        timestamps = []
+        rows = []
+        linenos = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} cells, "
+                                f"got {len(row)}")
+            timestamps.append(row[0])
+            parsed = []
+            for col, cell in zip(channels, row[1:]):
+                try:
+                    parsed.append(float(cell))
+                except ValueError:
+                    raise DataError(
+                        f"{path}:{lineno}: non-numeric cell {cell!r} in column "
+                        f"{col!r}") from None
+            rows.append(parsed)
+            linenos.append(lineno)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    except csv.Error as e:
+        raise DataError(f"{path}: not a readable CSV file: {e}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     with np.errstate(over="ignore"):

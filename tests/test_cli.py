@@ -100,6 +100,13 @@ class TestTrain:
                        "--history", str(tmp_path / "h.csv")])
         assert rc == 1
 
+    def test_warning_is_one_stderr_line(self, dataset, tmp_path, capsys):
+        # windows 4 and 6 give the upper level kernel 1 (PyramidConfigWarning)
+        rc, _, _ = train_fast(dataset, tmp_path, extra=["--pyramidal-windows", "4", "6"])
+        assert rc == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: windows [6] give kernel 1 (no downsampling at that level)"]
+
     def test_ablation_variant_flag(self, dataset, tmp_path):
         rc, ckpt, _ = train_fast(dataset, tmp_path, extra=["--variant", "V2"])
         assert rc == 0

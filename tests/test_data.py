@@ -90,8 +90,25 @@ class TestLoadCsv:
     def test_binary_file_is_data_error(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_bytes(b"date,a\n\xff\xfe\x00\x81,1.0\n")
-        with pytest.raises(DataError, match="not a readable CSV"):
+        with pytest.raises(DataError, match=r"t\.csv:2: not a readable CSV"):
             load_csv(str(p))
+        p.write_bytes(b"date,\xff\n")  # no whole line above the byte: not an empty file
+        with pytest.raises(DataError, match=r"t\.csv:1: not a readable CSV"):
+            load_csv(str(p))
+
+    def test_bad_byte_is_named_by_its_line(self, tmp_path):
+        # far past the first 8 KiB, where a chunked text decoder would name
+        # the byte by its offset inside the chunk
+        lines = ["date,a\n"] + [f"t{i:06d},{i / 7!r}\n" for i in range(1000)]
+        head = "".join(lines).encode()
+        p = tmp_path / "t.csv"
+        p.write_bytes(head + b"t999999,1.\xff5\n")
+        with pytest.raises(DataError) as caught:
+            load_csv(str(p))
+        assert str(caught.value) == (
+            f"{p}:1002: not a readable CSV file: 'utf-8' codec can't decode byte 0xff "
+            f"in position {len(head) + 10}: invalid start byte")
+        assert str(caught.value) == outcome(oracles.load_csv, str(p))
 
     def test_ragged_row(self, tmp_path):
         path = write(tmp_path, "date,a,b\n2016-07-01 00:00:00,1.0\n")
@@ -203,9 +220,6 @@ class TestLoadCsvAgainstOracle:
         elif later == "huge field":
             lines.append(csv_line(["t9999", "1" * (csv.field_size_limit() + 1), "1.0"]))
         else:
-            # bytes are decoded 8 KiB at a time, so a bad byte in the first
-            # chunk fails before any row is parsed, in both loaders: pad past it
-            lines += [csv_line([f"t{i:04d}", "1.0", "2.0"]) for i in range(rows, 1000)]
             lines.append("t9999,\udcff,1.0\r\n")
         path = tmp_path_factory.mktemp("csv") / "t.csv"
         path.write_bytes("".join(lines).encode(errors="surrogateescape"))

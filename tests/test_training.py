@@ -5,6 +5,7 @@ checkpoint archive round-trip, and the baselines."""
 
 import dataclasses
 import json
+import re
 import struct
 import time
 
@@ -391,8 +392,12 @@ class TestCheckpoint:
         blob = open(path, "rb").read()
         short = str(tmp_path / "short.ckpt")
         open(short, "wb").write(blob[:len(blob) - 64])
-        with pytest.raises(CheckpointError, match="truncated"):
+        with pytest.raises(CheckpointError) as caught:
             load_checkpoint(short)
+        # pytest names tmp_path after the test, so match the message without it
+        size = sum(p.data.nbytes for _, p in model.named_parameters())
+        assert str(caught.value) == (f"{short}: payload is {size - 64} bytes, "
+                                     f"the parameters take {size}")
         garbage = str(tmp_path / "bad.ckpt")
         open(garbage, "wb").write(b"\x10\x00\x00\x00" + b"not json nonsense" + blob)
         with pytest.raises(CheckpointError, match="JSON"):
@@ -494,6 +499,10 @@ def _set_entry(key, value):
     return lambda m: m["params"][0].update({key: value})
 
 
+# the first parameter of the tiny model, as its manifest entry prints
+GAMMA = r'\{"dtype": "float32", "name": "revin\.gamma", "shape": \[2\]\}'
+
+
 class TestCheckpointManifest:
     @pytest.mark.parametrize("edit, message", [
         pytest.param(lambda m: m.pop("config"), "config is missing", id="no-config"),
@@ -510,15 +519,32 @@ class TestCheckpointManifest:
         pytest.param(_set("params", "weights"), "params must be a list",
                      id="params-string"),
         pytest.param(_set("params", [["revin.gamma", [2], "float32"]]),
-                     "params must be a list", id="entry-list"),
-        pytest.param(lambda m: m["params"][0].pop("dtype"), "params must be a list",
-                     id="entry-no-dtype"),
-        pytest.param(_set_entry("name", 5), "params must be a list", id="entry-name-int"),
-        pytest.param(_set_entry("dtype", "float64"), "dtype mismatch", id="dtype-wider"),
-        pytest.param(_set_entry("dtype", "float33"), "dtype mismatch", id="dtype-unknown"),
-        pytest.param(_set_entry("shape", "2"), "shape mismatch", id="shape-string"),
+                     r'params entry 0 does not match the model: archive \["revin\.gamma", '
+                     r'\[2\], "float32"\], model ' + GAMMA, id="entry-list"),
+        pytest.param(lambda m: m["params"][0].pop("dtype"),
+                     r'params entry 0 .*: archive \{"name": "revin\.gamma", "shape": \[2\]\}, '
+                     r'model ' + GAMMA, id="entry-no-dtype"),
+        pytest.param(_set_entry("name", 5),
+                     r'params entry 0 .*: archive \{.*"name": 5, .*\}, model ' + GAMMA,
+                     id="entry-name-int"),
+        pytest.param(_set_entry("name", "revin.delta"),
+                     r'params entry 0 .*: archive \{.*"name": "revin\.delta", .*\}, model ' + GAMMA,
+                     id="entry-name-unknown"),
+        pytest.param(_set_entry("dtype", "float64"),
+                     r'params entry 0 .*: archive \{"dtype": "float64", .*\}, model ' + GAMMA,
+                     id="dtype-wider"),
+        pytest.param(_set_entry("dtype", "float33"),
+                     r'params entry 0 .*: archive \{"dtype": "float33", .*\}, model ' + GAMMA,
+                     id="dtype-unknown"),
+        pytest.param(_set_entry("shape", "2"),
+                     r'params entry 0 .*: archive \{.*"shape": "2"\}, model ' + GAMMA,
+                     id="shape-string"),
+        pytest.param(_set_entry("shape", [3]),
+                     r'params entry 0 .*: archive \{.*"shape": \[3\]\}, model ' + GAMMA,
+                     id="shape-other"),
         pytest.param(lambda m: m["params"].append(dict(m["params"][0])),
-                     "repeated parameter", id="entry-repeated"),
+                     r'params entry 33 .*: archive ' + GAMMA + ', model null$',
+                     id="entry-repeated"),
         pytest.param(_set_config("heads", 3), "invalid embedded config.*divide",
                      id="config-heads"),
         pytest.param(_set_config("lr", "fast"), "invalid embedded config.*lr",
@@ -552,7 +578,26 @@ class TestCheckpointManifest:
         size = int(np.prod(last["shape"])) * np.dtype(last["dtype"]).itemsize
         _write_archive(path, manifest, payload[:-size])
         with pytest.raises(CheckpointError,
-                           match=f"archive missing parameters .*{last['name']}"):
+                           match=r'params entry 32 .*: archive null, model '
+                                 r'\{"dtype": "float32", "name": "' + re.escape(last["name"])):
+            load_checkpoint(str(path))
+
+    def test_reordered_entries_rejected(self, tmp_path):
+        # each entry moves with its own payload, so names, shapes and sizes
+        # all still agree; only the order differs from the model's
+        path = tmp_path / "m.ckpt"
+        manifest, payload = _saved_checkpoint(path)
+        entries = manifest["params"]
+        ends = np.cumsum([np.prod(e["shape"]) * np.dtype(e["dtype"]).itemsize
+                          for e in entries])
+        chunks = [payload[start:end] for start, end in zip([0, *ends], ends)]
+        entries[2], entries[3] = entries[3], entries[2]
+        chunks[2], chunks[3] = chunks[3], chunks[2]
+        _write_archive(path, manifest, b"".join(chunks))
+        with pytest.raises(CheckpointError,
+                           match=r'params entry 2 .*: archive \{.*"name": "pre\.conv_weights\.1", '
+                                 r'"shape": \[4, 8\]\}, model \{.*"name": "pre\.conv_weights\.0", '
+                                 r'"shape": \[4, 4\]\}$'):
             load_checkpoint(str(path))
 
     def test_header_longer_than_the_file_rejected(self, tmp_path):
@@ -584,7 +629,8 @@ class TestCheckpointManifest:
         path = tmp_path / "m.ckpt"
         manifest, payload = _saved_checkpoint(path)
         _write_archive(path, manifest, payload + b"\0")
-        with pytest.raises(CheckpointError, match="1 unexpected bytes"):
+        with pytest.raises(CheckpointError, match=f"payload is {len(payload) + 1} bytes, "
+                                                  f"the parameters take {len(payload)}$"):
             load_checkpoint(str(path))
 
     def test_directory_is_checkpoint_error(self, tmp_path):
