@@ -41,6 +41,15 @@ class WindowBatch:
     starts: np.ndarray  # source row index of each window's first input
 
 
+def _lines_above(raw, error):
+    """Yield the decoded lines above the one holding `error`'s byte, then raise
+    `error` where the reader asks for that line, so no record is cut short."""
+    # "?" stands in for the bad byte, so its line is the last one
+    for line in (raw[:error.start] + b"?").splitlines(keepends=True)[:-1]:
+        yield line.decode("utf-8")
+    raise error
+
+
 def load_csv(path):
     """Parse a benchmark-format CSV into a SeriesTable; every value must be
     a finite float32. Errors name the first defect in file order."""
@@ -51,17 +60,13 @@ def load_csv(path):
         raise DataError(f"dataset file not found: {path}") from None
     except OSError as e:
         raise DataError(f"cannot read dataset {path}: {e.strerror}") from None
-    late = None  # a ragged row or unreadable byte, reported after the cells above it
     try:
-        text = raw.decode("utf-8")
+        lines = io.StringIO(raw.decode("utf-8"), newline="")
     except UnicodeDecodeError as e:
-        # "?" stands in for the bad byte, so its line is the last of `lines`;
-        # only the lines above it are parsed
-        lines = (raw[:e.start] + b"?").splitlines(keepends=True)
-        text = b"".join(lines[:-1]).decode("utf-8")
-        late = f"{path}:{len(lines)}: not a readable CSV file: {e}"
+        lines = _lines_above(raw, e)
+    late = None  # a ragged row or unreadable byte, reported after the cells above it
     timestamps, cells, linenos = [], [], []
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(lines)
     try:
         header = next(reader)
         if len(header) < 2:
@@ -80,7 +85,9 @@ def load_csv(path):
             cells.append(row[1:])
             linenos.append(lineno)
     except StopIteration:
-        raise DataError(late or f"{path}: empty file") from None
+        raise DataError(f"{path}: empty file") from None
+    except UnicodeDecodeError as e:
+        late = f"{path}:{reader.line_num + 1}: not a readable CSV file: {e}"
     except csv.Error as e:
         late = f"{path}: not a readable CSV file: {e}"
     try:

@@ -12,7 +12,6 @@ import json
 import struct
 import time
 from dataclasses import asdict, dataclass, field
-from itertools import zip_longest
 
 import numpy as np
 
@@ -91,15 +90,6 @@ class TrainResult:
     stopped_early: bool = False
 
 
-def _snapshot(model):
-    return [p.data.copy() for _, p in model.named_parameters()]
-
-
-def _restore(model, snapshot):
-    for (_, p), saved in zip(model.named_parameters(), snapshot):
-        p.data[:] = saved
-
-
 def train_step(model, optimizer, inputs, targets, dropout_rng, epoch=1,
                batch=0):
     """One optimizer step on windows (B, L, C) -> targets (B, H, C).
@@ -170,12 +160,14 @@ def train(config: RunConfig, table, progress=None) -> TrainResult:
         # epoch 1 always improves: its MAE is finite, the initial best is inf
         if val.mae < result.best_val_mae:
             result.best_val_mae = val.mae
-            best, best_epoch = _snapshot(model), epoch
+            best = [p.data.copy() for _, p in model.named_parameters()]
+            best_epoch = epoch
         elif epoch - best_epoch == config.patience:
             result.stopped_early = True
             break
 
-    _restore(model, best)
+    for (_, p), saved in zip(model.named_parameters(), best):
+        p.data[:] = saved
     return result
 
 
@@ -281,11 +273,13 @@ def load_checkpoint(path):
     except ConfigError as e:
         raise CheckpointError(f"{path}: invalid embedded config: {e}") from None
 
-    layout = _layout(model)
-    if manifest["params"] != layout:
-        i, stored, expected = next((i, a, b) for i, (a, b) in enumerate(
-            zip_longest(manifest["params"], layout)) if a != b)
-        stored, expected = (json.dumps(e, sort_keys=True) for e in (stored, expected))
+    params, layout = manifest["params"], _layout(model)
+    if params != layout:
+        # slices keep a stored null apart from an entry one side lacks
+        i = next(i for i in range(max(len(params), len(layout)))
+                 if params[i:i + 1] != layout[i:i + 1])
+        stored, expected = (json.dumps(side[i], sort_keys=True) if i < len(side)
+                            else "(missing)" for side in (params, layout))
         raise CheckpointError(f"{path}: params entry {i} does not match the model: "
                               f"archive {stored}, model {expected}")
     offset = 4 + length

@@ -110,6 +110,19 @@ class TestLoadCsv:
             f"in position {len(head) + 10}: invalid start byte")
         assert str(caught.value) == outcome(oracles.load_csv, str(p))
 
+    @pytest.mark.parametrize("blob, message", [
+        (b'date,a,b\n"t\n\xff",1,2\n', r"t\.csv:3: not a readable CSV file: .* position 12"),
+        (b'date,a,b\nt0,x,1\n"t\n\xff",1,2\n', r"t\.csv:2: non-numeric cell 'x'"),
+        (b'date,a,b\nt0,1,2\n"t1\n\n\xff",1,2\n', r"t\.csv:5: not a readable CSV file"),
+    ], ids=["open-record", "bad-cell-above", "open-record-blank-line"])
+    def test_bad_byte_inside_a_quoted_line_break(self, tmp_path, blob, message):
+        # the record open across the bad byte's line is not parsed cut short
+        p = tmp_path / "t.csv"
+        p.write_bytes(blob)
+        with pytest.raises(DataError, match=message) as caught:
+            load_csv(str(p))
+        assert str(caught.value) == outcome(oracles.load_csv, str(p))
+
     def test_ragged_row(self, tmp_path):
         path = write(tmp_path, "date,a,b\n2016-07-01 00:00:00,1.0\n")
         with pytest.raises(DataError, match="expected 3 cells"):

@@ -543,8 +543,11 @@ class TestCheckpointManifest:
                      r'params entry 0 .*: archive \{.*"shape": \[3\]\}, model ' + GAMMA,
                      id="shape-other"),
         pytest.param(lambda m: m["params"].append(dict(m["params"][0])),
-                     r'params entry 33 .*: archive ' + GAMMA + ', model null$',
+                     r'params entry 33 .*: archive ' + GAMMA + r', model \(missing\)$',
                      id="entry-repeated"),
+        pytest.param(lambda m: m["params"].append(None),
+                     r'params entry 33 .*: archive null, model \(missing\)$',
+                     id="entry-trailing-null"),
         pytest.param(_set_config("heads", 3), "invalid embedded config.*divide",
                      id="config-heads"),
         pytest.param(_set_config("lr", "fast"), "invalid embedded config.*lr",
@@ -578,7 +581,7 @@ class TestCheckpointManifest:
         size = int(np.prod(last["shape"])) * np.dtype(last["dtype"]).itemsize
         _write_archive(path, manifest, payload[:-size])
         with pytest.raises(CheckpointError,
-                           match=r'params entry 32 .*: archive null, model '
+                           match=r'params entry 32 .*: archive \(missing\), model '
                                  r'\{"dtype": "float32", "name": "' + re.escape(last["name"])):
             load_checkpoint(str(path))
 
