@@ -119,7 +119,7 @@ def scaling_bench(lookbacks, windows, d_model=64, channels=3, conv_channels=16,
     come from medians.
 
     At least three distinct points are needed to see a trend. Each point's
-    model validates its own config, the smallest lookback's first, so a
+    config is checked as it is built, the smallest lookback's first, so a
     lookback below the top window stops the bench before any timing.
     """
     lookbacks = sorted(int(v) for v in lookbacks)

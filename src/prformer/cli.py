@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import warnings
-from contextlib import contextmanager
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,25 +59,15 @@ def _add_split_flags(sp):
 
 
 def resolve_config(args):
-    """Merge config file, CLI overrides, and the seed fallback chain."""
-    from .config import ConfigError, RunConfig, read_config_file
+    """The config file's values, each overridden by its flag when given."""
+    from .config import RunConfig, read_config_file
 
     merged = read_config_file(args.config) if args.config else {}
-    for name in RunConfig.field_names():
-        value = getattr(args, name, None)
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            merged[name] = value
-    if "seed" not in merged:
-        env = os.environ.get("PRFORMER_SEED")
-        if env is not None:
-            try:
-                merged["seed"] = int(env)
-            except ValueError:
-                raise ConfigError(f"PRFORMER_SEED must be an integer, "
-                                  f"got {env!r}") from None
-    config = RunConfig.from_dict(merged)
-    config.validate()
-    return config
+            merged[f.name] = value
+    return RunConfig.from_dict(merged)
 
 
 def _load_table(path):
@@ -127,26 +116,14 @@ def _check_output(path, taken=()):
         raise DataError(f"cannot write {path}: not a writable file path")
 
 
-@contextmanager
-def _writing(path):
-    """Report an OSError raised while writing `path` as a DataError naming it."""
-    from .data import DataError
-
-    try:
-        yield
-    except OSError as e:
-        raise DataError(f"cannot write {path}: {e.strerror or e}") from None
-
-
 def cmd_train(args):
     from .data import write_rows
     from .training import HISTORY_COLUMNS, save_checkpoint, train
 
     config = resolve_config(args)
-    dataset = args.dataset or config.dataset
-    _check_output(args.checkpoint, (args.config, dataset))
-    _check_output(args.history, (args.config, dataset, args.checkpoint))
-    table = _load_table(dataset)
+    _check_output(args.checkpoint, (args.config, config.dataset))
+    _check_output(args.history, (args.config, config.dataset, args.checkpoint))
+    table = _load_table(config.dataset)
 
     def progress(row):
         print(f"epoch {row['epoch']:3d}  lr {row['lr']:.2e}  "
@@ -154,10 +131,8 @@ def cmd_train(args):
               f"val_mse {row['val_mse']:.5f}  {row['seconds']:.1f}s")
 
     result = train(config, table, progress=progress)
-    with _writing(args.checkpoint):
-        save_checkpoint(args.checkpoint, result.model)
-    with _writing(args.history):
-        write_rows(args.history, HISTORY_COLUMNS, result.history)
+    save_checkpoint(args.checkpoint, result.model)
+    write_rows(args.history, HISTORY_COLUMNS, result.history)
     stop = "early stop" if result.stopped_early else "epoch cap"
     print(f"done ({stop}) after {result.epochs_run} epochs; "
           f"best val_mae {result.best_val_mae:.5f}")
@@ -184,8 +159,7 @@ def cmd_predict(args):
 
     model, table, row_range = _load_split(args, args.out)
     batches = predict_over_range(model, table.values, row_range, model.config)
-    with _writing(args.out):
-        write_predictions(args.out, batches, table.channels)
+    write_predictions(args.out, batches, table.channels)
     print(f"predictions: {args.out}")
     return EXIT_OK
 
@@ -205,8 +179,7 @@ def cmd_bench(args):
         ratio = "" if row["ratio"] is None else f"{row['ratio']:.2f}"
         print(f"{row['lookback']:9d} {row['median_s']:10.5f} "
               f"{row['mean_s']:10.5f} {ratio:>7}")
-    with _writing(args.out):
-        write_rows(args.out, BENCH_COLUMNS, rows)
+    write_rows(args.out, BENCH_COLUMNS, rows)
     print(f"bench csv: {args.out}")
     return EXIT_OK
 
@@ -221,10 +194,9 @@ def cmd_inspect_embeddings(args):
     with no_grad():
         tokens = model.embed(Tensor(batch.inputs))[0].data  # (windows, C, D)
     d = tokens.shape[2]
-    with _writing(args.out):
-        write_matrix(args.out, ["window_start", "variable"] + [f"e{i}" for i in range(d)],
-                     [(int(start), name) for start in batch.starts
-                      for name in table.channels], tokens.reshape(-1, d))
+    write_matrix(args.out, ["window_start", "variable"] + [f"e{i}" for i in range(d)],
+                 [(int(start), name) for start in batch.starts
+                  for name in table.channels], tokens.reshape(-1, d))
     print(f"embeddings: {args.out} ({tokens.shape[0]} windows x "
           f"{tokens.shape[1]} variables, D={tokens.shape[2]})")
     return EXIT_OK
@@ -334,6 +306,10 @@ def main(argv=None):
             return EXIT_USAGE
         except DataError as e:
             print(f"data error: {e}", file=sys.stderr)
+            return EXIT_DATA
+        except UnicodeEncodeError as e:  # a path from a JSON file the locale cannot name
+            print(f"data error: cannot name {e.object!r} in the {e.encoding} file "
+                  f"system encoding", file=sys.stderr)
             return EXIT_DATA
         except MemoryError as e:
             detail = str(e) or "reduce the model or its inputs"

@@ -3,7 +3,7 @@
 The JSON file uses exactly these field names; CLI flags override file
 values. `d_ff` left unset resolves to twice the model width. Each field's
 metadata holds extra keyword arguments for its command-line flag; `choices`
-there is also the set of values `validate` accepts.
+there is also the set of values it accepts when a RunConfig is built.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ _KINDS = {"int": int, "float": (int, float), "str": str, "tuple": tuple,
 def read_config_file(path):
     """The JSON object held in config file `path`, as a dict."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
@@ -71,10 +71,9 @@ class RunConfig:
             self.pyramidal_windows = tuple(self.pyramidal_windows)
         if self.d_ff is None and isinstance(self.d_model, int):
             self.d_ff = 2 * self.d_model
-
-    def validate(self):
-        """Check every rule of the run once, here: the layers below trust a
-        validated config and do not re-check it."""
+        # every rule of the run is checked once, here, however the config is
+        # built (directly, `from_dict`, `dataclasses.replace`): the layers
+        # below trust a built config and do not re-check it
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             kinds = f.type.split(" | ")
@@ -132,12 +131,8 @@ class RunConfig:
         return kernels, level_hidden_sizes(self.d_model, levels)[:keep]
 
     @classmethod
-    def field_names(cls):
-        return [f.name for f in dataclasses.fields(cls)]
-
-    @classmethod
     def from_dict(cls, data):
-        unknown = set(data) - set(cls.field_names())
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         missing = {"lookback", "pred_len"} - set(data)

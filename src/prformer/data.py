@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +90,7 @@ def load_csv(path):
     except UnicodeDecodeError as e:
         late = f"{path}:{reader.line_num + 1}: not a readable CSV file: {e}"
     except csv.Error as e:
-        late = f"{path}: not a readable CSV file: {e}"
+        late = f"{path}:{reader.line_num}: not a readable CSV file: {e}"
     try:
         wide = np.array(cells, dtype=np.float64)  # numpy parses each cell with float()
     except ValueError:
@@ -120,6 +121,19 @@ def load_csv(path):
     return SeriesTable(timestamps=timestamps, channels=channels, values=values)
 
 
+@contextmanager
+def open_output(path, mode="w"):
+    """Open `path` to write, text as UTF-8 with no newline translation. An
+    OSError, on opening or while writing, is a DataError naming `path`."""
+    text = "b" not in mode
+    try:
+        with open(path, mode, encoding="utf-8" if text else None,
+                  newline="" if text else None) as fh:
+            yield fh
+    except OSError as e:
+        raise DataError(f"cannot write {path}: {e.strerror or e}") from None
+
+
 def save_csv(table, path):
     """Write a SeriesTable back out; full float precision so reload is exact."""
     write_matrix(path, ["date"] + list(table.channels),
@@ -139,7 +153,7 @@ def write_matrix(path, header, keys, values):
     out = ([","] * (stride - 1) + ["\r\n"]) * len(values)
     for j, column in enumerate(columns):
         out[2 * j::stride] = column
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         csv.writer(fh).writerow(header)
         fh.write("".join(out))
 
@@ -214,7 +228,7 @@ def write_predictions(path, batches, channels):
     once; channel names are quoted by `csv.writer` itself.
     """
     cells = [_csv_cell(name) for name in channels]
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         csv.writer(fh).writerow(PREDICTION_COLUMNS)
         for starts, y_true, y_pred in batches:
             b, horizon = y_true.shape[:2]
@@ -234,7 +248,7 @@ def _csv_cell(text):
 
 def write_rows(path, columns, rows):
     """Write dicts as CSV rows under a header of `columns`, in that order."""
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)

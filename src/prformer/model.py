@@ -28,7 +28,6 @@ class PRformer:
     """Owns parameters and the forward pass for one (config, channels) pair."""
 
     def __init__(self, config: RunConfig, channels: int):
-        config.validate()
         self.config = config
         self.channels = channels
         rng = np.random.default_rng((config.seed, 0))

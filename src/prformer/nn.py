@@ -137,7 +137,7 @@ def conv1d(x, weight, bias):
     windows do not overlap, so the first T // K · K steps (a tail shorter
     than K is dropped) reshape without a copy to (T // K, K·C_in, N) patches,
     which one batched product projects. Registered on the tape as one op.
-    K <= T, as `RunConfig.validate` keeps every pyramid level a step long.
+    K <= T, as `RunConfig`'s checks keep every pyramid level a step long.
     """
     length, c_in, batch = x.shape
     k = weight.shape[1] // c_in

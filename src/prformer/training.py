@@ -17,7 +17,7 @@ import numpy as np
 
 from . import revin, tensor as T
 from .config import ConfigError, RunConfig
-from .data import DataError, split_ranges, window_iter
+from .data import DataError, open_output, split_ranges, window_iter
 from .model import PRformer
 from .tensor import Tensor
 
@@ -225,7 +225,7 @@ def save_checkpoint(path, model):
                 "channels": model.channels,
                 "params": _layout(model)}
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         for _, p in model.named_parameters():

@@ -301,7 +301,7 @@ def load_csv(path):
     except StopIteration:
         raise DataError(f"{path}: empty file") from None
     except csv.Error as e:
-        raise DataError(f"{path}: not a readable CSV file: {e}") from None
+        raise DataError(f"{path}:{reader.line_num}: not a readable CSV file: {e}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     with np.errstate(over="ignore"):

@@ -1,8 +1,10 @@
 """End-to-end runs of every subcommand plus the exit-code contract."""
 
+import dataclasses
 import json
 import os
 import struct
+import subprocess
 import sys
 
 import numpy as np
@@ -75,7 +77,8 @@ class TestTrain:
         assert model.config.lookback == 32
         assert model.config.seed == 1
 
-    def test_seed_from_environment(self, dataset, tmp_path, monkeypatch):
+    def test_environment_seed_is_ignored(self, dataset, tmp_path, monkeypatch):
+        # the seed comes from --seed or the config file, else RunConfig's 0
         monkeypatch.setenv("PRFORMER_SEED", "77")
         args = [a for a in FAST if a not in ("--seed", "3")]
         ckpt = str(tmp_path / "m.ckpt")
@@ -83,22 +86,7 @@ class TestTrain:
                        "--checkpoint", ckpt,
                        "--history", str(tmp_path / "h.csv")])
         assert rc == 0
-        assert load_checkpoint(ckpt).config.seed == 77
-
-    def test_seed_flag_beats_environment(self, dataset, tmp_path, monkeypatch):
-        monkeypatch.setenv("PRFORMER_SEED", "77")
-        rc, ckpt, _ = train_fast(dataset, tmp_path)
-        assert rc == 0
-        assert load_checkpoint(ckpt).config.seed == 3
-
-    def test_garbled_environment_seed_is_usage_error(self, dataset, tmp_path,
-                                                     monkeypatch):
-        monkeypatch.setenv("PRFORMER_SEED", "not-a-number")
-        args = [a for a in FAST if a not in ("--seed", "3")]
-        rc = cli.main(["train", "--dataset", dataset, *args,
-                       "--checkpoint", str(tmp_path / "m.ckpt"),
-                       "--history", str(tmp_path / "h.csv")])
-        assert rc == 1
+        assert load_checkpoint(ckpt).config.seed == 0
 
     def test_warning_is_one_stderr_line(self, dataset, tmp_path, capsys):
         # windows 4 and 6 give the upper level kernel 1 (PyramidConfigWarning)
@@ -114,6 +102,43 @@ class TestTrain:
 
 
 class TestRoundTrip:
+    def test_ascii_locale_writes_utf8(self, tmp_path):
+        # the locale's encoding is fixed when the interpreter starts, so the
+        # commands run in a fresh process with ASCII as that encoding
+        table = synthetic.mixed_table(n=400, seed=9)
+        table.channels[0] = "température"
+        dataset = str(tmp_path / "series.csv")
+        data.save_csv(table, dataset)
+        ckpt = str(_ckpt_with(tmp_path))
+        config = tmp_path / "cfg.json"
+        named = str(tmp_path / "données.csv")
+        config.write_text(json.dumps({"lookback": 32, "pred_len": 8, "dataset": named},
+                                     ensure_ascii=False), encoding="utf-8")
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHON"))}
+        env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+
+        # prints the locale's encoding, then runs the CLI on the arguments
+        script = ("import codecs, locale, sys; from prformer import cli; "
+                  "print(codecs.lookup(locale.getpreferredencoding(False)).name); "
+                  "sys.exit(cli.main(sys.argv[1:]))")
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                                  capture_output=True, encoding="utf-8")
+
+        for command in ("predict", "inspect-embeddings"):
+            out = str(tmp_path / f"{command}.csv")
+            done = run(command, "--checkpoint", ckpt, "--dataset", dataset, "--out", out)
+            assert done.stdout.startswith("ascii\n") and done.returncode == 0, done.stderr
+            with open(out, encoding="utf-8") as fh:
+                assert "température" in fh.read()
+        # a UTF-8 config file is read as such, not called bad JSON; the path it
+        # names cannot be opened under ASCII, which is a data error, not a traceback
+        done = run("train", "--config", str(config), "--checkpoint", str(tmp_path / "m"))
+        assert done.returncode == 2 and done.stderr == (
+            f"data error: cannot name {ascii(named)} in the ascii file system encoding\n")
+
     def test_evaluate_predict_inspect(self, dataset, tmp_path, capsys, monkeypatch):
         rc, ckpt, _ = train_fast(dataset, tmp_path)
         assert rc == 0
@@ -363,7 +388,8 @@ class TestExitCodes:
     def test_write_failing_late_is_data_error_naming_the_path(
             self, dataset, tmp_path, capsys, monkeypatch):
         def disk_full(path, model):
-            raise OSError(28, "No space left on device")
+            with data.open_output(path, "wb"):
+                raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(training, "save_checkpoint", disk_full)
         rc, ckpt, _ = train_fast(dataset, tmp_path)
@@ -435,7 +461,7 @@ BAD_CONFIGS = {
     # V3 keeps the full model's per-level width, which D=2 cannot give 3 levels
     "v3-width-below-levels": {"lookback": 96, "pyramidal_windows": [4, 8, 16],
                               "variant": "V3", "d_model": 2, "heads": 1},
-    # each rule below has one home, RunConfig.validate; no layer re-checks it
+    # each rule below has one home, the checks a RunConfig runs when built
     "heads-not-dividing": {"d_model": 16, "heads": 5},
     "dropout-one": {"dropout": 1.0},
     "split-unknown": {"split_scheme": "5:5"},
@@ -649,7 +675,7 @@ RUN_CONFIG_FLAG_VALUES = {
 }
 
 
-@pytest.mark.parametrize("name", RunConfig.field_names())
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig)])
 def test_every_config_field_has_a_flag(name):
     values, expected = RUN_CONFIG_FLAG_VALUES[name]
     flag = "--" + name.replace("_", "-")

@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import periodic_table
-from prformer import data, synthetic
+from prformer import data, synthetic, training
+from prformer.config import RunConfig
 from prformer.data import DataError, load_csv, save_csv, split_ranges, window_iter, write_matrix
+from prformer.model import PRformer
 
 
 def write(tmp_path, text, name="t.csv"):
@@ -123,6 +125,16 @@ class TestLoadCsv:
             load_csv(str(p))
         assert str(caught.value) == outcome(oracles.load_csv, str(p))
 
+    def test_csv_error_is_named_by_its_line(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = write(tmp_path, "date,a\n" + "".join(f"t{i},1.0\n" for i in range(3))
+                     + "t3," + "1" * (limit + 1) + "\n")
+        with pytest.raises(DataError) as caught:
+            load_csv(path)
+        assert str(caught.value) == (f"{path}:5: not a readable CSV file: field larger "
+                                     f"than field limit ({limit})")
+        assert str(caught.value) == outcome(oracles.load_csv, path)
+
     def test_ragged_row(self, tmp_path):
         path = write(tmp_path, "date,a,b\n2016-07-01 00:00:00,1.0\n")
         with pytest.raises(DataError, match="expected 3 cells"):
@@ -133,6 +145,24 @@ class TestLoadCsv:
         path = write(tmp_path, "date,a,b,a\n2016-07-01 00:00:00,1.0,2.0,3.0\n")
         with pytest.raises(DataError, match=r"t\.csv:1: repeated column 'a'"):
             load_csv(path)
+
+
+class TestOpenOutput:
+    @pytest.mark.parametrize("writer", ["write_rows", "write_matrix", "write_predictions",
+                                        "save_checkpoint"])
+    def test_missing_directory_is_data_error_naming_the_path(self, tmp_path, writer):
+        path = str(tmp_path / "no-such-dir" / "out")
+        config = RunConfig(lookback=8, pred_len=2, pyramidal_windows=(4,), d_model=4,
+                           heads=1, conv_channels=2)
+        call = {
+            "write_rows": lambda: data.write_rows(path, ["a"], [{"a": 1}]),
+            "write_matrix": lambda: write_matrix(path, ["a"], [()], np.zeros((1, 1))),
+            "write_predictions": lambda: data.write_predictions(path, [], ["a"]),
+            "save_checkpoint": lambda: training.save_checkpoint(path, PRformer(config, 1)),
+        }[writer]
+        with pytest.raises(DataError) as caught:
+            call()
+        assert str(caught.value) == f"cannot write {path}: No such file or directory"
 
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)

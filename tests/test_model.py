@@ -39,8 +39,8 @@ class TestRunConfig:
         assert again == config
 
     def test_boundary_values_accepted(self):
-        RunConfig(lookback=2, pred_len=1, variant="V2").validate()
-        small_config(lr_decay=1.0).validate()
+        RunConfig(lookback=2, pred_len=1, variant="V2")
+        small_config(lr_decay=1.0)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -75,7 +75,14 @@ class TestRunConfig:
         ]
         for overrides, match in cases:
             with pytest.raises(ConfigError, match=match):
-                small_config(**overrides).validate()
+                small_config(**overrides)
+
+    def test_replace_checks_the_new_config(self):
+        valid = small_config()
+        with pytest.raises(ConfigError, match="divide d_model"):
+            dataclasses.replace(valid, heads=3)
+        with pytest.raises(ConfigError, match="shorter than top window"):
+            dataclasses.replace(valid, lookback=4)
 
     def test_production_scale_config_validates(self):
         # hourly-data setup with a long lookback and a unit-kernel level
@@ -83,7 +90,7 @@ class TestRunConfig:
             RunConfig(lookback=720, pred_len=96,
                       pyramidal_windows=(24, 48, 72, 144), e_layers=5,
                       d_model=720, dropout=0.1, batch_size=256,
-                      lr=1e-3).validate()
+                      lr=1e-3)
 
 
 class TestVariants:
