@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .data import SPLIT_SCHEMES
+from .data import SPLIT_SCHEMES, read_input
 from .pre import level_hidden_sizes, pyramid_kernels
 
 
@@ -29,12 +29,7 @@ _KINDS = {"int": int, "float": (int, float), "str": str, "tuple": tuple,
 def read_config_file(path):
     """The JSON object held in config file `path`, as a dict."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except OSError as e:
-        raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
+        data = json.loads(read_input(path, "config file", ConfigError).decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
     if not isinstance(data, dict):

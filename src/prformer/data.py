@@ -54,13 +54,7 @@ def _lines_above(raw, error):
 def load_csv(path):
     """Parse a benchmark-format CSV into a SeriesTable; every value must be
     a finite float32. Errors name the first defect in file order."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except FileNotFoundError:
-        raise DataError(f"dataset file not found: {path}") from None
-    except OSError as e:
-        raise DataError(f"cannot read dataset {path}: {e.strerror}") from None
+    raw = read_input(path, "dataset file")
     try:
         lines = io.StringIO(raw.decode("utf-8"), newline="")
     except UnicodeDecodeError as e:
@@ -76,15 +70,16 @@ def load_csv(path):
         for i, name in enumerate(channels):
             if name in channels[:i]:
                 raise DataError(f"{path}:1: repeated column {name!r}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:  # numbered by the line each record ends on
             if not row:
                 continue
             if len(row) != len(header):
-                late = f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
+                late = (f"{path}:{reader.line_num}: expected {len(header)} cells, "
+                        f"got {len(row)}")
                 break
             timestamps.append(row[0])
             cells.append(row[1:])
-            linenos.append(lineno)
+            linenos.append(reader.line_num)
     except StopIteration:
         raise DataError(f"{path}: empty file") from None
     except UnicodeDecodeError as e:
@@ -119,6 +114,17 @@ def load_csv(path):
             raise DataError(f"{path}: timestamps not strictly increasing at line "
                             f"{linenos[i]} ({timestamps[i]!r} after {timestamps[i - 1]!r})")
     return SeriesTable(timestamps=timestamps, channels=channels, values=values)
+
+
+def read_input(path, what, error=DataError):
+    """The bytes of `path`; an OSError is an `error` naming the file as `what`."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except OSError as e:
+        raise error(f"cannot read {what} {path}: {e.strerror}") from None
 
 
 @contextmanager

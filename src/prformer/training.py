@@ -17,7 +17,7 @@ import numpy as np
 
 from . import revin, tensor as T
 from .config import ConfigError, RunConfig
-from .data import DataError, open_output, split_ranges, window_iter
+from .data import DataError, open_output, read_input, split_ranges, window_iter
 from .model import PRformer
 from .tensor import Tensor
 
@@ -239,13 +239,7 @@ def load_checkpoint(path):
     its parameter list must equal `_layout(model)`, the payload must be
     exactly the parameters' size, and every value must be finite.
     """
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except FileNotFoundError:
-        raise CheckpointError(f"checkpoint not found: {path}") from None
-    except OSError as e:
-        raise CheckpointError(f"cannot read checkpoint {path}: {e.strerror}") from None
+    raw = read_input(path, "checkpoint", CheckpointError)
     if len(raw) < 4:
         raise CheckpointError(f"{path}: truncated header")
     (length,) = struct.unpack("<I", raw[:4])

@@ -268,7 +268,7 @@ def load_csv(path):
     except FileNotFoundError:
         raise DataError(f"dataset file not found: {path}") from None
     except OSError as e:
-        raise DataError(f"cannot read dataset {path}: {e.strerror}") from None
+        raise DataError(f"cannot read dataset file {path}: {e.strerror}") from None
     reader = csv.reader(_utf8_lines(path, raw))
     try:
         header = next(reader)
@@ -281,7 +281,8 @@ def load_csv(path):
         timestamps = []
         rows = []
         linenos = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # the line the record ends on
             if not row:
                 continue
             if len(row) != len(header):

@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand plus the exit-code contract."""
 
 import dataclasses
+import errno
 import json
 import os
 import struct
@@ -590,6 +591,31 @@ class TestMalformedInputContract:
         path = BAD_CHECKPOINTS[case](tmp_path)
         rc = cli.main(["evaluate", "--checkpoint", str(path), "--dataset", dataset])
         _assert_clean_exit(rc, 2, capsys)
+
+    @pytest.mark.parametrize("flag, code, what", [
+        ("--config", 1, "config file"),
+        ("--dataset", 2, "dataset file"),
+        ("--checkpoint", 2, "checkpoint"),
+    ])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_input_is_named(self, dataset, tmp_path, capsys, flag, code, what,
+                                       kind):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        argv = {"--config": ["train", "--config", str(path)],
+                "--dataset": ["train", "--dataset", str(path), *FAST,
+                              "--checkpoint", str(tmp_path / "m.ckpt"),
+                              "--history", str(tmp_path / "h.csv")],
+                "--checkpoint": ["evaluate", "--checkpoint", str(path),
+                                 "--dataset", dataset]}[flag]
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == code, err
+        prefix = "error" if code == 1 else "data error"
+        expected = (f"{what} not found: {path}" if kind == "missing" else
+                    f"cannot read {what} {path}: {os.strerror(errno.EISDIR)}")
+        assert err.splitlines()[0] == f"{prefix}: {expected}"
 
     @pytest.mark.parametrize("command", ["train-checkpoint", "train-history", "predict",
                                          "inspect-embeddings", "bench"])

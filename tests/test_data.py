@@ -135,6 +135,22 @@ class TestLoadCsv:
                                      f"than field limit ({limit})")
         assert str(caught.value) == outcome(oracles.load_csv, path)
 
+    @pytest.mark.parametrize("last, message", [
+        ("2021,x", "{path}:4: non-numeric cell 'x' in column 'a'"),
+        ("2021,1,2", "{path}:4: expected 2 cells, got 3"),
+        ("2021,1e39", "{path}:4: value 1e+39 in column 'a' is not a finite float32"),
+        ("2019,1", "{path}: timestamps not strictly increasing at line 4 "
+                   "('2019' after '2020\\n01')"),
+    ], ids=["bad-cell", "ragged", "non-finite", "unordered"])
+    def test_record_after_a_quoted_line_break_is_named_by_its_line(
+            self, tmp_path, last, message):
+        # the record above spans lines 2 and 3, so the defect is on line 4
+        path = write(tmp_path, f'date,a\n"2020\n01",1\n{last}\n')
+        with pytest.raises(DataError) as caught:
+            load_csv(path)
+        assert str(caught.value) == message.format(path=path)
+        assert str(caught.value) == outcome(oracles.load_csv, path)
+
     def test_ragged_row(self, tmp_path):
         path = write(tmp_path, "date,a,b\n2016-07-01 00:00:00,1.0\n")
         with pytest.raises(DataError, match="expected 3 cells"):
