@@ -19,6 +19,7 @@ import numpy as np
 from . import tensor as T
 from .config import ConfigError, RunConfig
 from .model import PRformer
+from .nn import addressable
 from .tensor import Tensor
 from .training import Adam, train_step
 
@@ -87,11 +88,11 @@ def bench_forward_seconds(model, repetitions, include_backward=False, seed=0):
     (forward, loss, backward, Adam); warm-up excluded."""
     rng = np.random.default_rng(seed)
     config = model.config
-    inputs = rng.normal(size=(config.batch_size, config.lookback, model.channels)
-                        ).astype(np.float32)
+    inputs = rng.normal(size=addressable((config.batch_size, config.lookback,
+                                          model.channels))).astype(np.float32)
     if include_backward:
-        targets = rng.normal(size=(config.batch_size, config.pred_len,
-                                   model.channels)).astype(np.float32)
+        targets = rng.normal(size=addressable((config.batch_size, config.pred_len,
+                                               model.channels))).astype(np.float32)
         optimizer = Adam(model.named_parameters(), config.lr)
 
         def run():

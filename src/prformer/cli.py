@@ -2,9 +2,9 @@
 
 Subcommands: train, evaluate, predict, bench, inspect-embeddings, check-pe.
 Exit codes: 0 success, 1 usage/config error, 2 data error (an unwritable
-output path and running out of memory included), 3 numeric failure. Heavy
-imports stay inside handlers so `bench` can pin the BLAS thread count
-before numpy loads.
+output path and running out of memory included), 3 numeric failure.
+`bench` pins the BLAS thread count at the top of this module, above the
+package imports, because BLAS reads it once, when numpy loads.
 """
 
 from __future__ import annotations
@@ -15,6 +15,19 @@ import math
 import os
 import sys
 import warnings
+
+if sys.argv[1:2] == ["bench"]:  # `prformer bench`, `python -m prformer.cli bench`
+    # one BLAS thread, for stable timing ratios, unless the environment sets a count
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+
+from . import training  # noqa: E402 -- every package import loads numpy
+from .analysis import BENCH_COLUMNS, check_pe, scaling_bench  # noqa: E402
+from .config import ConfigError, RunConfig, read_config_file  # noqa: E402
+from .data import (DataError, load_csv, split_ranges, window_iter,  # noqa: E402
+                   write_matrix, write_predictions, write_rows)
+from .tensor import Tensor, no_grad  # noqa: E402
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,8 +50,6 @@ def _positive(kind):
 
 def _add_config_flags(sp):
     """One flag per RunConfig field, typed by its annotation; None means unset."""
-    from .config import RunConfig
-
     sp.add_argument("--config", metavar="JSON",
                     help="config file; flags below override its values")
     for f in dataclasses.fields(RunConfig):
@@ -60,8 +71,6 @@ def _add_split_flags(sp):
 
 def resolve_config(args):
     """The config file's values, each overridden by its flag when given."""
-    from .config import RunConfig, read_config_file
-
     merged = read_config_file(args.config) if args.config else {}
     for f in dataclasses.fields(RunConfig):
         value = getattr(args, f.name)
@@ -71,9 +80,6 @@ def resolve_config(args):
 
 
 def _load_table(path):
-    from .config import ConfigError
-    from .data import load_csv
-
     if not path:
         raise ConfigError("a dataset path is required (--dataset or config)")
     return load_csv(path)
@@ -82,10 +88,7 @@ def _load_table(path):
 def _load_split(args, out=None):
     """The model in `--checkpoint`, its dataset and the row range of `--split`;
     `out`, if given, is checked against both files before the dataset is read."""
-    from .data import DataError, split_ranges
-    from .training import load_checkpoint
-
-    model = load_checkpoint(args.checkpoint)
+    model = training.load_checkpoint(args.checkpoint)
     dataset = args.dataset or model.config.dataset
     if out is not None:
         _check_output(out, (args.checkpoint, dataset))
@@ -103,9 +106,6 @@ def _check_output(path, taken=()):
     """Raise now if `path` names one of `taken`, the files the command reads
     or writes before it (ConfigError), or could not be written at the end of
     the run (DataError)."""
-    from .config import ConfigError
-    from .data import DataError
-
     for other in taken:
         if other and os.path.realpath(other) == os.path.realpath(path):
             raise ConfigError(f"output {path} is the same file as {other}")
@@ -117,9 +117,6 @@ def _check_output(path, taken=()):
 
 
 def cmd_train(args):
-    from .data import write_rows
-    from .training import HISTORY_COLUMNS, save_checkpoint, train
-
     config = resolve_config(args)
     _check_output(args.checkpoint, (args.config, config.dataset))
     _check_output(args.history, (args.config, config.dataset, args.checkpoint))
@@ -130,9 +127,9 @@ def cmd_train(args):
               f"train_mae {row['train_mae']:.5f}  val_mae {row['val_mae']:.5f}  "
               f"val_mse {row['val_mse']:.5f}  {row['seconds']:.1f}s")
 
-    result = train(config, table, progress=progress)
-    save_checkpoint(args.checkpoint, result.model)
-    write_rows(args.history, HISTORY_COLUMNS, result.history)
+    result = training.train(config, table, progress=progress)
+    training.save_checkpoint(args.checkpoint, result.model)
+    write_rows(args.history, training.HISTORY_COLUMNS, result.history)
     stop = "early stop" if result.stopped_early else "epoch cap"
     print(f"done ({stop}) after {result.epochs_run} epochs; "
           f"best val_mae {result.best_val_mae:.5f}")
@@ -142,10 +139,8 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    from .training import evaluate
-
     model, table, row_range = _load_split(args)
-    metrics = evaluate(model, table.values, row_range, model.config)
+    metrics = training.evaluate(model, table.values, row_range, model.config)
     print(f"{args.split} mse {metrics.mse:.6f} mae {metrics.mae:.6f}")
     if args.per_horizon:
         for step, (mse, mae) in enumerate(metrics.per_horizon, start=1):
@@ -154,20 +149,14 @@ def cmd_evaluate(args):
 
 
 def cmd_predict(args):
-    from .data import write_predictions
-    from .training import predict_over_range
-
     model, table, row_range = _load_split(args, args.out)
-    batches = predict_over_range(model, table.values, row_range, model.config)
+    batches = training.predict_over_range(model, table.values, row_range, model.config)
     write_predictions(args.out, batches, table.channels)
     print(f"predictions: {args.out}")
     return EXIT_OK
 
 
 def cmd_bench(args):
-    from .analysis import BENCH_COLUMNS, scaling_bench
-    from .data import write_rows
-
     _check_output(args.out)
     rows = scaling_bench(args.lookbacks, args.windows, d_model=args.d_model,
                          channels=args.channels, conv_channels=args.conv_channels,
@@ -185,9 +174,6 @@ def cmd_bench(args):
 
 
 def cmd_inspect_embeddings(args):
-    from .data import window_iter, write_matrix
-    from .tensor import Tensor, no_grad
-
     model, table, row_range = _load_split(args, args.out)
     batch = next(window_iter(table.values, row_range, model.config.lookback,
                              model.config.pred_len, batch_size=args.count))
@@ -203,8 +189,6 @@ def cmd_inspect_embeddings(args):
 
 
 def cmd_check_pe(args):
-    from .analysis import check_pe
-
     worst = check_pe(trials=args.trials, d_model=args.d_model, seed=args.seed)
     print(f"max deviation over {args.trials} trials: {worst:.3e} "
           f"(tolerance {args.tolerance:.0e})")
@@ -278,22 +262,11 @@ def build_parser():
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv[:1] == ["bench"]:
-        # must happen before numpy is first imported to take effect; a
-        # thread count already set in the environment is kept
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-
-    from .config import ConfigError
-    from .data import DataError
-    from .training import DivergenceError
 
     with warnings.catch_warnings():  # each warning shown is one stderr line
         warnings.showwarning = lambda message, *_, **__: print(f"warning: {message}",
@@ -315,7 +288,7 @@ def main(argv=None):
             detail = str(e) or "reduce the model or its inputs"
             print(f"data error: out of memory: {detail}", file=sys.stderr)
             return EXIT_DATA
-        except DivergenceError as e:
+        except training.DivergenceError as e:
             print(f"numeric failure: {e}", file=sys.stderr)
             return EXIT_NUMERIC
 

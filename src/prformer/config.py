@@ -85,15 +85,10 @@ class RunConfig:
                               f"{list(self.pyramidal_windows)!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        positive = {"lookback": self.lookback, "pred_len": self.pred_len,
-                    "e_layers": self.e_layers, "d_model": self.d_model,
-                    "d_ff": self.d_ff, "heads": self.heads,
-                    "conv_channels": self.conv_channels,
-                    "batch_size": self.batch_size, "max_epochs": self.max_epochs,
-                    "patience": self.patience}
-        for name, value in positive.items():
-            if value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        for f in dataclasses.fields(self):  # every count but the seed
+            value = getattr(self, f.name)
+            if f.type in ("int", "int | None") and f.name != "seed" and value < 1:
+                raise ConfigError(f"{f.name} must be a positive integer, got {value!r}")
         if self.lookback < 2:  # RevIN needs two steps to measure a spread
             raise ConfigError(f"lookback must be at least 2, got {self.lookback}")
         if self.lr <= 0:

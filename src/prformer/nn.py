@@ -16,6 +16,7 @@ computing each gate into a temporary over whole-sequence projections.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,24 +54,34 @@ class MHAParams:
     o: LinearParams
 
 
-def _uniform(rng, bound, shape):
-    return T.tensor(rng.uniform(-bound, bound, size=shape).astype(np.float32),
+def addressable(shape):
+    """`shape`, checked before numpy draws a float64 array of it: a size from
+    the config that numpy cannot address is a MemoryError naming the shape."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"an array of shape {shape} is more than numpy can address")
+    return shape
+
+
+def _uniform(rng, fan_in, shape):
+    """A float32 leaf drawn from U(±1/sqrt(fan_in)); each init's first draw
+    has `fan_in` in its shape, so the size check also bounds the sqrt."""
+    size = addressable(shape)
+    bound = 1.0 / math.sqrt(fan_in)
+    return T.tensor(rng.uniform(-bound, bound, size=size).astype(np.float32),
                     requires_grad=True)
 
 
 def init_linear(rng, in_dim, out_dim):
-    bound = 1.0 / np.sqrt(in_dim)
-    return LinearParams(w=_uniform(rng, bound, (in_dim, out_dim)),
-                        b=_uniform(rng, bound, (out_dim,)))
+    return LinearParams(w=_uniform(rng, in_dim, (in_dim, out_dim)),
+                        b=_uniform(rng, in_dim, (out_dim,)))
 
 
 def init_gru(rng, in_dim, hidden):
     """Draw w, u and b for gate z, then r, then h, and fuse the draws into
     `GRUParams` layout; the per-gate draw order fixes every seeded run."""
-    bound = 1.0 / np.sqrt(hidden)
     shapes = ((in_dim, hidden), (hidden, hidden), (hidden,))
     (wz, uz, bz), (wr, ur, br), (wh, uh, bh) = (
-        [_uniform(rng, bound, shape).data for shape in shapes] for _ in "zrh")
+        [_uniform(rng, hidden, shape).data for shape in shapes] for _ in "zrh")
 
     def leaf(*parts):
         return T.tensor(np.concatenate(parts, axis=-1), requires_grad=True)
@@ -81,7 +92,7 @@ def init_gru(rng, in_dim, hidden):
 def init_mha(rng, d_model):
     """Draw q, then k's weight alone, then v and o."""
     q = init_linear(rng, d_model, d_model)
-    k = _uniform(rng, 1.0 / np.sqrt(d_model), (d_model, d_model))
+    k = _uniform(rng, d_model, (d_model, d_model))
     return MHAParams(q, k, *(init_linear(rng, d_model, d_model) for _ in range(2)))
 
 
@@ -94,9 +105,9 @@ def init_scale_shift(dim):
 def init_conv1d(rng, in_channels, out_channels, kernel):
     """Draw the weight as (C_out, C_in, K), then the bias, and store the
     weight as `conv1d` multiplies by it: (C_out, K·C_in), kernel-major."""
-    bound = 1.0 / np.sqrt(in_channels * kernel)
-    weight = _uniform(rng, bound, (out_channels, in_channels, kernel)).data
-    bias = _uniform(rng, bound, (out_channels,))
+    fan_in = in_channels * kernel
+    weight = _uniform(rng, fan_in, (out_channels, in_channels, kernel)).data
+    bias = _uniform(rng, fan_in, (out_channels,))
     return T.tensor(weight.transpose(0, 2, 1).reshape(out_channels, -1),
                     requires_grad=True), bias
 

@@ -33,15 +33,6 @@ def dataset(tmp_path):
     return str(path)
 
 
-@pytest.fixture()
-def bench_threads(monkeypatch):
-    """`bench` pins BLAS threads in the process environment unless a count is
-    set there already; set one first, so the session's environment is kept."""
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
-
-
 def train_fast(dataset, tmp_path, extra=()):
     ckpt = str(tmp_path / "m.ckpt")
     hist = str(tmp_path / "h.csv")
@@ -211,7 +202,6 @@ class TestRoundTrip:
 
 
 class TestBenchAndPe:
-    @pytest.mark.usefixtures("bench_threads")
     def test_bench_writes_csv(self, tmp_path, capsys):
         out = str(tmp_path / "b.csv")
         rc = cli.main(["bench", "--lookbacks", "16", "32", "64",
@@ -225,17 +215,41 @@ class TestBenchAndPe:
             assert fh.readline().strip() == "lookback,median_s,mean_s,ratio"
             assert len(fh.readlines()) == 3
 
-    def test_bench_pins_unset_blas_threads_and_keeps_a_set_one(self, monkeypatch):
-        for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        assert cli.main(["bench", "--repetitions", "0"]) == 1  # stops at parsing
-        assert {var: os.environ[var] for var in (
-            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS")} == {"OMP_NUM_THREADS": "1",
-                                        "OPENBLAS_NUM_THREADS": "2",
-                                        "MKL_NUM_THREADS": "1",
-                                        "NUMEXPR_NUM_THREADS": "1"}
+    @pytest.mark.parametrize("launch", [
+        "from prformer import cli; sys.exit(cli.main())",  # the console script
+        "runpy.run_module('prformer.cli', run_name='__main__', alter_sys=True)",  # -m
+    ], ids=["console-script", "module"])
+    def test_bench_pins_unset_blas_threads_before_numpy_loads(self, launch):
+        # BLAS reads the thread count when numpy loads, so the pin is checked
+        # in a fresh interpreter at that moment; a count already set is kept
+        threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                   "NUMEXPR_NUM_THREADS")
+        script = f"""
+import atexit, builtins, json, os, runpy, sys
+assert "numpy" not in sys.modules
+seen = {{}}
+real_import = builtins.__import__
+
+def spy(name, *args, **kwargs):
+    if name.partition(".")[0] == "numpy" and not seen:
+        seen["at_numpy"] = {{v: os.environ.get(v) for v in {threads!r}}}
+    return real_import(name, *args, **kwargs)
+
+builtins.__import__ = spy
+atexit.register(lambda: print(json.dumps(
+    dict(seen, at_exit={{v: os.environ.get(v) for v in {threads!r}}}))))
+sys.argv = ["prformer", "bench", "--repetitions", "0"]
+{launch}
+"""
+        env = {k: v for k, v in os.environ.items() if k not in threads}
+        env.update(OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, encoding="utf-8")
+        assert done.returncode == 1, done.stderr  # stops at parsing
+        pinned = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2",
+                  "MKL_NUM_THREADS": "1", "NUMEXPR_NUM_THREADS": "1"}
+        assert json.loads(done.stdout) == {"at_numpy": pinned, "at_exit": pinned}
 
     def test_check_pe_passes(self, capsys):
         assert cli.main(["check-pe", "--trials", "50"]) == 0
@@ -619,7 +633,6 @@ class TestMalformedInputContract:
 
     @pytest.mark.parametrize("command", ["train-checkpoint", "train-history", "predict",
                                          "inspect-embeddings", "bench"])
-    @pytest.mark.usefixtures("bench_threads")
     def test_output_in_missing_directory(self, dataset, tmp_path, capsys, command):
         missing = str(tmp_path / "no-such-dir" / "out.csv")
         ckpt = str(_ckpt_with(tmp_path))
@@ -648,7 +661,6 @@ class TestMalformedInputContract:
         ("train", "Unable to allocate 1.82 TiB for an array"),  # numpy's wording
         ("bench", ""),
     ])
-    @pytest.mark.usefixtures("bench_threads")
     def test_out_of_memory_is_a_data_error(self, monkeypatch, capsys, command, detail):
         # a stand-in handler raises at once, so nothing large is allocated
         def run_out(args):
@@ -661,8 +673,33 @@ class TestMalformedInputContract:
         assert err.splitlines() == [
             f"data error: out of memory: {detail or 'reduce the model or its inputs'}"]
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--d-model", str(10**20), "--heads", "1"],
+        ["train", "--d-model", str(10**400), "--heads", "1"],  # past float's range
+        ["train", "--variant", "V2", "--lookback", str(10**20)],
+        ["train", "--pred-len", str(2**62)],
+        ["train", "--conv-channels", str(2**62)],
+        ["bench", "--lookbacks", str(10**20), str(2 * 10**20), str(4 * 10**20),
+         "--windows", "4", "8"],
+    ], ids=["d-model", "d-model-past-float", "v2-lookback", "pred-len", "conv-channels",
+            "bench-lookbacks"])
+    def test_size_numpy_cannot_address_is_out_of_memory(self, dataset, tmp_path, capsys,
+                                                         argv):
+        # the size check runs before numpy is asked, so nothing large is allocated
+        command, *flags = argv
+        if command == "train":  # after FAST's flags, so that the ones above win
+            argv = ["train", *FAST, *flags, "--dataset", dataset,
+                    "--checkpoint", str(tmp_path / "m.ckpt"),
+                    "--history", str(tmp_path / "h.csv")]
+        else:
+            argv = [*argv, "--out", str(tmp_path / "b.csv")]
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("data error: out of memory: an array of shape (")
+
     @pytest.mark.parametrize("case", sorted(BAD_FLAGS))
-    @pytest.mark.usefixtures("bench_threads")
     def test_flag_outside_config(self, dataset, tmp_path, capsys, case):
         argv = BAD_FLAGS[case]
         if argv[0] == "train":  # would run to the end if the flag were taken

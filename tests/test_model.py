@@ -77,6 +77,20 @@ class TestRunConfig:
             with pytest.raises(ConfigError, match=match):
                 small_config(**overrides)
 
+    def test_every_count_but_the_seed_must_be_positive(self):
+        counts = ("lookback", "pred_len", "e_layers", "d_model", "d_ff", "heads",
+                  "conv_channels", "batch_size", "max_epochs", "patience")
+        for name in counts:
+            with pytest.raises(ConfigError) as e:
+                small_config(**{name: 0})
+            assert str(e.value) == f"{name} must be a positive integer, got 0"
+        small_config(seed=0)
+        # a negative seed is reported first, then the first bad count in field order
+        with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
+            small_config(seed=-1, lookback=0)
+        with pytest.raises(ConfigError, match="^pred_len must be a positive integer"):
+            small_config(patience=0, pred_len=-1)
+
     def test_replace_checks_the_new_config(self):
         valid = small_config()
         with pytest.raises(ConfigError, match="divide d_model"):
