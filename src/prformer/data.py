@@ -149,19 +149,23 @@ def save_csv(table, path):
 def write_matrix(path, header, keys, values):
     """Write `header`, then row i of the 2-d float array `values` led by the
     cells of `keys[i]`, all keys equally long; floats are written with `repr`,
-    so they reload exactly. The file is built as one list of strings, filled a
-    column at a time, with key cells quoted as `csv.writer` quotes them."""
+    so they reload exactly, and key cells are quoted as `csv.writer` quotes them."""
     keyed = [list(map(str, column)) for column in zip(*keys)]
     # csv quotes a cell for a character it holds, so check each key column at once
     columns = [c if _csv_cell("".join(c)) == "".join(c) else list(map(_csv_cell, c))
                for c in keyed] + [_reprs(column) for column in values.T]
-    stride = 2 * len(columns)  # each cell, then its "," or "\r\n"
-    out = ([","] * (stride - 1) + ["\r\n"]) * len(values)
-    for j, column in enumerate(columns):
-        out[2 * j::stride] = column
     with open_output(path) as fh:
         csv.writer(fh).writerow(header)
-        fh.write("".join(out))
+        fh.write(_join_columns(columns, len(values)))
+
+
+def _join_columns(columns, rows):
+    """`rows` lines, item i of each column on line i, joined from one list filled by column."""
+    stride = 2 * len(columns)  # each item, then its "," or "\r\n"
+    out = ([","] * (stride - 1) + ["\r\n"]) * rows
+    for j, column in enumerate(columns):
+        out[2 * j::stride] = column
+    return "".join(out)
 
 
 # split scheme -> (train, val) share in tenths; test takes the rest
@@ -229,20 +233,17 @@ def write_predictions(path, batches, channels):
     `batches` yields (starts, y_true, y_pred) triples with arrays shaped
     (b,), (b, H, C), (b, H, C). Rows run window-major, then horizon step,
     then channel; values are written with `repr`, so they reload exactly.
-    Each batch's rows are built as strings and written at once. Targets come
-    from overlapping windows and repeat, so each distinct one is formatted
-    once; channel names are quoted by `csv.writer` itself.
+    Each batch is assembled by column and written at once, each distinct
+    target formatted once (windows overlap); `csv.writer` quotes channels.
     """
     cells = [_csv_cell(name) for name in channels]
     with open_output(path) as fh:
         csv.writer(fh).writerow(PREDICTION_COLUMNS)
         for starts, y_true, y_pred in batches:
-            b, horizon = y_true.shape[:2]
-            mids = [f",{h},{cell}," for h in range(horizon) for cell in cells]
-            rows = zip(np.repeat(np.asarray(starts, dtype=np.int64), len(mids)).tolist(),
-                       mids * b, _distinct_reprs(y_true), _reprs(y_pred))
-            fh.write("".join([f"{start}{mid}{true},{pred}\r\n"
-                              for start, mid, true, pred in rows]))
+            steps = [f"{h},{cell}" for h in range(y_true.shape[1]) for cell in cells]
+            firsts = [s for s in map(str, map(int, starts)) for _ in steps]
+            fh.write(_join_columns([firsts, steps * len(y_true), _distinct_reprs(y_true),
+                                    _reprs(y_pred)], len(firsts)))
 
 
 def _csv_cell(text):
@@ -261,11 +262,9 @@ def write_rows(path, columns, rows):
 
 
 def _reprs(values):
-    """The `repr` of every element of a float array, as a list of strings.
-
-    One repr of the whole list is faster than one call per element, and no
-    float's repr contains the ", " that separates the items.
-    """
+    """The `repr` of every element of a float array, as a list of strings: one
+    repr of the whole list is faster than one call per element, and no float's
+    repr contains the ", " that separates the items."""
     return repr(values.reshape(-1).tolist())[1:-1].split(", ") if values.size else []
 
 

@@ -4,9 +4,12 @@
 
 Run it from the repository root on the parent and on the change, on one
 host, and diff the two outputs: a change that claims "seeded runs bitwise
-unchanged" must leave every line as it was. CI also runs it under two
-`PYTHONHASHSEED` values and diffs those outputs, because criterion 9 checks
-determinism only within one process. pytest does not collect this file.
+unchanged" must leave every line as it was. CI runs this script twice, once
+with `PYTHONPATH` at this tree's `src/` and once at the parent commit's, and
+fails on a difference unless CHANGES.md gains a `Seeded bits changed:` line
+(see README). It also runs it under two `PYTHONHASHSEED` values and diffs
+those outputs, because criterion 9 checks determinism only within one
+process. pytest does not collect this file.
 
 Every run trains on `mixed_table(n=600, seed=4)` with lookback 48, pred_len
 12, windows 4/8/16, d_model 24, heads 2, conv_channels 4, dropout 0.1,
@@ -20,7 +23,9 @@ Each run's line hashes its parameters, its history without the `seconds`
 column, its best-MAE/epochs/stopped flags, its checkpoint bytes and a
 `no_grad` forward of the first test windows. Two more lines hash the table:
 the bytes `save_csv` writes and the values, stamps and columns `load_csv`
-reads back.
+reads back. One line, after the "full 2 epochs" line, hashes the bytes
+`write_predictions` writes for that model's test split, through
+`predict_over_range`.
 """
 
 import os
@@ -36,8 +41,9 @@ from pathlib import Path  # noqa: E402
 
 from prformer import synthetic, tensor as T  # noqa: E402
 from prformer.config import RunConfig  # noqa: E402
-from prformer.data import load_csv, save_csv, split_ranges, window_iter  # noqa: E402
-from prformer.training import save_checkpoint, train  # noqa: E402
+from prformer.data import (load_csv, save_csv, split_ranges, window_iter,  # noqa: E402
+                            write_predictions)
+from prformer.training import predict_over_range, save_checkpoint, train  # noqa: E402
 
 BASE = dict(lookback=48, pred_len=12, pyramidal_windows=(4, 8, 16), d_model=24,
             heads=2, conv_channels=4, dropout=0.1, seed=3)
@@ -58,7 +64,7 @@ def digest(*parts):
     return h.hexdigest()[:16]
 
 
-def run_line(name, overrides, table, work):
+def run_lines(name, overrides, table, work):
     config = RunConfig(**BASE, **overrides)
     result = train(config, table)
     model = result.model
@@ -74,10 +80,15 @@ def run_line(name, overrides, table, work):
                              config.pred_len, config.batch_size))
     with T.no_grad():
         forward = model.forward(T.Tensor(batch.inputs)).data
-    return (f"{name}: epochs {result.epochs_run} stopped {result.stopped_early} "
-            f"params {params} history {history} flags {digest(flags)} "
-            f"checkpoint {digest((work / 'model.ckpt').read_bytes())} "
-            f"forward {digest(forward.dtype.str, forward.tobytes())}")
+    yield (f"{name}: epochs {result.epochs_run} stopped {result.stopped_early} "
+           f"params {params} history {history} flags {digest(flags)} "
+           f"checkpoint {digest((work / 'model.ckpt').read_bytes())} "
+           f"forward {digest(forward.dtype.str, forward.tobytes())}")
+    if name == "full 2 epochs":
+        write_predictions(work / "predictions.csv",
+                          predict_over_range(model, table.values, test_range, config),
+                          table.channels)
+        yield f"{name} predictions bytes {digest((work / 'predictions.csv').read_bytes())}"
 
 
 def main():
@@ -90,7 +101,8 @@ def main():
         print(f"load_csv values {digest(back.values.dtype.str, back.values.tobytes())} "
               f"timestamps {digest(back.timestamps)} channels {digest(back.channels)}")
         for name, overrides in RUNS.items():
-            print(run_line(name, overrides, table, work), flush=True)
+            for line in run_lines(name, overrides, table, work):
+                print(line, flush=True)
 
 
 if __name__ == "__main__":

@@ -234,7 +234,7 @@ def revin_denormalize(y, mu, sigma, gamma, beta):
 
 def write_predictions(path, batches, channels):
     """One csv row per window, horizon step and channel, written one at a time."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PREDICTION_COLUMNS)
         for starts, y_true, y_pred in batches:
@@ -324,7 +324,7 @@ def write_matrix(path, header, keys, values):
     `csv.writer` row at a time."""
     cells = _reprs(values)
     width = values.shape[1]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(list(key) + cells[i * width:(i + 1) * width]
