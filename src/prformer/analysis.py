@@ -34,8 +34,8 @@ def sinusoidal_pe(d_model, position):
     """The classic interleaved sin/cos encoding of one position."""
     if d_model < 2 or d_model % 2:
         raise ConfigError(f"d_model must be even and at least 2, got {d_model}")
+    pe = np.empty(addressable((d_model,)), dtype=np.float64)  # bounds `w` too
     w = pe_frequencies(d_model)
-    pe = np.empty(d_model, dtype=np.float64)
     pe[0::2] = np.sin(position * w)
     pe[1::2] = np.cos(position * w)
     return pe

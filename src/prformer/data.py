@@ -52,8 +52,9 @@ def _lines_above(raw, error):
 
 
 def load_csv(path):
-    """Parse a benchmark-format CSV into a SeriesTable; every value must be
-    a finite float32. Errors name the first defect in file order."""
+    """Parse a benchmark-format CSV into a SeriesTable of finite float32s. An error
+    names the first ragged row, unreadable line or byte, or non-numeric cell; failing
+    those, the first non-finite value; failing that, the first non-increasing timestamp."""
     raw = read_input(path, "dataset file")
     try:
         lines = io.StringIO(raw.decode("utf-8"), newline="")

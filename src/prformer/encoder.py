@@ -62,8 +62,6 @@ def encode(h, params, dropout=0.0, rng=None, collect_attn=None):
     linear -> relu -> linear. Dropout hits only the two sublayer outputs.
     `collect_attn`, if a list, receives each layer's attention probabilities.
     """
-    if dropout > 0.0 and rng is None:
-        raise ValueError("dropout requires an rng")
     for layer in params.layers:
         if layer.attn is not None:
             mixed, probs = nn.multi_head_attention(h, layer.attn, params.heads)

@@ -98,8 +98,9 @@ def init_mha(rng, d_model):
 
 def init_scale_shift(dim):
     """A learnable (gamma, beta) pair that starts as the identity: ones, zeros."""
-    return (T.tensor(np.ones(dim, dtype=np.float32), requires_grad=True),
-            T.tensor(np.zeros(dim, dtype=np.float32), requires_grad=True))
+    size = addressable((dim,))
+    return (T.tensor(np.ones(size, dtype=np.float32), requires_grad=True),
+            T.tensor(np.zeros(size, dtype=np.float32), requires_grad=True))
 
 
 def init_conv1d(rng, in_channels, out_channels, kernel):

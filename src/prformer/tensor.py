@@ -7,7 +7,8 @@ that maps the output gradient to a gradient for each parent on the tape and
 None for each other parent. A constant (a dropout mask, a scale factor, an
 epsilon) is just a tensor that needs no gradient, so it costs its closure
 nothing. `backward` replays the graph in reverse topological order and
-accumulates gradients on the requires_grad leaves.
+accumulates gradients on the requires_grad leaves. No op checks shapes: one
+no caller builds fails with numpy's own ValueError.
 """
 
 from __future__ import annotations
@@ -18,22 +19,6 @@ from contextlib import contextmanager
 import numpy as np
 
 _grad_enabled = contextvars.ContextVar("prformer_grad_enabled", default=True)
-
-
-class ShapeMismatchError(ValueError):
-    def __init__(self, op, shape_a, shape_b, detail=""):
-        msg = f"{op}: incompatible shapes {tuple(shape_a)} and {tuple(shape_b)}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
-
-
-class NonScalarLossError(ValueError):
-    pass
-
-
-class DetachedLossError(ValueError):
-    pass
 
 
 class Tensor:
@@ -120,10 +105,6 @@ def _elementwise(op, a, b, forward, grad_a, grad_b):
     """One broadcasting binary node. Its backward computes `grad(g, out)` only
     for a parent on the tape, summed back to that parent's shape, and returns
     None for a constant."""
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeMismatchError(op, a.shape, b.shape) from None
     out = forward(a.data, b.data)
 
     def bwd(g):
@@ -156,10 +137,6 @@ def div(a, b):
 
 
 def matmul(a, b):
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeMismatchError("matmul", a.shape, b.shape, "operands must be >= 2-d")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeMismatchError("matmul", a.shape, b.shape, "inner dims differ")
     if b.ndim == 2:
         return _matmul_shared(a, b)
     out = np.matmul(a.data, b.data)
@@ -197,8 +174,6 @@ def permute(x, axes):
 
 
 def reshape(x, shape):
-    if int(np.prod(shape, dtype=np.int64)) != x.size:
-        raise ShapeMismatchError("reshape", x.shape, shape, "element count differs")
     old = x.shape
 
     def bwd(g):
@@ -208,11 +183,6 @@ def reshape(x, shape):
 
 
 def concat(tensors, axis):
-    ref = tensors[0].shape
-    for t in tensors[1:]:
-        if len(t.shape) != len(ref) or any(
-                i != axis % len(ref) and t.shape[i] != ref[i] for i in range(len(ref))):
-            raise ShapeMismatchError("concat", ref, t.shape)
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
@@ -317,11 +287,9 @@ def _toposort(root):
 
 
 def backward(loss):
-    """Accumulate d(loss)/d(leaf) onto every requires_grad leaf below `loss`."""
-    if loss.size != 1:
-        raise NonScalarLossError(f"loss must be scalar, got shape {loss.shape}")
-    if not loss.requires_grad:
-        raise DetachedLossError("loss is not connected to any requires_grad tensor")
+    """Accumulate d(loss)/d(leaf) onto every requires_grad leaf below `loss`.
+    The seed is `ones_like(loss)`, so a loss of more than one element
+    backpropagates its sum."""
     order = _toposort(loss)
     grads = {id(loss): np.ones_like(loss.data)}
     for node in reversed(order):

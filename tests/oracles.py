@@ -44,16 +44,7 @@ import numpy as np
 from prformer import nn, tensor as T
 from prformer.data import PREDICTION_COLUMNS, DataError, SeriesTable, _reprs, window_iter
 from prformer.nn import LinearParams
-from prformer.tensor import (
-    NonScalarLossError,
-    ShapeMismatchError,
-    Tensor,
-    _node,
-    _records,
-    _toposort,
-    backward,
-    no_grad,
-)
+from prformer.tensor import Tensor, _node, _records, _toposort, backward, no_grad
 
 WIDE_DTYPE = np.float64
 
@@ -88,8 +79,8 @@ def sigmoid(x):
 def narrow(x, axis, start, length):
     """Contiguous slice of `length` elements along `axis`."""
     if start < 0 or start + length > x.shape[axis]:
-        raise ShapeMismatchError("slice", x.shape, (start, start + length),
-                                 f"out of range on axis {axis}")
+        raise ValueError(f"slice [{start}, {start + length}) out of range on axis "
+                         f"{axis} of shape {x.shape}")
     index = [slice(None)] * x.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
@@ -448,7 +439,7 @@ def grad_check(fn, point, eps=1e-5):
     def evaluate(arr):
         out = fn(Tensor(arr.copy()))
         if out.size != 1:
-            raise NonScalarLossError("grad_check target must return a scalar")
+            raise ValueError("grad_check target must return a scalar")
         return float(out.data)
 
     with no_grad():

@@ -681,8 +681,11 @@ class TestMalformedInputContract:
         ["train", "--conv-channels", str(2**62)],
         ["bench", "--lookbacks", str(10**20), str(2 * 10**20), str(4 * 10**20),
          "--windows", "4", "8"],
+        ["bench", "--channels", str(10**20)],
+        ["check-pe", "--d-model", str(2**62)],
+        ["evaluate"],  # on a checkpoint whose manifest claims 10**20 channels
     ], ids=["d-model", "d-model-past-float", "v2-lookback", "pred-len", "conv-channels",
-            "bench-lookbacks"])
+            "bench-lookbacks", "bench-channels", "check-pe-d-model", "manifest-channels"])
     def test_size_numpy_cannot_address_is_out_of_memory(self, dataset, tmp_path, capsys,
                                                          argv):
         # the size check runs before numpy is asked, so nothing large is allocated
@@ -691,7 +694,10 @@ class TestMalformedInputContract:
             argv = ["train", *FAST, *flags, "--dataset", dataset,
                     "--checkpoint", str(tmp_path / "m.ckpt"),
                     "--history", str(tmp_path / "h.csv")]
-        else:
+        elif command == "evaluate":
+            ckpt = _ckpt_with(tmp_path, lambda m: m.update(channels=10**20))
+            argv = ["evaluate", "--checkpoint", str(ckpt), "--dataset", dataset]
+        elif command == "bench":
             argv = [*argv, "--out", str(tmp_path / "b.csv")]
         rc = cli.main(argv)
         err = capsys.readouterr().err

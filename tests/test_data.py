@@ -158,6 +158,17 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="expected 3 cells"):
             load_csv(path)
 
+    @pytest.mark.parametrize("rows, message", [
+        (["t1,1e39", "t2,1", "t3,1,2"], r":4: expected 2 cells, got 3"),
+        (["t2,1", "t1,1", "t3,1,2"], r":4: expected 2 cells, got 3"),
+        (["t1,nan", "t2,x"], r":3: non-numeric cell 'x'"),
+    ], ids=["ragged-before-non-finite", "ragged-before-timestamp", "non-numeric-before-nan"])
+    def test_defect_kind_outranks_file_order(self, tmp_path, rows, message):
+        # a ragged row or bad cell, then a non-finite value, then a timestamp
+        path = write(tmp_path, "\n".join(["date,a", *rows]) + "\n")
+        with pytest.raises(DataError, match=r"t\.csv" + message):
+            load_csv(path)
+
     def test_repeated_column_names_file_line_and_column(self, tmp_path):
         # a repeated name would make the predictions' channel column ambiguous
         path = write(tmp_path, "date,a,b,a\n2016-07-01 00:00:00,1.0,2.0,3.0\n")

@@ -2,7 +2,6 @@
 attention health, the stand-in token linear, and the shared forecast head."""
 
 import numpy as np
-import pytest
 
 from conftest import cast_tree
 from oracles import grad_check
@@ -78,13 +77,6 @@ class TestEncode:
         assert not np.allclose(clean, noisy)
         again = encoder.encode(x, params).data
         np.testing.assert_array_equal(clean, again)
-
-    def test_dropout_without_rng_rejected(self):
-        rng = np.random.default_rng(67)
-        params = build(rng)
-        with pytest.raises(ValueError, match="rng"):
-            encoder.encode(tensor(np.zeros((1, 2, 8), dtype=np.float32)),
-                           params, dropout=0.1)
 
     def test_token_linear_standin_has_no_attention(self):
         rng = np.random.default_rng(68)

@@ -58,7 +58,7 @@ def _module_imports(tree):
 
 def _references(path):
     """Every (module, name) of CHECKED read in `path`, outside the name's own body."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     aliases, names = _module_imports(tree)
     own = path.stem if path.parent == PACKAGE else None
     found = set()
@@ -83,7 +83,7 @@ def _references(path):
 
 def _public_definitions():
     for module in CHECKED:
-        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
         for top in tree.body:
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)) \
                     and not top.name.startswith("_"):
@@ -99,7 +99,7 @@ def test_every_public_name_is_reached_from_program_code():
 
 def test_every_public_method_is_read_from_program_code():
     read = {node.attr for path in _program_files()
-            for node in ast.walk(ast.parse(path.read_text()))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     unread = [f"{module}.{cls.name}.{fn.name}"
               for module, cls in _public_definitions() if isinstance(cls, ast.ClassDef)
@@ -127,7 +127,7 @@ def test_perfbench_lookups_find_their_targets(monkeypatch):
 
     missing = []
     for path in _perfbench_files():
-        tree = ast.parse(path.read_text())
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         aliases, names = _module_imports(tree)
         wanted = set(names.values()) | {
             (aliases[node.value.id], node.attr) for node in ast.walk(tree)
