@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,16 +40,9 @@ def sinusoidal_pe(d_model, position):
     return pe
 
 
-@dataclass
-class PEDotResult:
-    dot_t: float
-    dot_s: float
-    reference: float  # sum of cos(w_k * offset)
-    max_deviation: float
-
-
 def pe_dot_invariance(d_model, t, s, offset):
-    """Compare PE_t . PE_{t+offset} and PE_s . PE_{s+offset} to the closed form.
+    """The worst deviation among PE_t . PE_{t+offset}, PE_s . PE_{s+offset}
+    and their closed form, the sum of cos(w_k * offset).
 
     sin(a)sin(b) + cos(a)cos(b) = cos(a - b) collapses each sin-cos pair to
     cos(w_k * offset), independent of the absolute position.
@@ -58,10 +50,7 @@ def pe_dot_invariance(d_model, t, s, offset):
     dot_t = float(sinusoidal_pe(d_model, t) @ sinusoidal_pe(d_model, t + offset))
     dot_s = float(sinusoidal_pe(d_model, s) @ sinusoidal_pe(d_model, s + offset))
     reference = float(np.cos(pe_frequencies(d_model) * offset).sum())
-    max_dev = max(abs(dot_t - reference), abs(dot_s - reference),
-                  abs(dot_t - dot_s))
-    return PEDotResult(dot_t=dot_t, dot_s=dot_s, reference=reference,
-                       max_deviation=max_dev)
+    return max(abs(dot_t - reference), abs(dot_s - reference), abs(dot_t - dot_s))
 
 
 def check_pe(trials=1000, d_model=None, seed=0):
@@ -74,7 +63,7 @@ def check_pe(trials=1000, d_model=None, seed=0):
         d = d_model if d_model is not None else 2 * int(rng.integers(1, 129))
         t, s = (int(rng.integers(0, 10000)) for _ in range(2))
         offset = int(rng.integers(0, 1000))
-        worst = max(worst, pe_dot_invariance(d, t, s, offset).max_deviation)
+        worst = max(worst, pe_dot_invariance(d, t, s, offset))
     return worst
 
 

@@ -3,7 +3,8 @@
 The JSON file uses exactly these field names; CLI flags override file
 values. `d_ff` left unset resolves to twice the model width. Each field's
 metadata holds extra keyword arguments for its command-line flag; `choices`
-there is also the set of values it accepts when a RunConfig is built.
+there is also the set of values it accepts when a RunConfig is built. The
+pyramid a config builds, per-level kernels and GRU widths, is derived here.
 """
 
 from __future__ import annotations
@@ -11,14 +12,55 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 from .data import SPLIT_SCHEMES, read_input
-from .pre import level_hidden_sizes, pyramid_kernels
 
 
 class ConfigError(ValueError):
     pass
+
+
+class PyramidConfigWarning(UserWarning):
+    """A level's kernel degenerates to 1 (no temporal downsampling)."""
+
+
+def pyramid_kernels(windows, lookback):
+    """Per-level conv kernels (== strides) derived from period windows.
+
+    Each kernel is the floor ratio of consecutive windows (the base window is
+    1 sample). The kernels up to level i multiply to at most w_i, and a floor
+    of a floor is the floor of the product, so level i keeps at least
+    floor(L / w_top) >= 1 steps once the lookback covers the top window.
+    """
+    if not windows:
+        raise ConfigError("windows must be nonempty")
+    if any(w <= 0 for w in windows):
+        raise ConfigError(f"windows must be positive, got {list(windows)}")
+    if any(b <= a for a, b in zip(windows, windows[1:])):
+        raise ConfigError(f"windows must be strictly ascending, got {list(windows)}")
+    if lookback < windows[-1]:
+        raise ConfigError(
+            f"lookback {lookback} shorter than top window {windows[-1]}")
+
+    kernels = tuple(w // prev for prev, w in zip((1, *windows), windows))
+    degenerate = [windows[i] for i, k in enumerate(kernels) if k == 1]
+    if degenerate:
+        warnings.warn(
+            f"windows {degenerate} give kernel 1 (no downsampling at that level)",
+            PyramidConfigWarning, stacklevel=2)
+    return kernels
+
+
+def level_hidden_sizes(d_model, levels):
+    """Split D across per-level GRUs; the last level absorbs any remainder."""
+    if d_model < levels:
+        raise ConfigError(f"d_model {d_model} smaller than level count {levels}")
+    base = d_model // levels
+    sizes = [base] * levels
+    sizes[-1] = d_model - base * (levels - 1)
+    return sizes
 
 
 # JSON value kinds allowed by each annotation name in RunConfig
@@ -100,17 +142,14 @@ class RunConfig:
         if self.d_model % self.heads != 0:
             raise ConfigError(
                 f"heads ({self.heads}) must divide d_model ({self.d_model})")
-        try:
-            self.pyramid()
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        self.pyramid()
 
     def pyramid(self):
         """(per-level conv kernels, per-level GRU widths) of the variant's
         embedding, or None for V2, which has no pyramid.
 
         V3 keeps only the bottom level, at the full model's per-level width,
-        so the ablation stays a strict submodel. Raises ValueError when the
+        so the ablation stays a strict submodel. Raises ConfigError when the
         windows do not fit the lookback or D cannot be split across them.
         """
         if self.variant == "V2":

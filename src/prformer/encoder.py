@@ -54,19 +54,16 @@ def init_encoder(rng, d_model, d_ff, heads, e_layers, horizon, token_linear=Fals
                          head=nn.init_linear(rng, d_model, horizon))
 
 
-def encode(h, params, dropout=0.0, rng=None, collect_attn=None):
+def encode(h, params, dropout=0.0, rng=None):
     """Run the layer stack over tokens (B, C, D).
 
     Each layer: A = LN(H + drop(mix(H))); H' = LN(A + drop(FFN(A))) where mix
     is multi-head attention (or the stand-in token linear) and FFN is
     linear -> relu -> linear. Dropout hits only the two sublayer outputs.
-    `collect_attn`, if a list, receives each layer's attention probabilities.
     """
     for layer in params.layers:
         if layer.attn is not None:
-            mixed, probs = nn.multi_head_attention(h, layer.attn, params.heads)
-            if collect_attn is not None:
-                collect_attn.append(probs)
+            mixed = nn.multi_head_attention(h, layer.attn, params.heads)
         else:
             mixed = nn.linear(h, layer.token_mix)
         a = nn.layer_norm(T.add(h, T.dropout_mask(mixed, dropout, rng)),

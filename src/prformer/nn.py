@@ -331,10 +331,10 @@ def softmax(x):
 
 
 def multi_head_attention(x, params, heads):
-    """Bidirectional self-attention over tokens; x (B, N, D) -> (out, probs).
+    """Bidirectional self-attention over tokens; x (B, N, D) -> (B, N, D).
 
-    Scores are scaled by 1/sqrt(D/heads); `probs` (B, heads, N, N) is the
-    row-stochastic attention matrix, returned for inspection.
+    Scores are scaled by 1/sqrt(D/heads), and each head's softmax over them
+    gives the row-stochastic attention matrix (B, heads, N, N).
     """
     b, n, d = x.shape
     dh = d // heads
@@ -347,7 +347,6 @@ def multi_head_attention(x, params, heads):
     v = split_heads(linear(x, params.v))
     scores = T.mul(T.matmul(q, T.permute(k, (0, 1, 3, 2))),
                    T.tensor(1.0 / np.sqrt(dh), dtype=x.dtype))
-    probs = softmax(scores)
-    ctx = T.matmul(probs, v)  # (b, heads, n, dh)
+    ctx = T.matmul(softmax(scores), v)  # (b, heads, n, dh)
     merged = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (b, n, d))
-    return linear(merged, params.o), probs
+    return linear(merged, params.o)

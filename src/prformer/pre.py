@@ -2,7 +2,7 @@
 
 A univariate lookback series is coarsened bottom-up by patch convolutions
 (stride == kernel, one level per configured period window, its kernel the
-ratio to the window below: `pyramid_kernels`), the top level is
+ratio to the window below: `config.pyramid_kernels`), the top level is
 repeatedly upsampled and added laterally on the way down, a GRU summarizes
 each fused level, and a fusion linear mixes the concatenated summaries into
 the final embedding. A batch of N series is time first and batch last: (L, N)
@@ -11,52 +11,9 @@ in, and every level (L_i, ch, N) from its conv to its GRU.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from . import nn, tensor as T
-
-
-class PyramidConfigWarning(UserWarning):
-    """A level's kernel degenerates to 1 (no temporal downsampling)."""
-
-
-def pyramid_kernels(windows, lookback):
-    """Per-level conv kernels (== strides) derived from period windows.
-
-    Each kernel is the floor ratio of consecutive windows (the base window is
-    1 sample). The kernels up to level i multiply to at most w_i, and a floor
-    of a floor is the floor of the product, so level i keeps at least
-    floor(L / w_top) >= 1 steps once the lookback covers the top window.
-    """
-    windows = tuple(int(w) for w in windows)
-    if not windows:
-        raise ValueError("windows must be nonempty")
-    if any(w <= 0 for w in windows):
-        raise ValueError(f"windows must be positive, got {list(windows)}")
-    if any(b <= a for a, b in zip(windows, windows[1:])):
-        raise ValueError(f"windows must be strictly ascending, got {list(windows)}")
-    if lookback < windows[-1]:
-        raise ValueError(
-            f"lookback {lookback} shorter than top window {windows[-1]}")
-
-    kernels = tuple(w // prev for prev, w in zip((1,) + windows, windows))
-    degenerate = [windows[i] for i, k in enumerate(kernels) if k == 1]
-    if degenerate:
-        warnings.warn(
-            f"windows {degenerate} give kernel 1 (no downsampling at that level)",
-            PyramidConfigWarning, stacklevel=2)
-    return kernels
-
-
-def level_hidden_sizes(d_model, levels):
-    """Split D across per-level GRUs; the last level absorbs any remainder."""
-    if d_model < levels:
-        raise ValueError(f"d_model {d_model} smaller than level count {levels}")
-    base = d_model // levels
-    sizes = [base] * levels
-    sizes[-1] = d_model - base * (levels - 1)
-    return sizes
 
 
 @dataclass

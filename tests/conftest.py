@@ -5,6 +5,7 @@ structure."""
 import dataclasses
 
 import numpy as np
+import pytest
 
 from oracles import grad_check
 from prformer import nn
@@ -27,6 +28,21 @@ def cast_tree(obj, dtype=np.float64):
     if isinstance(obj, tuple):
         return tuple(cast_tree(v, dtype) for v in obj)
     return obj
+
+
+@pytest.fixture
+def softmax_outputs(monkeypatch):
+    """Every output of `nn.softmax` during the test, in call order: the
+    attention probabilities, which `nn.multi_head_attention` does not return."""
+    outputs = []
+    softmax = nn.softmax
+
+    def recording(x):
+        outputs.append(softmax(x))
+        return outputs[-1]
+
+    monkeypatch.setattr(nn, "softmax", recording)
+    return outputs
 
 
 def set_by_path(tree, path, value):

@@ -23,11 +23,15 @@ from conftest import grad_check_all_params, sine_pair_table, single_batch_overfi
 from oracles import WindowRegression
 from prformer import baselines, pre, revin, synthetic
 from prformer import tensor as T
-from prformer.analysis import check_pe, pe_dot_invariance, scaling_bench
-from prformer.config import RunConfig
+from prformer.analysis import check_pe, pe_dot_invariance, pe_frequencies, scaling_bench
+from prformer.config import (
+    PyramidConfigWarning,
+    RunConfig,
+    level_hidden_sizes,
+    pyramid_kernels,
+)
 from prformer.data import load_csv, split_ranges, window_iter
 from prformer.model import PRformer
-from prformer.pre import PyramidConfigWarning, pyramid_kernels
 from prformer.tensor import Tensor
 from prformer.training import (
     evaluate,
@@ -127,7 +131,7 @@ class TestAcceptance:
                 kernels = pyramid_kernels(windows, max(windows))
                 levels = len(kernels)
                 params = pre.init_pre(np.random.default_rng(0), kernels,
-                                      pre.level_hidden_sizes(levels, levels), levels, 1)
+                                      level_hidden_sizes(levels, levels), levels, 1)
                 for lookback in range(max(windows), 1001):
                     feats = pre.bottom_up(
                         Tensor(np.zeros((lookback, 1), dtype=np.float32)), params)
@@ -191,9 +195,10 @@ class TestAcceptance:
         zero_exact = True
         for _ in range(50):
             d = 2 * int(rng.integers(1, 129))
-            r = pe_dot_invariance(d, int(rng.integers(0, 10000)),
-                                  int(rng.integers(0, 10000)), 0)
-            if r.reference != d / 2 or r.max_deviation >= 1e-9:
+            reference = float(np.cos(pe_frequencies(d) * 0).sum())
+            deviation = pe_dot_invariance(d, int(rng.integers(0, 10000)),
+                                          int(rng.integers(0, 10000)), 0)
+            if reference != d / 2 or deviation >= 1e-9:
                 zero_exact = False
         passed = worst < 1e-9 and zero_exact
         report(4, passed, f"1000 draws worst {worst:.2e}; zero-offset equals "
@@ -228,7 +233,7 @@ class TestAcceptance:
         def seconds(lookback, batch=224, repetitions=5):
             kernels = pyramid_kernels([24, 48, 96], lookback)
             rng = np.random.default_rng(0)
-            params = pre.init_pre(rng, kernels, pre.level_hidden_sizes(128, len(kernels)), 128,
+            params = pre.init_pre(rng, kernels, level_hidden_sizes(128, len(kernels)), 128,
                                   16)
             x = Tensor(rng.normal(size=(lookback, batch)).astype(np.float32))
             times = []

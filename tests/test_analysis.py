@@ -56,21 +56,31 @@ class TestSinusoidalPe:
             assert abs(pe @ pe - d / 2) < 1e-9
 
 
+def pe_dot(d_model, t, offset):
+    """PE_t . PE_{t+offset}."""
+    return float(sinusoidal_pe(d_model, t) @ sinusoidal_pe(d_model, t + offset))
+
+
+def closed_form(d_model, offset):
+    """The sum of cos(w_k * offset), which every PE_t . PE_{t+offset} equals."""
+    return float(np.cos(pe_frequencies(d_model) * offset).sum())
+
+
 class TestDotInvariance:
     def test_zero_offset_reference_is_half_width(self):
-        r = pe_dot_invariance(64, 3, 999, 0)
-        assert r.reference == 32.0
-        assert r.max_deviation < 1e-9
+        assert closed_form(64, 0) == 32.0
+        assert pe_dot_invariance(64, 3, 999, 0) < 1e-9
 
     def test_d4_offset_one_closed_form(self):
         # cos(1) + cos(0.01), frozen
-        r = pe_dot_invariance(4, 0, 7, 1)
-        np.testing.assert_allclose(r.reference, 1.540252306284805, rtol=1e-12)
-        np.testing.assert_allclose(r.dot_t, r.reference, atol=1e-12)
+        np.testing.assert_allclose(closed_form(4, 1), 1.540252306284805, rtol=1e-12)
+        np.testing.assert_allclose(pe_dot(4, 0, 1), closed_form(4, 1), atol=1e-12)
 
     def test_distant_positions_agree(self):
-        r = pe_dot_invariance(64, 5, 300, 17)
-        assert abs(r.dot_t - r.dot_s) < 1e-9
+        dot_t, dot_s, reference = pe_dot(64, 5, 17), pe_dot(64, 300, 17), closed_form(64, 17)
+        assert abs(dot_t - dot_s) < 1e-9
+        assert pe_dot_invariance(64, 5, 300, 17) == max(
+            abs(dot_t - reference), abs(dot_s - reference), abs(dot_t - dot_s))
 
     def test_random_sweep_stays_tiny(self):
         rng = np.random.default_rng(11)
@@ -78,7 +88,7 @@ class TestDotInvariance:
             d = 2 * int(rng.integers(1, 129))
             t, s = int(rng.integers(0, 10000)), int(rng.integers(0, 10000))
             off = int(rng.integers(0, 1000))
-            assert pe_dot_invariance(d, t, s, off).max_deviation < 1e-9
+            assert pe_dot_invariance(d, t, s, off) < 1e-9
 
     def test_check_pe_aggregate_and_determinism(self):
         worst = check_pe(trials=300, seed=2)

@@ -108,7 +108,7 @@ def test_damaged_dataset_is_a_data_error(tmp_path_factory, data):
 
 @FUZZ
 @given(data=st.data())
-@pytest.mark.filterwarnings("ignore::prformer.pre.PyramidConfigWarning")
+@pytest.mark.filterwarnings("ignore::prformer.config.PyramidConfigWarning")
 def test_damaged_config_file_is_a_config_error(tmp_path_factory, data):
     path = _probe(tmp_path_factory, _mutate(data, CONFIG, [(0, len(CONFIG) + 1)]))
     try:

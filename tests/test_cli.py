@@ -486,7 +486,7 @@ BAD_CONFIGS = {
     "lr-zero": {"lr": 0.0},
     "lr-decay-zero": {"lr_decay": 0.0},
     "lr-decay-above-one": {"lr_decay": 1.5},
-    # pyramid_kernels would floor 24.5 to 24 and train
+    # a float window must stop at the integer check, before pyramid_kernels
     "window-float": {"pyramidal_windows": [24.5]},
 }
 

@@ -32,22 +32,21 @@ class TestEncode:
         out_p = encoder.encode(tensor(x[:, perm, :]), params).data
         np.testing.assert_allclose(out[:, perm, :], out_p, atol=1e-5)
 
-    def test_attention_rows_stochastic_at_every_layer(self):
+    def test_attention_rows_stochastic_at_every_layer(self, softmax_outputs):
         rng = np.random.default_rng(63)
         params = build(rng, e_layers=3)
-        seen = []
-        encoder.encode(tensor(rng.normal(size=(2, 4, 8)).astype(np.float32)),
-                       params, collect_attn=seen)
-        assert len(seen) == 3
-        for probs in seen:
+        encoder.encode(tensor(rng.normal(size=(2, 4, 8)).astype(np.float32)), params)
+        assert len(softmax_outputs) == 3
+        for probs in softmax_outputs:
             np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0, atol=1e-6)
 
-    def test_single_token_attention_degenerates(self):
+    def test_single_token_attention_degenerates(self, softmax_outputs):
         rng = np.random.default_rng(64)
         params = cast_tree(build(rng, e_layers=1))
         x = rng.normal(size=(1, 1, 8))
-        mixed, probs = nn.multi_head_attention(tensor(x, dtype=np.float64),
-                                               params.layers[0].attn, heads=2)
+        mixed = nn.multi_head_attention(tensor(x, dtype=np.float64),
+                                        params.layers[0].attn, heads=2)
+        [probs] = softmax_outputs
         np.testing.assert_allclose(probs.data, 1.0)
         attn = params.layers[0].attn
         v = x @ attn.v.w.data + attn.v.b.data
@@ -61,7 +60,7 @@ class TestEncode:
         x = tensor(rng.normal(size=(1, 3, 8)), dtype=np.float64)
         out = encoder.encode(x, params).data
 
-        mixed, _ = nn.multi_head_attention(x, layer.attn, heads=2)
+        mixed = nn.multi_head_attention(x, layer.attn, heads=2)
         a = nn.layer_norm(T.add(x, mixed), layer.ln1_gamma, layer.ln1_beta)
         ff = nn.linear(T.relu(nn.linear(a, layer.ff1)), layer.ff2)
         manual = nn.layer_norm(T.add(a, ff), layer.ln2_gamma, layer.ln2_beta)
@@ -78,14 +77,12 @@ class TestEncode:
         again = encoder.encode(x, params).data
         np.testing.assert_array_equal(clean, again)
 
-    def test_token_linear_standin_has_no_attention(self):
+    def test_token_linear_standin_has_no_attention(self, softmax_outputs):
         rng = np.random.default_rng(68)
         params = build(rng, e_layers=2, token_linear=True)
         assert all(l.attn is None and l.token_mix is not None for l in params.layers)
-        seen = []
-        out = encoder.encode(tensor(np.ones((1, 3, 8), dtype=np.float32)),
-                             params, collect_attn=seen)
-        assert seen == [] and out.shape == (1, 3, 8)
+        out = encoder.encode(tensor(np.ones((1, 3, 8), dtype=np.float32)), params)
+        assert softmax_outputs == [] and out.shape == (1, 3, 8)
 
 
 class TestProjectionHead:

@@ -11,9 +11,14 @@ import oracles
 from conftest import cast_tree
 from oracles import Tape
 from prformer import nn, pre, tensor as T
-from prformer.config import ConfigError, RunConfig, read_config_file
+from prformer.config import (
+    ConfigError,
+    PyramidConfigWarning,
+    RunConfig,
+    pyramid_kernels,
+    read_config_file,
+)
 from prformer.model import PRformer
-from prformer.pre import PyramidConfigWarning
 from prformer.tensor import Tensor
 from prformer.training import mae_loss
 
@@ -234,7 +239,7 @@ class TestModelMechanics:
         assert any(n.startswith("encoder.layers.0.attn") for n in names)
         assert names == [n for n, _ in PRformer(small_config(), 2).named_parameters()]
 
-    @pytest.mark.parametrize("variant", ["full", "V1", "V3"])
+    @pytest.mark.parametrize("variant", ["full", "V1", "V2", "V3"])
     def test_every_parameter_gets_a_gradient(self, variant):
         # a parameter whose gradient is rounding noise cannot change the forecast
         model = PRformer(small_config(variant=variant), 2)
@@ -250,7 +255,7 @@ class TestModelMechanics:
         # stream (seed, 0) is the init's; the dropout masks draw from others
         config = small_config()
         model = PRformer(config, 2)
-        k = pre.pyramid_kernels(config.pyramidal_windows, config.lookback)[0]
+        k = pyramid_kernels(config.pyramidal_windows, config.lookback)[0]
         bound = 1.0 / np.sqrt(k)
         want = np.random.default_rng((config.seed, 0)).uniform(
             -bound, bound, (config.conv_channels, 1, k)).astype(np.float32)

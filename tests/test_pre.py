@@ -12,7 +12,7 @@ import oracles
 from conftest import cast_tree, grad_check_all_params
 from oracles import Tape
 from prformer import nn, pre, tensor as T
-from prformer.pre import (
+from prformer.config import (
     PyramidConfigWarning,
     level_hidden_sizes,
     pyramid_kernels,
@@ -71,7 +71,7 @@ class TestBuildPyramidConfig:
                     n = n // k
                     assert built == n and n >= 1
 
-    @pytest.mark.filterwarnings("ignore::prformer.pre.PyramidConfigWarning")
+    @pytest.mark.filterwarnings("ignore::prformer.config.PyramidConfigWarning")
     @pytest.mark.parametrize("lookback", [144, 200, 720, 1001], ids=lambda n: f"L{n}")
     @pytest.mark.parametrize("windows", CRITERION_02_WINDOWS,
                              ids=lambda w: "w" + "-".join(map(str, w)))

@@ -7,8 +7,8 @@ excluded), other than from inside its own definition. A name counts as
 reached when it is read bare inside its module, imported by name from it,
 or read as an attribute of the module under an imported alias
 (`T.permute`); `np.zeros` does not reach `tensor.zeros`. Public methods and
-properties are matched by name only: each must be read as `.name`
-somewhere in program code.
+properties, and the annotated fields of every class, are matched by name
+only: each must be read as `.name` somewhere in program code.
 
 `perfbench/` finds its targets by name when it runs and skips a missing
 one silently, so moving a name out of `src/` would only drop metrics;
@@ -97,16 +97,30 @@ def test_every_public_name_is_reached_from_program_code():
     assert not unreached, f"called only by tests, delete or move into tests/: {unreached}"
 
 
-def test_every_public_method_is_read_from_program_code():
-    read = {node.attr for path in _program_files()
+def _attributes_read():
+    """Every name read as `.name` in program code."""
+    return {node.attr for path in _program_files()
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_public_method_is_read_from_program_code():
+    read = _attributes_read()
     unread = [f"{module}.{cls.name}.{fn.name}"
               for module, cls in _public_definitions() if isinstance(cls, ast.ClassDef)
               for fn in cls.body
               if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
               and fn.name not in read]
     assert not unread, f"called only by tests, delete or move into tests/: {unread}"
+
+
+def test_every_class_field_is_read_from_program_code():
+    read = _attributes_read()
+    unread = [f"{module}.{cls.name}.{field.target.id}"
+              for module, cls in _public_definitions() if isinstance(cls, ast.ClassDef)
+              for field in cls.body
+              if isinstance(field, ast.AnnAssign) and field.target.id not in read]
+    assert not unread, f"read only by tests, delete or move into tests/: {unread}"
 
 
 def test_perfbench_lookups_find_their_targets(monkeypatch):
