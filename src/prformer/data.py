@@ -263,18 +263,17 @@ def write_rows(path, columns, rows):
 
 
 def _reprs(values):
-    """The `repr` of every element of a float array, as a list of strings: one
-    repr of the whole list is faster than one call per element, and no float's
-    repr contains the ", " that separates the items."""
-    return repr(values.reshape(-1).tolist())[1:-1].split(", ") if values.size else []
+    """The `repr` of every element of a float array, as a list of strings, from
+    one C-level `repr` call per float."""
+    return list(map(repr, values.reshape(-1).tolist()))
 
 
 def _distinct_reprs(values):
-    """`_reprs(values)`, taking each repr once per distinct bit pattern.
-
-    Keyed on bits, not values, so -0.0 and 0.0 keep their own reprs.
-    """
-    flat = values.reshape(-1)
-    _, first, inverse = np.unique(flat.view(f"u{flat.itemsize}"),
-                                  return_index=True, return_inverse=True)
-    return np.array(_reprs(flat[first]), dtype=object)[inverse].tolist()
+    """`_reprs(values)` of a (..., C) array, each distinct row formatted once, as
+    overlapping windows repeat whole rows. A row's key is its bytes, not its
+    values, so -0.0, 0.0 and each NaN payload keep their own reprs."""
+    rows = np.ascontiguousarray(values).reshape(-1, values.shape[-1])
+    keys = rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    cells = np.array(_reprs(rows[first]), dtype=object).reshape(-1, rows.shape[1])
+    return cells[inverse].reshape(-1).tolist()

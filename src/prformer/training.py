@@ -98,15 +98,16 @@ def train_step(model, optimizer, inputs, targets, dropout_rng, epoch=1,
     gamma clamp. Every gradient is cleared on return. A non-finite loss, or a
     non-finite gradient, raises DivergenceError naming `epoch` and `batch`
     (and the first parameter whose gradient is not finite) before any
-    parameter changes. Returns the loss value.
+    parameter changes, with numpy's float warnings off. Returns the loss value.
     """
-    loss = mae_loss(model.forward(Tensor(inputs), training=True,
-                                  dropout_rng=dropout_rng), Tensor(targets))
-    value = float(loss.data)
-    if not np.isfinite(value):
-        raise DivergenceError(f"non-finite loss {value} at epoch {epoch}, "
-                              f"batch {batch}, lr {optimizer.lr:.3e}")
-    T.backward(loss)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        loss = mae_loss(model.forward(Tensor(inputs), training=True,
+                                      dropout_rng=dropout_rng), Tensor(targets))
+        value = float(loss.data)
+        if not np.isfinite(value):
+            raise DivergenceError(f"non-finite loss {value} at epoch {epoch}, "
+                                  f"batch {batch}, lr {optimizer.lr:.3e}")
+        T.backward(loss)
     name = next((n for n, p in optimizer.named_params
                  if p.grad is not None and not np.isfinite(p.grad).all()), None)
     if name is not None:

@@ -42,7 +42,7 @@ import datetime
 import numpy as np
 
 from prformer import nn, tensor as T
-from prformer.data import PREDICTION_COLUMNS, DataError, SeriesTable, _reprs, window_iter
+from prformer.data import PREDICTION_COLUMNS, DataError, SeriesTable, window_iter
 from prformer.nn import LinearParams
 from prformer.tensor import Tensor, _node, _records, _toposort, backward, no_grad
 
@@ -311,15 +311,13 @@ def load_csv(path):
 
 
 def write_matrix(path, header, keys, values):
-    """`header`, then each key's cells and its row of `values`, one
-    `csv.writer` row at a time."""
-    cells = _reprs(values)
-    width = values.shape[1]
+    """`header`, then each key's cells and its row of `values`, each value
+    as `repr(float(v))`, one `csv.writer` row at a time."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(list(key) + cells[i * width:(i + 1) * width]
-                         for i, key in enumerate(keys))
+        writer.writerows(list(key) + [repr(float(v)) for v in row]
+                         for key, row in zip(keys, values))
 
 
 def hourly_timestamps(n):

@@ -318,6 +318,23 @@ class TestExitCodes:
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_overflowing_train_step_prints_one_line(self, tmp_path):
+        # finite float32 values near 1e20 overflow in the first forward; in a
+        # fresh process numpy's overflow warnings would each print a line too
+        table = synthetic.mixed_table(n=400, seed=9)
+        table.values = table.values * np.float32(1e20)
+        dataset = str(tmp_path / "big.csv")
+        data.save_csv(table, dataset)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        done = subprocess.run([sys.executable, "-m", "prformer.cli", "train",
+                               "--dataset", dataset, *FAST,
+                               "--checkpoint", str(tmp_path / "m.ckpt"),
+                               "--history", str(tmp_path / "h.csv")],
+                              env=env, capture_output=True, encoding="utf-8")
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith("numeric failure: ")
+        assert done.stderr.count("\n") == 1, done.stderr
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_validation_metric_is_numeric_failure(self, tmp_path, capsys):
         # 1e25 only in rows that validation windows alone read: a 6:2:2 split

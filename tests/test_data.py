@@ -506,6 +506,34 @@ class TestPredictionsCsv:
         assert text == slow.read_bytes()
         assert b",-0.0," in text and b",0.0," in text and b",nan\r\n" in text
 
+    @pytest.mark.parametrize("layout", ["float32", "float64", "one-channel", "strided"])
+    @pytest.mark.parametrize("odd", ["signed-zero", "nan-payload"])
+    def test_byte_identical_on_rows_that_differ_in_one_cell_bits(self, tmp_path, odd, layout):
+        # targets are deduplicated by row bytes: two rows equal in every cell but
+        # the last, which holds 0.0 in one and -0.0 in the other, or two NaNs
+        # with different payload bits, must each keep their own cells
+        dtype = np.float64 if layout == "float64" else np.float32
+        width = 1 if layout == "one-channel" else 3
+        pair = np.array([0.0, -0.0] if odd == "signed-zero" else [np.nan, np.nan], dtype)
+        if odd == "nan-payload":
+            pair.view(f"u{pair.itemsize}")[1] |= 1
+        rows = np.tile(np.random.default_rng(96).normal(size=width).astype(dtype), (8, 1))
+        rows[:, -1] = np.tile(pair, 4)  # each of the two rows four times
+        y_true = rows.reshape(2, 4, width)
+        if layout == "strided":
+            y_true = np.repeat(y_true, 2, axis=2)[..., ::2]
+            assert not y_true.flags.c_contiguous
+        y_pred = np.random.default_rng(97).normal(size=y_true.shape).astype(dtype)
+        batches = [(np.array([5, 6]), y_true, y_pred)]
+        channels = ["a", "b,c", "d"][:width]
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        data.write_predictions(str(fast), iter(batches), channels)
+        oracles.write_predictions(str(slow), iter(batches), channels)
+        text = fast.read_bytes()
+        assert text == slow.read_bytes()
+        if odd == "signed-zero":
+            assert b",-0.0," in text and b",0.0," in text
+
     def test_streams_one_batch_at_a_time(self, tmp_path):
         # a writer that formats a whole pass before writing peaks ~8x higher on 16 batches
         rng = np.random.default_rng(95)
