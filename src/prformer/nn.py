@@ -207,12 +207,14 @@ def gru_forward(x, params):
     candidate into `cand` and the state into the next slot of `hs`. The z
     and r columns of `w`, `b` and `u_zr` are halved on per-call copies,
     which is exact, so the logistic is one tanh of their sum:
-    sigmoid(a) = (tanh(a / 2) + 1) / 2. When the node is recorded the
-    buffers keep h_0..h_T, the gates and the candidates for the hand-written
-    BPTT; otherwise `hs` is a two-slot ring and the gates and candidate one
-    slot each. BPTT writes each step's gate gradients into one (3H, B)
-    buffer and, while it is in cache, the step's input gradient and its
-    shares of the weight gradients, which are summed over time after the
+    sigmoid(a) = (tanh(a / 2) + 1) / 2. The bias copy is spread to (3H, B)
+    once per call, so each step adds it as a same-shape array, not as a
+    (3H, 1) column that numpy spreads one row at a time. When the node is
+    recorded the buffers keep h_0..h_T, the gates and the candidates for the
+    hand-written BPTT; otherwise `hs` is a two-slot ring and the gates and
+    candidate one slot each. BPTT writes each step's gate gradients into one
+    (3H, B) buffer and, while it is in cache, the step's input gradient and
+    its shares of the weight gradients, which are summed over time after the
     loop. Each per-step product is the BLAS call a whole-sequence product
     makes for that step, so streaming changes no bit. Backward returns one
     gradient per `GRUParams` field.
@@ -221,9 +223,9 @@ def gru_forward(x, params):
     t_len, in_dim, batch = x.shape
     hidden = params.hidden_size
     zr_cols = slice(0, 2 * hidden)
-    w_half, b_half = w_in.copy(), b_in.copy()
+    w_half, b_wide = w_in.copy(), np.repeat(b_in[:, None], batch, axis=1)
     w_half[:, zr_cols] *= 0.5
-    b_half[zr_cols] *= 0.5
+    b_wide[zr_cols] *= 0.5
     u_zr_half = u_zr * 0.5
     dtype = np.result_type(w_half, x.data)
     parents = (x, params.w, params.u_zr, params.u_h, params.b)
@@ -240,7 +242,7 @@ def gru_forward(x, params):
         h, h_next = hs[t % len(hs)], hs[(t + 1) % len(hs)]
         zr_t, c_t = zr[t % steps], cand[t % steps]
         np.matmul(w_half.T, x.data[t], out=proj)
-        proj += b_half[:, None]
+        np.add(proj, b_wide, out=proj)
         np.matmul(u_zr_half.T, h, out=zr_t)
         zr_t += proj[zr_cols]
         np.tanh(zr_t, out=zr_t)

@@ -124,10 +124,10 @@ def train(config: RunConfig, table, progress=None) -> TrainResult:
     """Fit a model on `table` under `config`; returns the best-val model.
 
     Per epoch: shuffled train pass with Adam at the decayed LR, then an
-    ordered validation pass on raw-scale MAE. Stops when validation fails to
-    improve for `patience` epochs; the best-validation parameters are
-    restored before returning. A non-finite validation MAE or MSE raises
-    DivergenceError naming the epoch.
+    ordered validation pass on raw-scale MAE with numpy's float warnings
+    off. Stops when validation fails to improve for `patience` epochs; the
+    best-validation parameters are restored before returning. A non-finite
+    validation MAE or MSE raises DivergenceError naming the epoch.
     """
     model = PRformer(config, table.n_channels)
     train_range, val_range, _ = split_ranges(table.length, config.split_scheme,
@@ -145,7 +145,8 @@ def train(config: RunConfig, table, progress=None) -> TrainResult:
         losses = [train_step(model, optimizer, b.inputs, b.targets, dropout_rng,
                              epoch, i) for i, b in enumerate(batches)]
 
-        val = evaluate(model, table.values, val_range, config)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            val = evaluate(model, table.values, val_range, config)
         if not np.isfinite([val.mae, val.mse]).all():
             raise DivergenceError(f"non-finite validation metric (mae {val.mae}, "
                                   f"mse {val.mse}) at epoch {epoch}")

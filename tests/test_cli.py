@@ -335,7 +335,6 @@ class TestExitCodes:
         assert done.stderr.startswith("numeric failure: ")
         assert done.stderr.count("\n") == 1, done.stderr
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_validation_metric_is_numeric_failure(self, tmp_path, capsys):
         # 1e25 only in rows that validation windows alone read: a 6:2:2 split
         # of 400 rows at lookback 32 ends train at row 240 and starts the test
@@ -350,6 +349,7 @@ class TestExitCodes:
                        "--history", str(tmp_path / "h.csv")])
         err = capsys.readouterr().err
         assert rc == 3, err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1, err
         assert "non-finite validation metric" in err and "epoch 1" in err
         assert not ckpt.exists()
 

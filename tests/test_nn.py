@@ -39,6 +39,37 @@ class CountingNumpy:
         return counted
 
 
+class BroadcastRecordingNumpy:
+    """Stands in for a module's `np`: the arrays its `empty`, `empty_like`,
+    `repeat` and `array` hand out append to `broadcasts` each elementwise
+    ufunc call whose array operands differ in shape; all else passes
+    through."""
+
+    def __init__(self):
+        self.broadcasts = []
+        broadcasts = self.broadcasts
+
+        class Recording(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
+                shapes = [a.shape for a in inputs + out if isinstance(a, np.ndarray)]
+                if ufunc.signature is None and method == "__call__" and len(set(shapes)) > 1:
+                    broadcasts.append((ufunc.__name__, shapes))
+                plain = [a.view(np.ndarray) if isinstance(a, Recording) else a
+                         for a in inputs + out]
+                if out:
+                    kwargs["out"] = tuple(plain[len(inputs):])
+                result = getattr(ufunc, method)(*plain[:len(inputs)], **kwargs)
+                return out[0] if out else result  # out itself: `+=` keeps the class
+
+        self.recording = Recording
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in ("empty", "empty_like", "repeat", "array"):
+            return attr
+        return lambda *args, **kwargs: attr(*args, **kwargs).view(self.recording)
+
+
 def scalar_gru(wz=0.0, uz=0.0, bz=0.0, wr=0.0, ur=0.0, br=0.0,
                wh=0.0, uh=0.0, bh=0.0):
     """A one-unit GRU from per-gate scalars, fused into `GRUParams` layout."""
@@ -326,10 +357,10 @@ class TestGRU:
     def test_unrecorded_run_keeps_no_history(self):
         # T=200 steps: the recorded run keeps h_0..h_T, the gates and the
         # candidates, (4T + 1) * H * B values; the unrecorded run keeps,
-        # whatever T, one step's projections (3H, B), numpy's buffer for the
-        # broadcast bias add (at most one step), the halved (H, 2H) recurrent
-        # weights and a ring of two state slots, one gate slot, one candidate
-        # slot and one step buffer, 6 * H * B values
+        # whatever T, one step's projections (3H, B), the halved bias spread
+        # over the batch (3H, B), the halved (H, 2H) recurrent weights and a
+        # ring of two state slots, one gate slot, one candidate slot and one
+        # step buffer, 6 * H * B values
         rng = np.random.default_rng(24)
         t_len, batch, hidden = 200, 64, 32
         params = f64_gru(nn.init_gru(rng, 4, hidden), requires_grad=True)
@@ -386,13 +417,33 @@ class TestGRU:
         assert calls[16] == calls[8] + 8 * per_step, calls
         assert calls[32] == calls[8] + 24 * per_step, calls
 
+    def test_steps_add_no_broadcast_operand(self, monkeypatch):
+        # a cost gate no host load can waive: numpy spreads a (3H, 1) bias
+        # column over (3H, B) one row at a time, over twice as slow as a
+        # same-shape add, so every elementwise op of the forward and BPTT
+        # takes operands of one shape
+        rng = np.random.default_rng(27)
+        params = nn.init_gru(rng, 2, 3)
+        xs = [tensor(rng.normal(size=(t_len, 2, 4)).astype(np.float32), requires_grad=True)
+              for t_len in (8, 16)]
+        recorder = BroadcastRecordingNumpy()
+        monkeypatch.setattr(nn, "np", recorder)
+        for x in xs:
+            backward(T.sum_(nn.gru_forward(x, params)))
+        assert recorder.broadcasts == []
+
     @pytest.mark.parametrize("t_len,in_dim,batch,hidden", [
         pytest.param(1, 3, 9, 6, id="1"),
         pytest.param(2, 3, 9, 6, id="2"),
         pytest.param(7, 3, 9, 6, id="7"),
+        pytest.param(7, 3, 1, 6, id="batch1"),
         # train-long's levels 0 and 2: B·C = 224 rows, 16 conv channels
         pytest.param(60, 16, 224, 42, id="level0"),
-        pytest.param(15, 16, 224, 44, id="level2")])
+        pytest.param(15, 16, 224, 44, id="level2"),
+        # forecast-long's three levels at L=720
+        pytest.param(30, 16, 224, 42, id="forecast-level0"),
+        pytest.param(15, 16, 224, 42, id="forecast-level1"),
+        pytest.param(7, 16, 224, 44, id="forecast-level2")])
     def test_bitwise_equal_to_gate_major_oracle(self, t_len, in_dim, batch, hidden):
         # float32, as the model runs: the kernel keeps the oracle's order of
         # operations and its sgemm calls, so the output and all five gradients
